@@ -1,26 +1,21 @@
-"""[E2] Scheduler backends on one fix plan: serial vs batch vs process.
+"""[E2] Scheduler backends on one fix plan: serial vs process.
 
-The execution plane (``repro.runtime``) promises that every backend is
-bit-identical to ``SerialScheduler`` and that the batched backend
-amortises decision work across structurally identical fixings.  This
+The execution plane (``repro.runtime``) promises that the process
+backend is bit-identical to ``SerialScheduler``, the one oracle.  This
 bench measures exactly the phase the backends differ on — executing an
-already-built plan through a fresh fixer — on the headline rank-3
-cyclic-triples workload and a rank-2 cycle for coverage.  The coloring
-and plan construction are deliberately excluded from the timed region:
-they are identical across backends, and including them would only
-dilute the comparison.
+already-built plan through a fresh fixer and a fresh scheduler — on the
+headline rank-3 cyclic-triples workload and a rank-2 cycle for
+coverage.  The coloring and plan construction are deliberately excluded
+from the timed region: they are identical across backends, and
+including them would only dilute the comparison.
 
-Acceptance bar: on the headline rank-3 workload, ``BatchScheduler``
-must be at least 1.5x faster than ``SerialScheduler`` (the class
-structure of cyclic triples is highly symmetric, so the memoized
-decision cache should serve the overwhelming majority of ops).  The
-process backend is reported but has no floor — forking and payload
-shipping only pay off for much more expensive per-op decisions, and the
-bench exists to keep that trade-off measured, not to pretend it is
-always a win.  Quick mode (``SCHEDULER_BENCH_QUICK=1``, used by the CI
-perf-smoke job) shrinks the workloads and only requires batch not to be
-slower than serial; ``SCHEDULER_BENCH_BACKENDS`` restricts the backend
-set (CI runs serial+batch).
+Every row must verify and match the serial transcript exactly.  No
+speedup floor applies: the process backend's cold execute includes
+spawning its pool and broadcasting the solve, which only pays off for
+much more expensive per-op decisions, and the bench exists to keep that
+trade-off measured, not to pretend it is always a win.  Quick mode
+(``SCHEDULER_BENCH_QUICK=1``, used by the CI perf jobs) shrinks the
+workloads; ``SCHEDULER_BENCH_BACKENDS`` restricts the backend set.
 """
 
 from __future__ import annotations
@@ -45,16 +40,16 @@ QUICK = os.environ.get("SCHEDULER_BENCH_QUICK") == "1"
 BACKENDS = tuple(
     name.strip()
     for name in os.environ.get(
-        "SCHEDULER_BENCH_BACKENDS", "serial,batch,process"
+        "SCHEDULER_BENCH_BACKENDS", "serial,process"
     ).split(",")
     if name.strip()
 )
 
-#: Timing repetitions per backend; the fastest is kept.
-REPEATS = 2 if QUICK else 3
-
-#: Required batch-over-serial speedup on the headline rank-3 workload.
-BATCH_SPEEDUP_FLOOR = 1.0 if QUICK else 1.5
+#: Timing repetitions per backend; the fastest is kept.  A process row
+#: pays a cold pool spawn per repetition: over repeated quick runs on a
+#: 2-vCPU box its rank-3 ratio to serial spread 0.12-0.28x at best-of-2
+#: and mostly stayed within 0.13-0.16x at best-of-5.
+REPEATS = 5
 
 WORKLOADS = [
     (
@@ -96,9 +91,14 @@ def _run_backend(backend, build_instance):
         fixer = _fixer_for(instance)
         _obs_harness.reset_engine([instance])
         scheduler = make_scheduler(backend)
-        start = time.perf_counter()
-        scheduler.execute(fixer, plan, instance)
-        elapsed = time.perf_counter() - start
+        try:
+            start = time.perf_counter()
+            scheduler.execute(fixer, plan, instance)
+            elapsed = time.perf_counter() - start
+        finally:
+            close = getattr(scheduler, "close", None)
+            if close is not None:
+                close()
         result = fixer.run(order=())
         if best_seconds is None or elapsed < best_seconds:
             best_seconds = elapsed
@@ -150,7 +150,7 @@ def test_scheduler_scaling(benchmark, emit):
     emit(
         "E2",
         records,
-        "Scheduler backends: serial vs batch vs process",
+        "Scheduler backends: serial vs process",
         wall_seconds=wall,
     )
 
@@ -159,16 +159,3 @@ def test_scheduler_scaling(benchmark, emit):
         assert row["identical_to_serial"], (
             f"{row['backend']} diverged from serial on {row['workload']}"
         )
-
-    if "batch" in BACKENDS and "serial" in BACKENDS:
-        headline = [
-            row
-            for row in rows
-            if row["headline"] and row["backend"] == "batch"
-        ]
-        assert headline, "headline rank-3 batch row missing"
-        for row in headline:
-            assert row["speedup_vs_serial"] >= BATCH_SPEEDUP_FLOOR, (
-                f"batch speedup {row['speedup_vs_serial']}x below the "
-                f"{BATCH_SPEEDUP_FLOOR}x floor on {row['workload']}"
-            )

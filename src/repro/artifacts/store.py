@@ -60,7 +60,6 @@ DEFAULT_CAPACITIES: Dict[str, int] = {
     "templates": 128,
     "plans": 128,
     "indexings": 256,
-    "situations": 1 << 16,
     "parameters": 64,
     # Whole solve responses memoized by the solve service, keyed on
     # canonical request *content* (not shape): sound because the

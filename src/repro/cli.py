@@ -5,7 +5,7 @@ Usage (also via ``python -m repro``)::
     python -m repro info                      # paper + library summary
     python -m repro solve --family cycle --n 24 --alphabet 3
     python -m repro solve --family triples --n 18 --alphabet 5 --distributed
-    python -m repro solve --family triples --n 18 --scheduler batch
+    python -m repro solve --family triples --n 18 --scheduler process
     python -m repro solve --family triples --n 18 --scheduler process \\
         --faults seed=7,crash=0.3,deadline=1   # fault-injected, same answer
     python -m repro solve --family triples --n 18 --obs-trace run.jsonl
@@ -44,13 +44,13 @@ FAMILIES = ("cycle", "regular", "torus", "triples")
 
 
 def _apply_backend_args(args) -> None:
-    """Install the ``--engine``/``--graph``/``--decide``/``--artifacts``/
-    ``--ipc`` selections.
+    """Install the ``--engine``/``--graph``/``--decide``/``--artifacts``
+    selections.
 
-    Each flag is the CLI front for one of the five process-wide backend
+    Each flag is the CLI front for one of the four process-wide backend
     switches (``REPRO_ENGINE`` / ``REPRO_GRAPH`` / ``REPRO_DECIDE`` /
-    ``REPRO_ARTIFACTS`` / ``REPRO_IPC``); a flag that was not given
-    leaves the ambient environment selection untouched.
+    ``REPRO_ARTIFACTS``); a flag that was not given leaves the ambient
+    environment selection untouched.
     """
     if getattr(args, "engine", None):
         from repro.probability import set_engine_mode
@@ -68,10 +68,6 @@ def _apply_backend_args(args) -> None:
         from repro.artifacts import set_artifacts_mode
 
         set_artifacts_mode(args.artifacts)
-    if getattr(args, "ipc", None):
-        from repro.runtime.shm import set_ipc_mode
-
-        set_ipc_mode(args.ipc)
 
 
 def _build_instance(args):
@@ -225,7 +221,6 @@ def _command_serve(args) -> int:
         port=args.port,
         scheduler=args.scheduler,
         workers=args.workers,
-        ipc=getattr(args, "ipc", None),
         max_inflight=args.max_inflight,
         deadline_s=args.deadline,
     )
@@ -515,12 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="structural-fingerprint artifact cache: reuse "
             "kernels/plans/templates across same-shape instances "
             "(default: REPRO_ARTIFACTS, else on)",
-        )
-        subparser.add_argument(
-            "--ipc", choices=("shm", "pickle"), default=None,
-            help="process-scheduler IPC plane: zero-copy shared memory "
-            "or the per-chunk pickle oracle (default: REPRO_IPC, else "
-            "shm)",
         )
 
     solve_parser = commands.add_parser(

@@ -109,7 +109,7 @@ class Rank2Fixer:
         ``()`` for a rank-1 variable, the pair of cumulative edge weights
         for a rank-2 variable.  Together with the events' conditional
         masses this is the *entire* state a decision depends on, which is
-        what makes the batch scheduler's decision memoization sound.
+        what makes the vector plane's lane deduplication sound.
         """
         if len(events) < 2:
             return ()

@@ -21,10 +21,12 @@ Two lowerings share the wave-executor idea:
   then only carries a small :class:`_RunState` (the pins matrix and the
   ledger array, specialised from live fixer state) through the
   template, so repeated solves pay specialisation, not lowering.
-* **Worker side** (:func:`execute_class_cells`): process workers lower
-  the :class:`~repro.runtime.workers.CellPayload` chunk they received
-  into a one-shot :class:`ClassProgram` — no template, since payloads
-  already carry kernels, pins and ledger slices.
+* **Worker side** (:func:`program_from_payloads`): a process worker
+  lowers the :class:`~repro.runtime.workers.CellPayload`\\ s it rebuilt
+  from the shared segment into a :class:`ClassProgram` — no template,
+  since payloads already carry kernels, pins and ledger slices — and
+  caches it per chunk range, refreshing pins and ledger in place on
+  later visits (:func:`refresh_program`).
 
 Bit-identity contract: the engine layer reproduces the scalar kernels'
 mass arithmetic (see :meth:`KernelStack.query`), the selection layer's
@@ -34,9 +36,8 @@ order as the fixers' ``local_weights``, and every derived quantity of a
 winning lane (new weights, slack, decompositions) is computed with the
 same scalar float operations the per-op rules perform.  Within a wave,
 lanes with identical selection inputs (support labels, Inc rows,
-bookkeeping weights) are deduplicated before selection — sound for the
-same reason the batch scheduler's decision memoization is sound: a
-decision reads nothing else.
+bookkeeping weights) are deduplicated before selection — sound because
+a decision reads nothing else.
 
 The scalar path stays intact as the differential oracle:
 ``REPRO_DECIDE=scalar`` switches every scheduler back to per-op
@@ -597,8 +598,8 @@ def _shared_stack(kernels) -> KernelStack:
 
     Keyed on the kernels' interned content fingerprints, so templates
     (and worker-side class programs, which rebuild their kernel lists
-    from unpickled payloads every chunk) with content-identical kernel
-    sets share one stacked truth table.  A stack is immutable after
+    from the unpickled segment blob) with content-identical kernel sets
+    share one stacked truth table.  A stack is immutable after
     construction and its queries delegate multi-row buckets to the same
     ``math.fsum`` order regardless of which kernel objects it was built
     from — bit-identity is preserved by construction.
@@ -1294,7 +1295,8 @@ def program_from_payloads(payloads) -> ClassProgram:
     """Lower worker-side :class:`~repro.runtime.workers.CellPayload`\\ s.
 
     The payloads already carry kernels, pins and ledger slices, so no
-    template is involved; the program is one-shot for this chunk.
+    template is involved; the worker caches the program for its chunk
+    range and refreshes it in place (:func:`refresh_program`).
     """
     kind = payloads[0].kind if payloads else "naive"
     program = ClassProgram(kind)
@@ -1575,21 +1577,3 @@ def _run_wave(np, stack, pins, wave, results, kind, max_values) -> None:
         pins[wave.scatter_event, wave.scatter_pos] = np.asarray(
             scatter_values, dtype=np.int64
         )
-
-
-def execute_class_cells(payloads) -> List[List[object]]:
-    """Worker-side batch execution of one chunk's cells.
-
-    Takes the vector path when possible; otherwise (or on any internal
-    error) replays the cells through the scalar
-    :func:`~repro.runtime.workers.execute_cell` loop in plan order,
-    which raises exactly the errors the scalar path would.
-    """
-    try:
-        program = program_from_payloads(payloads)
-        return run_program(program)
-    except Exception:
-        STATS.vector_fallbacks += 1
-        from repro.runtime.workers import execute_cell
-
-        return [execute_cell(payload) for payload in payloads]

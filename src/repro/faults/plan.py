@@ -17,7 +17,7 @@ Fault classes
 
 * **Worker faults** (consulted by
   :class:`~repro.runtime.schedulers.ProcessScheduler`, executed by
-  :func:`~repro.runtime.workers.execute_chunk`): ``crash`` (the worker
+  :func:`~repro.runtime.workers.execute_chunk_shm`): ``crash`` (the worker
   process dies mid-chunk), ``hang`` (the worker sleeps past any
   reasonable deadline), ``slow`` (bounded extra latency) and ``garble``
   (the worker returns a truncated reply).  Faults may be pinned to an

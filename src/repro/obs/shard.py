@@ -8,7 +8,7 @@ This module closes it with a three-part protocol:
 1. **Propagation.**  The parent builds one :class:`TraceContext` per
    chunk dispatch — ``run_id``, the span id of the parent ``dispatch``
    event, a deterministic logical ``worker_id``, the 0-based
-   ``attempt`` — and ships it (pickled) alongside the cell payloads.
+   ``attempt`` — and ships it (pickled) alongside the chunk descriptor.
 2. **Shard recording.**  The worker installs a :class:`ShardRecorder`:
    a buffer of plain-dict event records with worker-local ``seq`` and
    monotonic ``ts_ns``.  Records are returned piggybacked on the chunk

@@ -6,15 +6,13 @@ independent cells whose fixings touch pairwise-disjoint event sets.
 This package makes that schedule an explicit, inspectable object
 (:class:`FixPlan`) and executes it through interchangeable backends:
 
-* :class:`SerialScheduler` — one op at a time in plan order; the
-  differential oracle every other backend must match bit-for-bit;
-* :class:`BatchScheduler` — same order, but decisions are memoized on
-  the (kernel fingerprint, pins, weights) local situation, collapsing
-  structurally identical fixings across a class to one engine pass;
+* :class:`SerialScheduler` — plan order, in-process; the differential
+  oracle the process backend must match bit-for-bit;
 * :class:`ProcessScheduler` — cells of a class are dispatched to worker
-  processes and their decisions committed in deterministic plan order.
+  processes over a shared-memory segment and their decisions committed
+  in deterministic plan order.
 
-The equivalence of all three is exactly the paper's independence
+The equivalence of the two is exactly the paper's independence
 argument: within a class, a variable appears only in the scopes of its
 own cell's events, so cross-cell decisions commute.
 """
@@ -32,20 +30,12 @@ from repro.runtime.plan import (
     plan_from_two_hop_coloring,
 )
 from repro.runtime.schedulers import (
-    BatchScheduler,
     ProcessScheduler,
     Scheduler,
     SerialScheduler,
     make_scheduler,
 )
-from repro.runtime.shm import (
-    IPC_MODES,
-    ipc_mode,
-    live_segment_names,
-    set_ipc_mode,
-    shm_enabled,
-    using_ipc,
-)
+from repro.runtime.shm import live_segment_names
 
 __all__ = [
     "ColorClass",
@@ -58,15 +48,9 @@ __all__ = [
     "build_serial_plan",
     "plan_for_instance",
     "plan_from_two_hop_coloring",
-    "BatchScheduler",
     "ProcessScheduler",
     "Scheduler",
     "SerialScheduler",
     "make_scheduler",
-    "IPC_MODES",
-    "ipc_mode",
     "live_segment_names",
-    "set_ipc_mode",
-    "shm_enabled",
-    "using_ipc",
 ]

@@ -1,44 +1,34 @@
 """Pluggable execution backends for :class:`~repro.runtime.plan.FixPlan`.
 
-All three schedulers produce bit-identical assignments, step records and
-phi ledgers; they differ only in how the independent cells of a color
-class are traversed:
+Both schedulers produce bit-identical assignments, step records and phi
+ledgers; they differ only in where the independent cells of a color
+class are decided:
 
-* :class:`SerialScheduler` — cells and ops strictly in plan order, one
-  ``fix_variable`` per op.  This is the differential oracle.
-* :class:`BatchScheduler` — same commit order, but each decision is
-  memoized on its *local situation*: the affected kernels'
-  fingerprints, their scope pins, the variable's weight vector and the
-  bookkeeping weights.  Two variables in identical local situations
-  (ubiquitous on symmetric instances) share one engine pass; the cached
-  choice is replayed by support position, which is exact because every
-  numeric query is label-independent.
+* :class:`SerialScheduler` — cells and ops in plan order, in-process.
+  This is the differential oracle every other backend is tested
+  against.
 * :class:`ProcessScheduler` — cells are replayed in a process pool; the
   parent commits the returned choices in plan order, so the trace
   equals the serial one.  Workers re-validate read-set disjointness: a
-  schedule bug raises instead of corrupting phi.  Two IPC planes exist
-  (``REPRO_IPC``): the default ``shm`` plane broadcasts the solve once
-  into a :class:`~repro.runtime.shm.SharedInstanceSegment` and ships
-  only fixed-width chunk descriptors to persistent warm workers, which
-  write their decisions into a shared result region; the ``pickle``
-  plane re-serialises payloads per chunk and is kept verbatim as the
-  differential oracle.  Both are fault-tolerant: per-chunk deadlines,
-  pool-rebuilding retries with bounded exponential backoff, and a
-  final in-parent fallback keep the merge bit-identical under worker
-  crashes and hangs (deterministically injectable through
-  :class:`repro.faults.FaultPlan` or the ``REPRO_FAULTS`` environment
-  spec).
+  schedule bug raises instead of corrupting phi.  The solve is
+  broadcast once into a
+  :class:`~repro.runtime.shm.SharedInstanceSegment`; persistent warm
+  workers receive only fixed-width chunk descriptors and write their
+  decisions into a shared result region.  Dispatch is fault-tolerant:
+  per-chunk deadlines, pool-rebuilding retries with bounded
+  exponential backoff, and a final in-parent fallback keep the merge
+  bit-identical under worker crashes and hangs (deterministically
+  injectable through :class:`repro.faults.FaultPlan` or the
+  ``REPRO_FAULTS`` environment spec).
 
-All three backends dispatch whole color classes through the fixers'
+The serial backend runs whole color classes through the fixers'
 ``decide_class``/``commit_class`` batch split when the vector decide
 plane (:mod:`repro.core.vector`) accepts the class; a ``None`` from
 ``decide_class`` — scalar decide mode (``REPRO_DECIDE=scalar``), events
-without compiled kernels — falls back to the scheduler's own per-op
-loop, which is the differential oracle the batch path is tested
-against.  The process backend additionally batches *inside* the
-workers: each chunk executes as one class-level program
-(:func:`repro.runtime.workers.execute_class_chunk`) and kernels are
-interned per class so every distinct kernel pickles once per chunk.
+without compiled kernels — falls back to the per-op loop, which is the
+differential oracle the batch path is tested against.  The process
+backend batches *inside* the workers: each chunk executes as one cached
+class-level program (:func:`repro.runtime.workers.execute_chunk_shm`).
 
 Every scheduler validates each class's cross-cell disjointness before
 touching it and publishes per-class span / op-count metrics through
@@ -57,17 +47,14 @@ import weakref
 from abc import ABC, abstractmethod
 from concurrent.futures import (
     CancelledError as FuturesCancelledError,
+    Future,
     ProcessPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.artifacts.store import (
-    STORE as _ARTIFACTS,
-    artifacts_enabled,
-    artifacts_mode,
-)
+from repro.artifacts.store import STORE as _ARTIFACTS, artifacts_mode
 from repro.errors import ReproError, SchedulerProtocolError
 from repro.faults import FaultPlan, fault_plan_from_env
 from repro.probability import engine as _engine
@@ -77,27 +64,17 @@ from repro.obs.shard import TraceContext, collect_shard_fallback
 from repro.core.selection import Decision
 from repro.core.vector import decide_mode
 from repro.lll.instance import LLLInstance
-from repro.runtime.plan import ColorClass, FixCell, FixPlan
+from repro.runtime.plan import ColorClass, FixPlan
 from repro.runtime.shm import (
     CLEANUP_ERRORS,
-    IPC_MODES,
     ChunkDescriptor,
     ShmSession,
-    ipc_mode,
     report_cleanup_error,
 )
-from repro.runtime.workers import (
-    CellPayload,
-    ChunkReply,
-    EventPayload,
-    OpPayload,
-    _shm_worker_init,
-    execute_chunk,
-    execute_chunk_shm,
-)
+from repro.runtime.workers import _shm_worker_init, execute_chunk_shm
 
 #: Registered scheduler names, in documentation order.
-SCHEDULER_NAMES = ("serial", "batch", "process")
+SCHEDULER_NAMES = ("serial", "process")
 
 #: Failure classes the process backend recovers from (everything else —
 #: notably :class:`SchedulerProtocolError` and worker-side validation
@@ -149,7 +126,7 @@ def _dispatch_class(fixer, color_class: ColorClass, recorder) -> bool:
 
 
 def _fixer_kind(fixer) -> str:
-    """The selection discipline of a fixer, for worker payloads."""
+    """The selection discipline of a fixer, for the shared segment."""
     name = type(fixer).__name__
     if name == "Rank2Fixer":
         return "rank2"
@@ -255,121 +232,6 @@ class SerialScheduler(Scheduler):
                 fixer.fix_variable(op.variable)
 
 
-class BatchScheduler(Scheduler):
-    """Decision memoization over the local situations of a plan.
-
-    The cache key captures everything a decision reads: the fixer
-    discipline, the variable's probability vector, and per affected
-    event the interned kernel fingerprint, the scope pins and the
-    variable's scope position — plus the current bookkeeping weights.
-    Keys are exact (no float rounding), so a hit replays a decision
-    whose numeric inputs were bit-identical; only the value *label* is
-    rebound, by support position.  Events without a compiled kernel
-    fall back to a direct ``decide``.
-    """
-
-    name = "batch"
-
-    def execute(self, fixer, plan: FixPlan, instance: LLLInstance) -> None:
-        # With the artifact plane on, the memo is the shared store's
-        # ``situations`` tier: keys are pure local-situation content
-        # (interned kernel fingerprints, pins, weights — no names), so a
-        # decision memoized by one execute replays exactly in any later
-        # execute, including over a different same-shape instance.  With
-        # the plane off, a per-execute dict preserves legacy behaviour.
-        if artifacts_enabled():
-            self._memo = _ARTIFACTS.tier("situations")
-        else:
-            self._memo = {}
-        self._hits = 0
-        self._misses = 0
-        super().execute(fixer, plan, instance)
-        recorder = _obs_active()
-        if recorder is not None:
-            recorder.event(
-                "runtime",
-                "batch_cache",
-                hits=self._hits,
-                misses=self._misses,
-            )
-
-    def _run_class(
-        self, fixer, color_class: ColorClass, instance: LLLInstance
-    ) -> None:
-        recorder = _obs_active()
-        # The vector plane already amortizes identical local situations
-        # (its engine pass dedups lanes by situation bytes), so a class
-        # it accepts never touches the scalar memo.
-        if _dispatch_class(fixer, color_class, recorder):
-            return
-        memo = self._memo
-        for cell in color_class.cells:
-            for op in cell.ops:
-                variable = instance.variable(op.variable)
-                events = instance.events_of_variable(op.variable)
-                key = self._situation_key(fixer, variable, events)
-                if key is None:
-                    fixer.commit(fixer.decide(op.variable))
-                    continue
-                cached = memo.get(key)
-                if cached is None:
-                    self._misses += 1
-                    if recorder is not None:
-                        recorder.count("runtime", "batch_misses")
-                    decision = fixer.decide(op.variable)
-                    support = [
-                        value for value, _prob in variable.support_items()
-                    ]
-                    memo[key] = (
-                        decision.choice,
-                        support.index(decision.choice.value),
-                    )
-                    fixer.commit(decision)
-                else:
-                    self._hits += 1
-                    if recorder is not None:
-                        recorder.count("runtime", "batch_hits")
-                    choice, position = cached
-                    support = [
-                        value for value, _prob in variable.support_items()
-                    ]
-                    replayed = dataclasses.replace(
-                        choice, value=support[position]
-                    )
-                    fixer.commit(
-                        Decision(
-                            variable=variable,
-                            events=tuple(events),
-                            choice=replayed,
-                        )
-                    )
-
-    @staticmethod
-    def _situation_key(fixer, variable, events) -> Optional[tuple]:
-        """The exact local situation of a decision, or ``None`` to skip."""
-        parts = []
-        for event in events:
-            kernel = event.compiled_kernel()
-            if kernel is None:
-                return None
-            pins = event.scope_pins(fixer.assignment)
-            if pins is None:
-                return None
-            parts.append(
-                (
-                    kernel.fingerprint(),
-                    tuple(pins),
-                    event.scope_names.index(variable.name),
-                )
-            )
-        return (
-            _fixer_kind(fixer),
-            variable.probabilities,
-            tuple(parts),
-            fixer.local_weights(events),
-        )
-
-
 @dataclasses.dataclass
 class _ChunkState:
     """Dispatch bookkeeping for one chunk of cells."""
@@ -383,8 +245,8 @@ class _ChunkState:
     attempt: int = 0
     #: Whether any attempt of this chunk has failed (for recovery obs).
     faulted: bool = False
-    #: Shm mode only: the chunk's ``[start, stop)`` roster range — the
-    #: whole payload of a :class:`~repro.runtime.shm.ChunkDescriptor`.
+    #: The chunk's ``[start, stop)`` roster range — the whole payload
+    #: of a :class:`~repro.runtime.shm.ChunkDescriptor`.
     start: int = 0
     stop: int = 0
 
@@ -425,29 +287,21 @@ class ProcessScheduler(Scheduler):
     """Cells of a class run in a ``ProcessPoolExecutor``; commits stay
     in the parent, in plan order.
 
-    Two IPC planes, selected by ``REPRO_IPC`` or the ``ipc`` argument
-    (resolved at construction, echoed by :meth:`describe`):
+    The solve's static structure broadcasts once into a
+    :class:`~repro.runtime.shm.SharedInstanceSegment`; warm workers
+    attach at pool start, pre-warm their artifact store from the blob,
+    and receive only fixed-width
+    :class:`~repro.runtime.shm.ChunkDescriptor`\\ s per chunk.  Live
+    pins/phi refresh in place per class, decisions come back through a
+    preallocated shared result region, and the pool + segment stay warm
+    across executes until :meth:`close` (or GC/atexit via
+    ``weakref.finalize`` — no leaked ``/dev/shm`` entries).
 
-    * ``shm`` (default) — the solve's static structure broadcasts once
-      into a :class:`~repro.runtime.shm.SharedInstanceSegment`; warm
-      workers attach at pool start, pre-warm their artifact store from
-      the blob, and receive only fixed-width
-      :class:`~repro.runtime.shm.ChunkDescriptor`\\ s per chunk.  Live
-      pins/phi refresh in place per class, decisions come back through
-      a preallocated shared result region, and the pool + segment stay
-      warm across executes until :meth:`close` (or GC/atexit via
-      ``weakref.finalize`` — no leaked ``/dev/shm`` entries).
-    * ``pickle`` — each dispatched cell carries its events' kernels and
-      pins plus its slice of the phi ledger
-      (:class:`~repro.runtime.workers.CellPayload`) on every chunk,
-      with a fresh pool per execute.  This is the differential oracle
-      for the shm plane.
-
-    Either way the worker replays cells through the shared selection
-    rules; cells that cannot be serialised (no compiled kernel, pins
-    unavailable) execute in the parent at their merge position,
-    preserving order.  ``max_workers`` bounds the pool;
-    ``min_dispatch_ops`` routes tiny classes around the pool entirely.
+    The worker replays cells through the shared selection rules; cells
+    that cannot be dispatched (no compiled kernel, pins unavailable)
+    execute in the parent at their merge position, preserving order.
+    ``max_workers`` bounds the pool; ``min_dispatch_ops`` routes tiny
+    classes around the pool entirely.
 
     Failure semantics (see docs/scheduling.md): every chunk result is
     awaited with ``deadline`` seconds of patience; a timeout or a dead
@@ -481,7 +335,6 @@ class ProcessScheduler(Scheduler):
         backoff_cap: float = 1.0,
         fault_plan: Optional[FaultPlan] = None,
         sleep: Callable[[float], None] = time.sleep,
-        ipc: Optional[str] = None,
     ) -> None:
         if max_workers is None:
             # Resolve the worker count ourselves instead of reaching
@@ -503,17 +356,6 @@ class ProcessScheduler(Scheduler):
         self._backoff_base = max(float(backoff_base), 0.0)
         self._backoff_cap = max(float(backoff_cap), 0.0)
         self._sleep = sleep
-        # The IPC plane is resolved *now*, not per execute: the run
-        # header echoes it, the E8 artifacts depend on it, and flipping
-        # REPRO_IPC mid-scheduler would desynchronise a warm pool from
-        # its segment.
-        if ipc is None:
-            ipc = ipc_mode()
-        if ipc not in IPC_MODES:
-            raise ReproError(
-                f"invalid IPC mode {ipc!r}; expected one of {IPC_MODES}"
-            )
-        self._ipc = ipc
         self._box = _ProcessResources()
         self._finalizer = weakref.finalize(
             self, _release_process_resources, self._box
@@ -542,7 +384,7 @@ class ProcessScheduler(Scheduler):
         return self._box.session
 
     def describe(self) -> str:
-        parts = [f"process workers={self._num_workers} ipc={self._ipc}"]
+        parts = [f"process workers={self._num_workers}"]
         if self._deadline is not None:
             parts.append(f"deadline={self._deadline:g}s")
         if self._fault_plan is not None:
@@ -562,14 +404,12 @@ class ProcessScheduler(Scheduler):
     def execute(self, fixer, plan: FixPlan, instance: LLLInstance) -> None:
         recorder = _obs_active()
         self.ipc_stats = {
-            "ipc": self._ipc,
             "workers": self._num_workers,
             "broadcasts": 0,
             "generation": 0,
             "chunks": 0,
             "shm_bytes": 0,
             "descriptor_bytes": 0,
-            "pickle_bytes": 0,
             "worker_warm_hits": 0,
         }
         if recorder is not None:
@@ -577,17 +417,11 @@ class ProcessScheduler(Scheduler):
             # trace is the durable artifact, so the shards are temporary.
             self._shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
         try:
-            if self._ipc == "shm":
-                self._ensure_session(fixer, plan, instance, recorder)
+            # The pool stays warm across executes (that is the point);
+            # ``close()`` or the finalizer reclaims it.
+            self._ensure_session(fixer, plan, instance, recorder)
             super().execute(fixer, plan, instance)
         finally:
-            if self._ipc != "shm" and self._pool is not None:
-                # The pickle oracle keeps its historical lifecycle: a
-                # fresh pool per execute.  The shm pool stays warm
-                # across executes (that is the point); ``close()`` or
-                # the finalizer reclaims it.
-                self._pool.shutdown(wait=True)
-                self._pool = None
             if self._shard_dir is not None:
                 shutil.rmtree(self._shard_dir, ignore_errors=True)
                 self._shard_dir = None
@@ -644,24 +478,19 @@ class ProcessScheduler(Scheduler):
 
     def _acquire_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self._ipc == "shm":
-                # Warm workers: every process attaches the segment and
-                # pins the parent's decide/artifact modes once, before
-                # its first chunk.
-                self._attached_segment = self._session.segment.name
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._num_workers,
-                    initializer=_shm_worker_init,
-                    initargs=(
-                        self._attached_segment,
-                        artifacts_mode(),
-                        decide_mode(),
-                    ),
-                )
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._num_workers
-                )
+            # Warm workers: every process attaches the segment and pins
+            # the parent's decide/artifact modes once, before its first
+            # chunk.
+            self._attached_segment = self._session.segment.name
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._num_workers,
+                initializer=_shm_worker_init,
+                initargs=(
+                    self._attached_segment,
+                    artifacts_mode(),
+                    decide_mode(),
+                ),
+            )
         return self._pool
 
     def _abandon_pool(self) -> None:
@@ -671,10 +500,9 @@ class ProcessScheduler(Scheduler):
         the parent forever — the precise failure mode the deadline
         exists to bound — so the pool is shut down without waiting and
         its remaining processes are terminated best-effort, then killed
-        if they ignore the terminate.  The join matters for the shm
-        plane: a terminated worker's segment mapping dies with the
-        process, so a retry wave can never race a half-dead writer over
-        the shared result region.
+        if they ignore the terminate.  The join matters: a terminated
+        worker's segment mapping dies with the process, so a retry wave
+        can never race a half-dead writer over the shared result region.
         """
         pool, self._pool = self._pool, None
         if pool is None:
@@ -704,12 +532,7 @@ class ProcessScheduler(Scheduler):
         self, fixer, color_class: ColorClass, instance: LLLInstance
     ) -> None:
         recorder = _obs_active()
-        if self._ipc == "shm":
-            choices_by_cell = self._collect_shm(fixer, color_class, recorder)
-        else:
-            choices_by_cell = self._collect_pickle(
-                fixer, color_class, instance, recorder
-            )
+        choices_by_cell = self._collect(fixer, color_class, recorder)
 
         # Deterministic merge: plan cell order, regardless of which
         # worker finished first (or whether a cell ran in-parent).
@@ -743,86 +566,12 @@ class ProcessScheduler(Scheduler):
             )
 
     # ------------------------------------------------------------------
-    # Per-class collection (shm and pickle planes)
+    # Per-class collection
     # ------------------------------------------------------------------
-    def _collect_pickle(
-        self,
-        fixer,
-        color_class: ColorClass,
-        instance: LLLInstance,
-        recorder,
-    ) -> Dict[int, List[object]]:
-        """The original per-chunk serialisation plane (the oracle)."""
-        kind = _fixer_kind(fixer)
-        # Payload serialization timed apart from dispatch and merge, so
-        # pickling cost is attributable from the trace alone.  Kernels
-        # are interned per class (by fingerprint): cells of a symmetric
-        # class share the same kernel *objects*, so pickle's memo ships
-        # each distinct kernel once per chunk instead of once per cell.
-        payload_start = time.perf_counter_ns() if recorder is not None else 0
-        kernel_cache: Dict[tuple, object] = {}
-        payloads: List[Optional[CellPayload]] = [
-            self._cell_payload(fixer, kind, cell, instance, kernel_cache)
-            for cell in color_class.cells
-        ]
-        if recorder is not None:
-            recorder.record_span(
-                "runtime", "payload",
-                time.perf_counter_ns() - payload_start,
-                color=color_class.color, cells=len(payloads),
-            )
-        dispatchable = [
-            index for index, payload in enumerate(payloads)
-            if payload is not None
-        ]
-        if recorder is not None and dispatchable:
-            # Class-level shipping cost: the size of the class's whole
-            # dispatched payload in one pickle (the unit that actually
-            # crosses the process boundary, kernel interning included).
-            class_bytes = len(
-                pickle.dumps(
-                    [payloads[index] for index in dispatchable],
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            )
-            self.ipc_stats["pickle_bytes"] = (
-                int(self.ipc_stats.get("pickle_bytes", 0)) + class_bytes
-            )
-            recorder.observe_quantile(
-                "runtime", "pickle_bytes_per_class", class_bytes
-            )
-            recorder.count("runtime", "pickle_bytes", class_bytes)
-        dispatch_ops = sum(
-            len(color_class.cells[index].ops) for index in dispatchable
-        )
-        if len(dispatchable) < 2 or dispatch_ops < self._min_dispatch_ops:
-            return {}
-        chunks = self._chunk(dispatchable, self._num_workers)
-        self._emit_workers_event(recorder, color_class, chunks)
-
-        def submit(pool, state, fault, trace):
-            return pool.submit(
-                execute_chunk,
-                [payloads[index] for index in state.cells],
-                fault,
-                trace,
-                decide_mode(),
-                artifacts_mode(),
-            )
-
-        def harvest(state, reply):
-            replies = (
-                reply.results if isinstance(reply, ChunkReply) else reply
-            )
-            self._validate_replies(state, replies, color_class)
-            return list(zip(state.cells, replies))
-
-        return self._dispatch(self._make_states(chunks), submit, harvest)
-
-    def _collect_shm(
+    def _collect(
         self, fixer, color_class: ColorClass, recorder
     ) -> Dict[int, List[object]]:
-        """The zero-copy plane: refresh the segment, ship descriptors.
+        """Refresh the segment, ship descriptors, decode the results.
 
         The parent writes the class's live pins/phi/roster into the
         shared segment once (``shm_refresh`` span), submits fixed-width
@@ -853,80 +602,28 @@ class ProcessScheduler(Scheduler):
             return {}
         # Chunks are contiguous *roster position* ranges, so a chunk is
         # fully described by [start, stop) — the descriptor wire format.
-        chunks = [
-            [roster[position] for position in positions]
-            for positions in self._chunk(
-                list(range(len(roster))), self._num_workers
-            )
-        ]
+        chunks = self._chunk(roster, self._num_workers)
         self._emit_workers_event(recorder, color_class, chunks)
-        states = self._make_states(chunks)
-        position = 0
-        for state in states:
-            state.start = position
-            position += len(state.cells)
-            state.stop = position
-        generation = session.generation
-
-        def submit(pool, state, fault, trace):
-            descriptor = ChunkDescriptor(
-                generation=generation,
-                class_index=class_index,
-                start=state.start,
-                stop=state.stop,
-                attempt=state.attempt,
-            )
-            nbytes = len(
-                pickle.dumps(descriptor, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            self.ipc_stats["descriptor_bytes"] = (
-                int(self.ipc_stats.get("descriptor_bytes", 0)) + nbytes
-            )
-            if recorder is not None:
-                recorder.observe_quantile(
-                    "runtime", "descriptor_bytes_per_chunk", nbytes
-                )
-                recorder.count("runtime", "descriptor_bytes", nbytes)
-            return pool.submit(
-                execute_chunk_shm,
-                descriptor,
-                fault,
-                trace,
-                decide_mode(),
-                artifacts_mode(),
-            )
-
-        def harvest(state, ack):
-            counts = getattr(ack, "counts", None)
-            if counts is None:
-                raise SchedulerProtocolError(
-                    f"chunk {state.chunk_id}: shm worker returned "
-                    f"{type(ack).__name__} instead of a chunk ack"
-                )
-            if len(counts) != len(state.cells):
-                raise SchedulerProtocolError(
-                    f"chunk {state.chunk_id}: worker acknowledged "
-                    f"{len(counts)} cell results for {len(state.cells)} "
-                    f"cells"
-                )
-            for cell_id, count in zip(state.cells, counts):
-                cell = color_class.cells[cell_id]
-                if count != len(cell.ops):
-                    raise SchedulerProtocolError(
-                        f"cell {cell.owner!r} (chunk {state.chunk_id}): "
-                        f"worker wrote {count} choices for "
-                        f"{len(cell.ops)} ops"
-                    )
-            return session.decode_chunk(class_index, state.cells)
-
-        return self._dispatch(states, submit, harvest)
+        return self._dispatch(
+            color_class, class_index, self._make_states(chunks)
+        )
 
     def _make_states(
         self, chunks: Sequence[List[int]]
     ) -> List[_ChunkState]:
+        """One dispatch state per chunk, with its roster range."""
         states: List[_ChunkState] = []
+        position = 0
         for chunk in chunks:
-            states.append(_ChunkState(self._next_chunk_id, list(chunk)))
+            states.append(
+                _ChunkState(
+                    self._next_chunk_id,
+                    list(chunk),
+                    start=position,
+                    stop=position + len(chunk),
+                )
+            )
+            position += len(chunk)
             self._next_chunk_id += 1
         self.ipc_stats["chunks"] = (
             int(self.ipc_stats.get("chunks", 0)) + len(states)
@@ -961,21 +658,20 @@ class ProcessScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _dispatch(
         self,
+        color_class: ColorClass,
+        class_index: int,
         states: Sequence[_ChunkState],
-        submit: Callable,
-        harvest: Callable,
     ) -> Dict[int, List[object]]:
         """Run the chunks through the pool; recover from failed workers.
 
-        IPC-plane agnostic: ``submit(pool, state, fault, trace)``
-        dispatches one attempt and ``harvest(state, reply)`` validates
-        the reply and returns ``(cell index, choices)`` pairs — raising
-        :class:`~repro.errors.SchedulerProtocolError` on garbled replies,
-        which is never retried.  Returns the collected choices per cell
-        index.  Cells of chunks that exhausted their retry budget are
-        deliberately *absent* from the result — the merge loop executes
-        them in-parent at their plan position, which reproduces the
-        serial transcript exactly.
+        Each attempt ships one descriptor (:meth:`_submit`); each reply
+        is checked against the chunk and decoded (:meth:`_harvest`),
+        raising :class:`~repro.errors.SchedulerProtocolError` on garbled
+        acks, which is never retried.  Returns the collected choices
+        per cell index.  Cells of chunks that exhausted their retry
+        budget are deliberately *absent* from the result — the merge
+        loop executes them in-parent at their plan position, which
+        reproduces the serial transcript exactly.
         """
         recorder = _obs_active()
         plan = self._fault_plan
@@ -1027,7 +723,9 @@ class ProcessScheduler(Scheduler):
                         worker_id=trace.worker_id,
                     )
                 try:
-                    future = submit(pool, state, fault, trace)
+                    future = self._submit(
+                        pool, class_index, state, fault, trace, recorder
+                    )
                 except Exception as error:
                     # A crashed worker can break the pool while this
                     # wave is still being submitted; a synchronous
@@ -1113,7 +811,9 @@ class ProcessScheduler(Scheduler):
                     )
                     if recorder is not None:
                         recorder.count("runtime", "worker_warm_hits")
-                for index, choices in harvest(state, reply):
+                for index, choices in self._harvest(
+                    color_class, class_index, state, reply
+                ):
                     results[index] = choices
                 if state.faulted and recorder is not None:
                     recorder.event(
@@ -1194,26 +894,76 @@ class ProcessScheduler(Scheduler):
                 attempt=attempt,
             )
 
-    def _validate_replies(
+    def _submit(
         self,
-        state: "_ChunkState",
-        replies: Sequence[Sequence[object]],
-        color_class: ColorClass,
-    ) -> None:
-        """Reject short or garbled worker replies before any commit."""
-        if len(replies) != len(state.cells):
-            raise SchedulerProtocolError(
-                f"chunk {state.chunk_id}: worker returned {len(replies)} "
-                f"cell results for {len(state.cells)} cells"
+        pool: ProcessPoolExecutor,
+        class_index: int,
+        state: _ChunkState,
+        fault,
+        trace: Optional[TraceContext],
+        recorder,
+    ) -> Future:
+        """Ship one chunk attempt to the pool as a fixed-width descriptor."""
+        descriptor = ChunkDescriptor(
+            generation=self._session.generation,
+            class_index=class_index,
+            start=state.start,
+            stop=state.stop,
+            attempt=state.attempt,
+        )
+        nbytes = len(
+            pickle.dumps(descriptor, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        self.ipc_stats["descriptor_bytes"] = (
+            int(self.ipc_stats.get("descriptor_bytes", 0)) + nbytes
+        )
+        if recorder is not None:
+            recorder.observe_quantile(
+                "runtime", "descriptor_bytes_per_chunk", nbytes
             )
-        for index, choices in zip(state.cells, replies):
-            cell = color_class.cells[index]
-            if len(choices) != len(cell.ops):
+            recorder.count("runtime", "descriptor_bytes", nbytes)
+        return pool.submit(
+            execute_chunk_shm,
+            descriptor,
+            fault,
+            trace,
+            decide_mode(),
+            artifacts_mode(),
+        )
+
+    def _harvest(
+        self,
+        color_class: ColorClass,
+        class_index: int,
+        state: _ChunkState,
+        ack,
+    ) -> List[Tuple[int, List[object]]]:
+        """Reject short or garbled acks, then decode the chunk's rows.
+
+        Nothing is decoded (let alone committed) until every cell's
+        acknowledged choice count matches its op count.
+        """
+        counts = getattr(ack, "counts", None)
+        if counts is None:
+            raise SchedulerProtocolError(
+                f"chunk {state.chunk_id}: shm worker returned "
+                f"{type(ack).__name__} instead of a chunk ack"
+            )
+        if len(counts) != len(state.cells):
+            raise SchedulerProtocolError(
+                f"chunk {state.chunk_id}: worker acknowledged "
+                f"{len(counts)} cell results for {len(state.cells)} "
+                f"cells"
+            )
+        for cell_id, count in zip(state.cells, counts):
+            cell = color_class.cells[cell_id]
+            if count != len(cell.ops):
                 raise SchedulerProtocolError(
                     f"cell {cell.owner!r} (chunk {state.chunk_id}): "
-                    f"worker reply has {len(choices)} choices for "
+                    f"worker wrote {count} choices for "
                     f"{len(cell.ops)} ops"
                 )
+        return self._session.decode_chunk(class_index, state.cells)
 
     @staticmethod
     def _chunk(indices: Sequence[int], workers: int) -> List[List[int]]:
@@ -1228,77 +978,6 @@ class ProcessScheduler(Scheduler):
             start = end
         return [chunk for chunk in chunks if chunk]
 
-    @staticmethod
-    def _cell_payload(
-        fixer,
-        kind: str,
-        cell: FixCell,
-        instance: LLLInstance,
-        kernel_cache: Optional[Dict[tuple, object]] = None,
-    ) -> Optional[CellPayload]:
-        """Serialise a cell, or ``None`` when it must run in-parent.
-
-        ``kernel_cache`` interns kernels by fingerprint across the cells
-        of one class, so pickle serialises each distinct kernel once per
-        chunk rather than once per referencing cell.
-        """
-        event_payloads: Dict[Hashable, EventPayload] = {}
-        ops: List[OpPayload] = []
-        ledger: Dict[frozenset, Tuple[Tuple[Hashable, float], ...]] = {}
-        for op in cell.ops:
-            variable = instance.variable(op.variable)
-            events = instance.events_of_variable(op.variable)
-            for event in events:
-                if event.name in event_payloads:
-                    continue
-                kernel = event.compiled_kernel()
-                if kernel is None:
-                    return None
-                if kernel_cache is not None:
-                    kernel = kernel_cache.setdefault(
-                        kernel.fingerprint(), kernel
-                    )
-                pins = event.scope_pins(fixer.assignment)
-                if pins is None:
-                    return None
-                event_payloads[event.name] = EventPayload(
-                    name=event.name,
-                    kernel=kernel,
-                    scope_names=event.scope_names,
-                    pins=tuple(pins),
-                )
-            names = tuple(event.name for event in events)
-            ops.append(OpPayload(variable=variable, event_names=names))
-            if kind == "naive":
-                key = frozenset(names)
-                if key not in ledger:
-                    weights = fixer.local_weights(events)
-                    ledger[key] = tuple(zip(names, weights))
-            elif len(events) == 2:
-                key = frozenset(names)
-                if key not in ledger:
-                    weights = fixer.local_weights(events)
-                    ledger[key] = tuple(zip(names, weights))
-            elif len(events) == 3:
-                for u, v in (
-                    (names[0], names[1]),
-                    (names[0], names[2]),
-                    (names[1], names[2]),
-                ):
-                    key = frozenset((u, v))
-                    if key not in ledger:
-                        ledger[key] = (
-                            (u, fixer.pstar.value(u, v, u)),
-                            (v, fixer.pstar.value(u, v, v)),
-                        )
-        return CellPayload(
-            owner=cell.owner,
-            kind=kind,
-            ops=tuple(ops),
-            events=tuple(event_payloads.values()),
-            ledger=tuple(ledger.items()),
-        )
-
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:
     """Factory used by the CLI and the benchmarks.
@@ -1310,8 +989,6 @@ def make_scheduler(name: str, **kwargs) -> Scheduler:
     """
     if name == "serial":
         return SerialScheduler(**kwargs)
-    if name == "batch":
-        return BatchScheduler(**kwargs)
     if name == "process":
         return ProcessScheduler(**kwargs)
     raise ReproError(

@@ -1,10 +1,10 @@
 """Zero-copy shared-memory IPC for the process execution backend.
 
-The pickle dispatch path re-serialises every cell of every class on
-every chunk: kernels, variables, scope tuples and ledger slices cross
-the process boundary again and again even though almost all of it is
-static for the whole solve.  This module replaces that with one
-per-solve **SharedInstanceSegment** (`multiprocessing.shared_memory`):
+Almost everything a worker needs to decide a cell — kernels, variables,
+scope tuples, ledger topology — is static for the whole solve, so none
+of it should cross the process boundary per chunk.  This module keeps
+it in one per-solve **SharedInstanceSegment**
+(`multiprocessing.shared_memory`):
 
 * the *static* structure — cells, ops, variables, compiled kernels,
   scope names, ledger slot ids — is pickled **once** per solve into the
@@ -18,11 +18,10 @@ per-solve **SharedInstanceSegment** (`multiprocessing.shared_memory`):
   into a preallocated shared result region, so the parent's merge is an
   index copy, not an unpickle.
 
-``REPRO_IPC`` selects the plane (``shm`` by default); ``pickle`` keeps
-the original per-chunk serialisation path as the differential oracle.
-Bit-identity holds because every number crossing the segment is an
-exact float64/int64 round-trip and the parent reconstructs the same
-frozen choice dataclasses the pickle path would have returned.
+Bit-identity with the serial oracle holds because every number
+crossing the segment is an exact float64/int64 round-trip and the
+parent reconstructs the same frozen choice dataclasses the worker's
+selection rules returned.
 
 Segment layout (all regions 8-byte aligned, capacities in the header)::
 
@@ -52,12 +51,7 @@ from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    ConfigurationError,
-    ObsError,
-    ReproError,
-    SchedulerProtocolError,
-)
+from repro.errors import ObsError, ReproError, SchedulerProtocolError
 from repro.obs.recorder import active as _obs_active
 from repro.probability.engine import _numpy
 
@@ -85,81 +79,6 @@ def report_cleanup_error(site: str, error: BaseException) -> None:
         )
     except ObsError:
         pass  # recorder closed mid-teardown (atexit ordering)
-
-# ----------------------------------------------------------------------
-# Mode selection (the REPRO_IPC differential-oracle switch)
-# ----------------------------------------------------------------------
-
-#: Environment variable selecting the process-backend IPC plane.
-IPC_ENV = "REPRO_IPC"
-
-#: Valid IPC planes: zero-copy shared memory, or the original pickle
-#: path kept as the differential oracle.
-IPC_MODES = ("shm", "pickle")
-
-# Lazily validated, like REPRO_ENGINE/REPRO_DECIDE: raising at import
-# time would crash ``import repro`` before CLI error handling exists.
-_MODE: Optional[str] = None
-
-
-def _mode_from_env() -> str:
-    mode = os.environ.get(IPC_ENV, "shm").strip().lower()
-    if mode not in IPC_MODES:
-        raise ConfigurationError(
-            f"{IPC_ENV}={mode!r} is not a valid IPC mode; "
-            f"expected one of {IPC_MODES}"
-        )
-    return mode
-
-
-def ipc_mode() -> str:
-    """The active process-backend IPC plane: ``"shm"`` or ``"pickle"``."""
-    global _MODE
-    if _MODE is None:
-        _MODE = _mode_from_env()
-    return _MODE
-
-
-def shm_enabled() -> bool:
-    """Whether the zero-copy shared-memory plane is selected."""
-    return ipc_mode() == "shm"
-
-
-def set_ipc_mode(mode: str) -> str:
-    """Select the IPC plane process-wide; returns the previous mode."""
-    global _MODE
-    if mode not in IPC_MODES:
-        raise ConfigurationError(
-            f"invalid IPC mode {mode!r}; expected one of {IPC_MODES}"
-        )
-    previous = ipc_mode()
-    _MODE = mode
-    return previous
-
-
-class using_ipc:
-    """Context manager: run the body under a specific IPC mode.
-
-    The differential-oracle pattern of the shm/pickle parity tests::
-
-        with using_ipc("pickle"):
-            reference = run(ProcessScheduler())
-        with using_ipc("shm"):
-            candidate = run(ProcessScheduler())
-    """
-
-    def __init__(self, mode: str) -> None:
-        self._mode = mode
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> str:
-        self._previous = set_ipc_mode(self._mode)
-        return self._mode
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._previous is not None:
-            set_ipc_mode(self._previous)
-
 
 # ----------------------------------------------------------------------
 # Segment layout
@@ -313,9 +232,9 @@ class ShmCell:
 
     ``ledger`` lists the cell's bookkeeping reads in first-touch order
     as ``(names, slots)`` pairs — the worker zips each names tuple with
-    the float64 phi values at ``slots`` to rebuild the exact ledger
-    slice the pickle path would have shipped.  ``op_offset`` is the
-    cell's first row in the shared result region (class-local).
+    the float64 phi values at ``slots`` to rebuild the cell's exact
+    ledger slice.  ``op_offset`` is the cell's first row in the shared
+    result region (class-local).
     """
 
     owner: Hashable
@@ -342,8 +261,8 @@ class ShmStaticPlan:
 class ChunkDescriptor:
     """The fixed-width wire format of one dispatched chunk.
 
-    Five small ints replace the per-chunk payload pickle: workers
-    resolve everything else from their attached segment (roster range
+    Five small ints are the whole per-chunk message: workers resolve
+    everything else from their attached segment (roster range
     ``[start, stop)`` into the current class's roster region).
     """
 
@@ -478,12 +397,12 @@ def decode_choice(row, values: Tuple[Hashable, ...], rank: int):
 class _ParentCell:
     """Parent-side refresh/decode metadata for one cell.
 
-    ``steps`` replays the exact walk ``_cell_payload`` performs — per
-    op, first the scope pins of the op's not-yet-seen events, then the
-    ledger fills — so the fixer-side side effects (``local_weights``
-    installing defaults) land in the same order as the pickle path.
-    ``static_ok`` is ``False`` for cells that can never dispatch; their
-    truncated steps are still replayed for side-effect parity.
+    ``steps`` is the cell's refresh walk — per op, first the scope pins
+    of the op's not-yet-seen events, then the ledger fills — so the
+    fixer-side side effects (``local_weights`` installing defaults)
+    land in a fixed first-touch order.  ``static_ok`` is ``False`` for
+    cells that can never dispatch; their truncated steps are still
+    replayed so those side effects do not depend on dispatchability.
     """
 
     #: Per op: ``(new_events, fills)`` where ``new_events`` entries are
@@ -514,10 +433,10 @@ class LoweredSolve:
 def lower_solve(kind: str, plan, instance) -> LoweredSolve:
     """Lower a fix plan + instance into the shared-segment structure.
 
-    Mirrors :meth:`ProcessScheduler._cell_payload` exactly — the same
-    kernel/pins gating, the same ledger first-touch order — but splits
-    the result into the static pickled-once blob and the per-class
-    refresh program the parent replays against the live fixer.
+    Walks every cell's ops in plan order, gating on compiled kernels
+    and recording the ledger reads in first-touch order, and splits the
+    result into the static pickled-once blob and the per-class refresh
+    program the parent replays against the live fixer.
     """
     event_ids: Dict[Hashable, int] = {}
     slot_registry: Dict[frozenset, Dict[Hashable, int]] = {}
@@ -565,9 +484,9 @@ def lower_solve(kind: str, plan, instance) -> LoweredSolve:
                     if len(scope) > pin_width:
                         pin_width = len(scope)
                 if not ok:
-                    # Same truncation point as _cell_payload returning
-                    # None: earlier ops' steps stay (side effects), the
-                    # rest of the cell is never walked.
+                    # Truncate at the first kernel-less event: earlier
+                    # ops' steps stay (side effects), the rest of the
+                    # cell is never walked.
                     if new_events:
                         steps.append((tuple(new_events), ()))
                     break
@@ -915,12 +834,11 @@ class ShmSession:
     def refresh_class(self, fixer, class_index: int) -> Tuple[List[int], int]:
         """Write one class's live pins/phi/roster; returns (roster, bytes).
 
-        Replays the pickle path's ``_cell_payload`` walk against the
-        live fixer — same ``scope_pins`` calls, same ``local_weights``/
-        ``pstar`` reads in the same order — writing into the shared
-        regions instead of payload objects.  A cell whose pins are
-        unavailable aborts at the same point the pickle path would and
-        stays off the roster (it runs in the parent at merge time).
+        Replays each cell's lowered walk against the live fixer —
+        ``scope_pins`` calls, then ``local_weights``/``pstar`` reads, in
+        first-touch order — writing into the shared regions.  A cell
+        whose pins are unavailable aborts at that point and stays off
+        the roster (it runs in the parent at merge time).
         """
         views = self.segment.views
         pins_view = views.pins

@@ -1,15 +1,18 @@
-"""Picklable cell payloads and the process-pool worker entry point.
+"""Cell payloads and the process-pool worker entry point.
 
 :class:`~repro.runtime.schedulers.ProcessScheduler` cannot ship the
 fixers to workers: a :class:`~repro.probability.BadEvent` closes over an
-arbitrary predicate.  What *is* picklable is everything a decision
-actually reads — the compiled :class:`~repro.probability.engine.EventKernel`
-(plain tuples), the :class:`~repro.probability.DiscreteVariable`\\ s and
-the cell's slice of the bookkeeping ledger.  So the parent serialises
-each cell into a :class:`CellPayload`, the worker replays the cell's
-decisions through the *same* pure selection rules
-(:mod:`repro.core.selection`) against kernel-backed event views, and the
-parent commits the returned choices in deterministic plan order.
+arbitrary predicate.  What *can* cross the process boundary is
+everything a decision actually reads — the compiled
+:class:`~repro.probability.engine.EventKernel` (plain tuples), the
+:class:`~repro.probability.DiscreteVariable`\\ s and the cell's slice of
+the bookkeeping ledger.  The parent publishes them once per solve into
+the shared segment (:mod:`repro.runtime.shm`); per chunk, the worker
+rebuilds each cell as a :class:`CellPayload` from the segment's live
+pins and phi regions, replays the cell's decisions through the *same*
+pure selection rules (:mod:`repro.core.selection`) against
+kernel-backed event views, and writes its choices into the shared
+result region.  The parent commits them in deterministic plan order.
 
 Bit-identity argument: the view's ``conditional_increases`` reproduces
 the kernel path of :meth:`BadEvent.conditional_increases` operation for
@@ -209,21 +212,6 @@ def execute_cell(payload: CellPayload) -> List[object]:
     return choices
 
 
-@dataclass
-class ChunkReply:
-    """A traced chunk's return value: results plus the telemetry shard.
-
-    ``execute_chunk`` keeps returning a plain list of per-cell choice
-    lists when no :class:`~repro.obs.shard.TraceContext` is shipped, so
-    untraced callers (and the in-parent fallback path) see the original
-    protocol; with tracing on, the shard records piggyback on the reply
-    and the parent merges them into its trace after validation.
-    """
-
-    results: List[List[object]]
-    records: List[Dict[str, object]]
-
-
 def _apply_worker_fault(
     fault: Optional[WorkerFault],
     results: List[List[object]],
@@ -235,11 +223,11 @@ def _apply_worker_fault(
     latter briefly; ``garble`` truncates the last cell's reply, which
     the parent must reject as a protocol violation instead of committing
     a partial cell.  (``crash`` is handled pre-compute in
-    :func:`execute_chunk`: the process dies before producing results,
-    and the parent sees a ``BrokenProcessPool``.)  With a shard recorder
-    installed the injection is announced *before* it executes, so a
-    worker terminated mid-hang still leaves the ``fault_injected`` event
-    in its shard file.
+    :func:`execute_chunk_shm`: the process dies before producing
+    results, and the parent sees a ``BrokenProcessPool``.)  With a
+    shard recorder installed the injection is announced *before* it
+    executes, so a worker terminated mid-hang still leaves the
+    ``fault_injected`` event in its shard file.
     """
     if fault is None:
         return results
@@ -258,127 +246,6 @@ def _apply_worker_fault(
     raise SimulationError(f"unknown injected worker fault {fault.kind!r}")
 
 
-def execute_class_chunk(
-    payloads: Sequence[CellPayload],
-) -> List[List[object]]:
-    """Run one chunk as a single class-level batch program.
-
-    The chunk's cells lower into one
-    :class:`~repro.core.vector.ClassProgram` (kernels deduplicated by
-    fingerprint, decisions computed in stacked engine passes) and the
-    per-cell choice lists come back in plan order, bit-identical to the
-    per-cell :func:`execute_cell` loop.  Any condition the vector plane
-    cannot reproduce falls back to that loop internally, so callers see
-    the scalar path's exact results and error attribution either way.
-    """
-    from repro.core import vector
-
-    return vector.execute_class_cells(list(payloads))
-
-
-def execute_chunk(
-    payloads: Sequence[CellPayload],
-    fault: Optional[WorkerFault] = None,
-    trace: Optional[TraceContext] = None,
-    decide: Optional[str] = None,
-    artifacts: Optional[str] = None,
-):
-    """Worker entry point: validate disjointness, then run each cell.
-
-    The read-set check is the schedule-bug tripwire: cells sharing an
-    event in one class means the plan (or the coloring underneath it)
-    is broken, and silently replaying them against stale pins would
-    corrupt the phi ledger — raising is the only safe response.
-
-    ``fault`` is the deterministic fault-injection hook: when the
-    dispatching scheduler's :class:`~repro.faults.FaultPlan` selects this
-    chunk, the injected failure executes *here*, in the worker, so the
-    parent-side recovery path is exercised against real process death,
-    real elapsed deadlines and real malformed replies.
-
-    ``trace`` opts the worker into the cross-process trace: a
-    :class:`~repro.obs.shard.ShardRecorder` times validation and every
-    cell's decide loop, announces injected faults, and the buffered
-    records return piggybacked on a :class:`ChunkReply` (with the shard
-    file as the crash-survivable fallback).  Returns a plain list of
-    per-cell choice lists when ``trace`` is ``None``.
-
-    ``decide`` pins the worker's decide plane to the parent's: the
-    parent ships its active mode (``"vector"``/``"scalar"``) so a
-    parent-side :func:`~repro.core.vector.set_decide_mode` — e.g. a
-    test pinning the scalar oracle — governs the workers too, not just
-    the inherited ``REPRO_ARTIFACTS``/``REPRO_DECIDE`` environment.
-
-    ``artifacts`` likewise pins the worker's artifact plane to the
-    parent's.  With the plane on, the worker's process-global store
-    warms across chunks: unpickled kernels re-intern by content, so a
-    chunk's stacked truth table (keyed on interned fingerprints) is
-    built once per worker process and reused by every later same-shape
-    chunk.
-    """
-    if decide is not None:
-        from repro.core.vector import set_decide_mode
-
-        set_decide_mode(decide)
-    if artifacts is not None:
-        from repro.artifacts.store import set_artifacts_mode
-
-        set_artifacts_mode(artifacts)
-    shard = ShardRecorder(trace) if trace is not None else None
-    if shard is not None:
-        shard.event(
-            "worker",
-            "worker_start",
-            pid=os.getpid(),
-            cells=len(payloads),
-            attempt=trace.attempt,
-        )
-    if shard is not None:
-        with shard.span("worker", "validate", cells=len(payloads)):
-            _validate_chunk_disjoint(payloads)
-    else:
-        _validate_chunk_disjoint(payloads)
-    if fault is not None and fault.kind == "crash":
-        if shard is not None:
-            # The eager line-buffered shard file is the only telemetry
-            # that survives the os._exit below.
-            shard.event("worker", "fault_injected", **fault.as_payload())
-        os._exit(13)
-    from repro.core.vector import vector_enabled
-
-    results: List[List[object]] = []
-    with profiled(shard, "worker", trace.profile if trace else None,
-                  name="chunk"):
-        if vector_enabled() and payloads:
-            num_ops = sum(len(payload.ops) for payload in payloads)
-            if shard is not None:
-                with shard.span(
-                    "worker", "decide_class",
-                    cells=len(payloads), ops=num_ops,
-                ):
-                    results = execute_class_chunk(payloads)
-                shard.count("worker", "cells", len(payloads))
-                shard.count("worker", "ops", num_ops)
-            else:
-                results = execute_class_chunk(payloads)
-        else:
-            for payload in payloads:
-                if shard is not None:
-                    with shard.span(
-                        "worker", "decide",
-                        cell=repr(payload.owner), ops=len(payload.ops),
-                    ):
-                        results.append(execute_cell(payload))
-                    shard.count("worker", "cells")
-                    shard.count("worker", "ops", len(payload.ops))
-                else:
-                    results.append(execute_cell(payload))
-    results = _apply_worker_fault(fault, results, shard)
-    if shard is None:
-        return results
-    return ChunkReply(results=results, records=shard.drain())
-
-
 def _validate_chunk_disjoint(payloads: Sequence[CellPayload]) -> None:
     """Raise if two cells of one chunk read the same event."""
     touched: set = set()
@@ -394,16 +261,15 @@ def _validate_chunk_disjoint(payloads: Sequence[CellPayload]) -> None:
 
 
 # --------------------------------------------------------------------------
-# Shared-memory worker plane (``REPRO_IPC=shm``)
+# Shared-memory worker
 #
-# With the shm backend the pool's initializer attaches the parent's
-# SharedInstanceSegment once per worker process; thereafter each task is a
-# compact fixed-width ChunkDescriptor.  The worker rebuilds CellPayloads
-# from the segment's pins/phi regions (the static, solve-invariant part —
-# kernels, variables, ledger topology — unpickles once per broadcast from
-# the segment blob), runs the exact decide path of ``execute_chunk``, and
-# writes its choices into the shared result region instead of pickling
-# them back.
+# The pool's initializer attaches the parent's SharedInstanceSegment once
+# per worker process; thereafter each task is a compact fixed-width
+# ChunkDescriptor.  The worker rebuilds CellPayloads from the segment's
+# pins/phi regions (the static, solve-invariant part — kernels, variables,
+# ledger topology — unpickles once per broadcast from the segment blob),
+# runs the decide path, and writes its choices into the shared result
+# region instead of pickling them back.
 
 
 @dataclass
@@ -585,15 +451,36 @@ def execute_chunk_shm(
     decide: Optional[str] = None,
     artifacts: Optional[str] = None,
 ) -> ShmChunkAck:
-    """Worker entry point for the shm backend.
+    """Worker entry point: validate disjointness, then run the chunk.
 
-    Mirrors :func:`execute_chunk` — same validation tripwire, same fault
-    injection points, same shard instrumentation, same decide path — but
-    reads its inputs from the attached segment and writes its choices
-    into the shared result region.  A ``garble`` fault therefore
-    manifests as a short ``counts`` tuple (the last cell's final row is
-    never accounted for), which the parent rejects exactly like a
-    truncated pickle reply.
+    Reads its inputs from the attached segment and writes its choices
+    into the shared result region.
+
+    The read-set check is the schedule-bug tripwire: cells sharing an
+    event in one class means the plan (or the coloring underneath it)
+    is broken, and silently replaying them against stale pins would
+    corrupt the phi ledger — raising is the only safe response.
+
+    ``fault`` is the deterministic fault-injection hook: when the
+    dispatching scheduler's :class:`~repro.faults.FaultPlan` selects this
+    chunk, the injected failure executes *here*, in the worker, so the
+    parent-side recovery path is exercised against real process death,
+    real elapsed deadlines and real malformed replies.  A ``garble``
+    fault manifests as a short ``counts`` tuple (the last cell's final
+    row is never accounted for), which the parent rejects before
+    decoding anything.
+
+    ``trace`` opts the worker into the cross-process trace: a
+    :class:`~repro.obs.shard.ShardRecorder` times validation and the
+    chunk's decide pass, announces injected faults, and the buffered
+    records return piggybacked on the :class:`ShmChunkAck` (with the
+    shard file as the crash-survivable fallback).
+
+    ``decide`` and ``artifacts`` pin the worker's decide and artifact
+    planes to the parent's, so a parent-side
+    :func:`~repro.core.vector.set_decide_mode` — e.g. a test pinning the
+    scalar oracle — governs the workers too, not just the inherited
+    environment.
     """
     if decide is not None:
         from repro.core.vector import set_decide_mode

@@ -109,7 +109,6 @@ class ServeConfig:
     port: int = 8787
     scheduler: str = "process"
     workers: Optional[int] = None
-    ipc: Optional[str] = None
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     deadline_s: float = DEFAULT_DEADLINE_S
     drain_timeout_s: float = 30.0
@@ -197,11 +196,8 @@ class SolveService:
 
         name = self.config.scheduler
         kwargs: Dict[str, Any] = {}
-        if name == "process":
-            if self.config.workers:
-                kwargs["max_workers"] = self.config.workers
-            if self.config.ipc:
-                kwargs["ipc"] = self.config.ipc
+        if name == "process" and self.config.workers:
+            kwargs["max_workers"] = self.config.workers
         return make_scheduler(name, **kwargs)
 
     def describe(self) -> str:

@@ -1,14 +1,15 @@
 """Differential guarantee of the structural-fingerprint artifact cache.
 
-``REPRO_ARTIFACTS=off`` is the oracle: every per-object cache keeps its
-exact legacy behaviour and nothing is shared across objects.  With the
-plane ``on``, kernels, kernel stacks, templates, index maps, plans and
-memoized decisions are reused across instances of the same *shape* —
-and every transcript (final assignment, step records, certified phi
-ledger) must stay bit-identical to the oracle's, cold store or warm.
+``SerialScheduler`` under ``REPRO_ARTIFACTS=off`` is the oracle: every
+per-object cache keeps its exact legacy behaviour and nothing is shared
+across objects.  With the plane ``on``, kernels, kernel stacks,
+templates, index maps and plans are reused across instances of the same
+*shape* — and every transcript (final assignment, step records,
+certified phi ledger) must stay bit-identical to the oracle's, cold
+store or warm.
 
 Coverage axes mirror ``test_decide_vector``: three fixer disciplines ×
-three scheduler backends, plus the cross-instance warm path (a second
+both scheduler backends, plus the cross-instance warm path (a second
 same-shape instance must *hit* the store, not just tolerate it), LRU
 semantics of the shared cache primitive, the section-memo over-limit
 regression (inserts used to stop silently at ``MEMO_LIMIT``), and an
@@ -53,7 +54,7 @@ SLOW_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-SCHEDULERS = ("serial", "batch", "process")
+SCHEDULERS = ("serial", "process")
 
 
 # ----------------------------------------------------------------------
@@ -130,10 +131,9 @@ def assert_identical(reference, candidate, label):
 
 
 def run_differential(spec, kind, scheduler_name, **scheduler_kwargs):
-    """off-oracle vs cold-store vs warm-store, all bit-identical."""
+    """Serial off-oracle vs cold-store vs warm-store, all bit-identical."""
     with using_artifacts("off"):
-        reference = transcript(spec, kind, scheduler_name,
-                               **scheduler_kwargs)
+        reference = transcript(spec, kind, "serial")
     with using_artifacts("on"):
         STORE.clear()
         cold = transcript(spec, kind, scheduler_name, **scheduler_kwargs)

@@ -9,7 +9,7 @@ the differential oracle, so every suite here runs the same seeded
 workload once per decide mode and compares transcripts.
 
 Coverage axes: the three fixer disciplines (rank 2, rank 3, naive
-rank-r), the three scheduler backends, the naive (uncompiled) engine —
+rank-r), both scheduler backends, the naive (uncompiled) engine —
 where the vector plane must *fall back* without perturbing anything —
 and an ambient ``REPRO_FAULTS`` crash schedule on the process backend,
 where recovery and batching compose.
@@ -47,7 +47,7 @@ SLOW_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-SCHEDULERS = ("serial", "batch", "process")
+SCHEDULERS = ("serial", "process")
 
 
 # ----------------------------------------------------------------------

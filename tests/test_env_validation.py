@@ -5,7 +5,7 @@ bare :class:`~repro.errors.ReproError` (or, before that, inconsistently
 across modules).  The hardening sweep retyped them all to
 :class:`~repro.errors.ConfigurationError` with a uniform message shape:
 the variable's *name*, the rejected value, and the allowed values — so
-an operator who fat-fingers ``REPRO_IPC=shram`` learns which knob to
+an operator who fat-fingers ``REPRO_DECIDE=vectr`` learns which knob to
 fix without reading source.
 
 These tests drive the parsers directly (monkeypatched environment, no
@@ -35,13 +35,6 @@ from repro.errors import ConfigurationError, ReproError
                 "repro.core.vector", fromlist=["_mode_from_env"]
             )._mode_from_env(),
             "vector",
-        ),
-        (
-            "REPRO_IPC",
-            lambda: __import__(
-                "repro.runtime.shm", fromlist=["_mode_from_env"]
-            )._mode_from_env(),
-            "shm",
         ),
         (
             "REPRO_ARTIFACTS",
@@ -142,12 +135,6 @@ class TestSetterRejection:
 
         with pytest.raises(ConfigurationError):
             set_decide_mode("turbo")
-
-    def test_set_ipc_mode(self):
-        from repro.runtime.shm import set_ipc_mode
-
-        with pytest.raises(ConfigurationError):
-            set_ipc_mode("carrier-pigeon")
 
     def test_set_artifacts_mode(self):
         from repro.artifacts.store import set_artifacts_mode

@@ -1,12 +1,13 @@
 """The execution plane's differential guarantee (and plan structure).
 
-Every scheduler backend must be *bit-identical* to ``SerialScheduler``:
+The process backend must be *bit-identical* to ``SerialScheduler``, the
+one oracle:
 same final assignment, same per-step trace, same certified phi ledger.
 This is the paper's independence argument made executable — within a
 color class, cells touch pairwise-disjoint event sets, so cross-cell
 decisions commute and the backend's execution order cannot matter.  The
-Hypothesis suites here drive all three backends over seeded rank-2 and
-rank-3 instances and compare the results exactly (``==`` on floats, not
+Hypothesis suites here drive both backends over seeded rank-2 and rank-3
+instances and compare the results exactly (``==`` on floats, not
 approximately).
 
 Also: direct unit tests for the host-round accounting of the derived
@@ -35,7 +36,6 @@ from repro.generators import (
 )
 from repro.local_model.network import Network
 from repro.runtime import (
-    BatchScheduler,
     ProcessScheduler,
     SerialScheduler,
     make_scheduler,
@@ -103,13 +103,12 @@ def assert_identical(reference, candidate):
 
 
 # ----------------------------------------------------------------------
-# Differential: all backends vs SerialScheduler
+# Differential: the process backend vs SerialScheduler
 # ----------------------------------------------------------------------
 @SLOW_SETTINGS
 @given(spec=rank2_instances())
 def test_schedulers_identical_rank2(spec):
     reference = run_with(spec, SerialScheduler())
-    assert_identical(reference, run_with(spec, BatchScheduler()))
     assert_identical(
         reference, run_with(spec, ProcessScheduler(max_workers=2))
     )
@@ -119,7 +118,6 @@ def test_schedulers_identical_rank2(spec):
 @given(spec=rank3_instances())
 def test_schedulers_identical_rank3(spec):
     reference = run_with(spec, SerialScheduler())
-    assert_identical(reference, run_with(spec, BatchScheduler()))
     assert_identical(
         reference, run_with(spec, ProcessScheduler(max_workers=2))
     )
@@ -145,10 +143,13 @@ def test_plan_covers_every_variable_once(spec):
 # ----------------------------------------------------------------------
 def test_make_scheduler_factory():
     assert isinstance(make_scheduler("serial"), SerialScheduler)
-    assert isinstance(make_scheduler("batch"), BatchScheduler)
     assert isinstance(make_scheduler("process"), ProcessScheduler)
     with pytest.raises(ReproError):
         make_scheduler("quantum")
+    # The error names every registered backend.
+    with pytest.raises(ReproError) as excinfo:
+        make_scheduler("batch")
+    assert "('serial', 'process')" in str(excinfo.value)
 
 
 def test_class_disjointness_is_enforced():

@@ -3,17 +3,16 @@
 Three promises under test, matching the plane's contract
 (:mod:`repro.runtime.shm`):
 
-* **Differential bit-identity** — ``REPRO_IPC=shm`` and
-  ``REPRO_IPC=pickle`` produce the exact ``SerialScheduler``
-  transcript (assignments, steps, certified bounds), across fixers and
-  under injected worker faults.
+* **Differential bit-identity** — the process backend produces the
+  exact ``SerialScheduler`` transcript (assignments, steps, certified
+  bounds), across fixers and under injected worker faults.
 * **Segment lifecycle** — every created segment is unlinked: after
   crash/hang recovery, after ``certify_recovery``, after ``close()``,
   and at scheduler garbage collection.  No orphaned ``/dev/shm``
   entries, ever.
 * **Warm reuse** — a second execute over the same solve re-uses the
-  published segment (no re-broadcast) and workers replay cached class
-  programs (``worker_warm_hits``).
+  published segment (no re-broadcast) and a single worker replays its
+  cached class programs for every chunk (``worker_warm_hits``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import certify_recovery, solve_distributed
-from repro.errors import ReproError, SchedulerProtocolError
+from repro.errors import SchedulerProtocolError
 from repro.faults import FaultPlan
 from repro.generators import (
     all_zero_edge_instance,
@@ -36,14 +35,9 @@ from repro.generators import (
 )
 from repro.obs.recorder import recording
 from repro.runtime import (
-    IPC_MODES,
     ProcessScheduler,
     SerialScheduler,
-    ipc_mode,
     live_segment_names,
-    set_ipc_mode,
-    shm_enabled,
-    using_ipc,
 )
 from repro.runtime.shm import (
     ChunkDescriptor,
@@ -112,65 +106,34 @@ def specs():
 
 
 # ----------------------------------------------------------------------
-# Mode plumbing
+# Run-header echo
 # ----------------------------------------------------------------------
-class TestIpcMode:
-    def test_default_is_shm(self):
-        assert ipc_mode() in IPC_MODES
-
-    def test_set_and_restore(self):
-        previous = set_ipc_mode("pickle")
-        try:
-            assert ipc_mode() == "pickle"
-            assert not shm_enabled()
-        finally:
-            set_ipc_mode(previous)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ReproError):
-            set_ipc_mode("carrier-pigeon")
-
-    def test_context_manager_restores(self):
-        before = ipc_mode()
-        with using_ipc("pickle"):
-            assert ipc_mode() == "pickle"
-        assert ipc_mode() == before
-
-    def test_scheduler_resolves_mode_at_construction(self):
-        with using_ipc("pickle"):
-            scheduler = ProcessScheduler(max_workers=1)
-        # Flipping the ambient mode later must not retarget it.
-        assert "ipc=pickle" in scheduler.describe()
-        assert "workers=1" in scheduler.describe()
-
-    def test_explicit_ipc_argument_wins(self):
-        scheduler = ProcessScheduler(max_workers=1, ipc="pickle")
-        assert "ipc=pickle" in scheduler.describe()
-        with pytest.raises(ReproError):
-            ProcessScheduler(ipc="smoke-signals")
-
+class TestDescribe:
     def test_serial_describe(self):
         assert SerialScheduler().describe() == "serial"
 
+    def test_process_describe(self):
+        scheduler = ProcessScheduler(max_workers=1)
+        assert scheduler.describe().startswith("process workers=1")
+
 
 # ----------------------------------------------------------------------
-# Differential: shm == pickle == serial (Hypothesis)
+# Differential: shm == serial (Hypothesis)
 # ----------------------------------------------------------------------
 @SLOW_SETTINGS
 @given(spec=specs())
-def test_shm_matches_pickle_and_serial(spec):
+def test_shm_matches_serial(spec):
     reference = solve_distributed(
         instance_for(spec), scheduler=SerialScheduler()
     )
-    for mode in IPC_MODES:
-        scheduler = ProcessScheduler(max_workers=2, ipc=mode)
-        try:
-            candidate = solve_distributed(
-                instance_for(spec), scheduler=scheduler
-            )
-        finally:
-            scheduler.close()
-        assert_identical(reference, candidate)
+    scheduler = ProcessScheduler(max_workers=2)
+    try:
+        candidate = solve_distributed(
+            instance_for(spec), scheduler=scheduler
+        )
+    finally:
+        scheduler.close()
+    assert_identical(reference, candidate)
 
 
 @SLOW_SETTINGS
@@ -186,7 +149,7 @@ def test_shm_identical_under_faults_with_clean_segments(spec, seed):
         slow_rate=0.3,
         slow_seconds=0.001,
     )
-    scheduler = fast_scheduler(fault_plan=plan, ipc="shm")
+    scheduler = fast_scheduler(fault_plan=plan)
     try:
         candidate = solve_distributed(
             instance_for(spec), scheduler=scheduler
@@ -211,7 +174,7 @@ class TestShmFaults:
             instance_for(instance_spec), scheduler=SerialScheduler()
         )
         plan = FaultPlan(explicit_chunks=((0, "crash"),))
-        scheduler = fast_scheduler(fault_plan=plan, ipc="shm")
+        scheduler = fast_scheduler(fault_plan=plan)
         with recording() as recorder:
             try:
                 candidate = solve_distributed(
@@ -235,9 +198,7 @@ class TestShmFaults:
         plan = FaultPlan(
             explicit_chunks=((1, "hang"),), hang_seconds=10.0
         )
-        scheduler = fast_scheduler(
-            fault_plan=plan, deadline=1.0, ipc="shm"
-        )
+        scheduler = fast_scheduler(fault_plan=plan, deadline=1.0)
         with recording() as recorder:
             try:
                 candidate = solve_distributed(
@@ -253,7 +214,7 @@ class TestShmFaults:
     def test_garbled_result_region_raises(self, instance_spec):
         """A short shared-region write is a protocol error, not a retry."""
         plan = FaultPlan(explicit_chunks=((0, "garble"),))
-        scheduler = fast_scheduler(fault_plan=plan, ipc="shm")
+        scheduler = fast_scheduler(fault_plan=plan)
         try:
             with pytest.raises(SchedulerProtocolError):
                 solve_distributed(
@@ -270,7 +231,7 @@ class TestShmFaults:
 class TestSegmentLifecycle:
     def test_close_is_idempotent_and_unlinks(self):
         spec = ("cycle", 10, 3, 0)
-        scheduler = ProcessScheduler(max_workers=2, ipc="shm")
+        scheduler = ProcessScheduler(max_workers=2)
         solve_distributed(instance_for(spec), scheduler=scheduler)
         assert len(live_segment_names()) == 1
         scheduler.close()
@@ -280,21 +241,11 @@ class TestSegmentLifecycle:
 
     def test_garbage_collection_reclaims_segment(self):
         spec = ("cycle", 10, 3, 0)
-        scheduler = ProcessScheduler(max_workers=2, ipc="shm")
+        scheduler = ProcessScheduler(max_workers=2)
         solve_distributed(instance_for(spec), scheduler=scheduler)
         assert len(live_segment_names()) == 1
         del scheduler
         gc.collect()
-        assert live_segment_names() == ()
-        assert shm_entries() == []
-
-    def test_pickle_mode_touches_no_segments(self):
-        spec = ("cycle", 10, 3, 0)
-        scheduler = ProcessScheduler(max_workers=2, ipc="pickle")
-        try:
-            solve_distributed(instance_for(spec), scheduler=scheduler)
-        finally:
-            scheduler.close()
         assert live_segment_names() == ()
         assert shm_entries() == []
 
@@ -304,26 +255,41 @@ class TestSegmentLifecycle:
 # ----------------------------------------------------------------------
 class TestWarmReuse:
     def test_second_execute_reuses_segment_and_warms(self):
+        """One worker holds every cached program, so every chunk is warm.
+
+        With several workers the pool does not promise that a chunk
+        reaches the process that cached its ``(class, start, stop)``
+        program, so warm hits are only guaranteed with one worker.  A
+        dropped program shows up in the trace as its cause, a
+        ``worker/vector_fallback`` event.
+        """
         from repro.core.rank2 import Rank2Fixer
         from repro.runtime import plan_for_instance
 
         instance = all_zero_edge_instance(cycle_graph(16), 3)
         plan = plan_for_instance(instance)
-        scheduler = ProcessScheduler(max_workers=2, ipc="shm")
-        try:
-            scheduler.execute(Rank2Fixer(instance), plan, instance)
-            first = dict(scheduler.ipc_stats)
-            scheduler.execute(Rank2Fixer(instance), plan, instance)
-            second = dict(scheduler.ipc_stats)
-        finally:
-            scheduler.close()
-        assert first["ipc"] == "shm"
+        scheduler = ProcessScheduler(max_workers=1)
+        with recording() as recorder:
+            try:
+                scheduler.execute(Rank2Fixer(instance), plan, instance)
+                first = dict(scheduler.ipc_stats)
+                scheduler.execute(Rank2Fixer(instance), plan, instance)
+                second = dict(scheduler.ipc_stats)
+            finally:
+                scheduler.close()
+            fallbacks = [
+                event for event in recorder.memory.events
+                if event["component"] == "worker"
+                and event["event"] == "vector_fallback"
+            ]
+        assert fallbacks == []
         assert first["broadcasts"] == 1
         # Same (plan, instance): the segment is reused verbatim.
         assert second["broadcasts"] == 0
         assert second["generation"] == first["generation"]
-        # The second pass replays cached class programs in the workers.
-        assert second["worker_warm_hits"] > 0
+        # The second pass replays a cached class program for every chunk.
+        assert second["chunks"] > 0
+        assert second["worker_warm_hits"] == second["chunks"]
         assert second["descriptor_bytes"] > 0
 
     def test_new_solve_rebroadcasts_without_new_segment_when_it_fits(self):
@@ -332,7 +298,7 @@ class TestWarmReuse:
 
         big = all_zero_edge_instance(cycle_graph(16), 3)
         small = all_zero_edge_instance(cycle_graph(12), 3)
-        scheduler = ProcessScheduler(max_workers=2, ipc="shm")
+        scheduler = ProcessScheduler(max_workers=2)
         try:
             scheduler.execute(
                 Rank2Fixer(big), plan_for_instance(big), big
