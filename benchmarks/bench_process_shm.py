@@ -2,18 +2,18 @@
 
 This bench measures the steady state the zero-copy plane
 (``repro.runtime.shm``) was designed for — a **warm** scheduler
-re-executing a solve (pool up, segment broadcast, worker program caches
-hot) — against ``SerialScheduler``, and attributes the IPC cost:
-``shm_bytes`` (segment refreshes) + ``descriptor_bytes`` (the per-chunk
-wire format).
+re-executing a solve (pool up, segment broadcast, workers holding the
+published stack and chunk sections) — against ``SerialScheduler``, and
+attributes the IPC cost: ``shm_bytes`` (per-class pins/phi copies) +
+``descriptor_bytes`` (the per-chunk wire format).
 
 Bit-identity with serial is asserted on every row (assignments and
 certified bounds), plus a fault-injected shm leg whose recovery must
-certify and still match serial exactly.  Warm program reuse is
-asserted on a single-worker scheduler, the only configuration where
-the pool guarantees that every chunk revisits the process that cached
-its program: there, every chunk of a second execute must be a
-``worker_warm_hits`` hit.
+certify and still match serial exactly.  Warm reuse is asserted on a
+single-worker scheduler, the only configuration where the pool
+guarantees that every chunk reaches a process that already synced the
+published blob: there, every chunk of a second execute must be a
+``worker_warm_hits`` hit (served without re-reading the blob).
 
 The shm-vs-serial floor on the headline rank-3 workload (>= 2x, quick
 >= 1.5x) needs real parallel hardware, so it is enforced only on boxes
@@ -92,8 +92,8 @@ def _run_warm(backend, build_instance):
     """Best-of-``REPEATS`` warm wall time of one backend.
 
     One instance + plan per backend; an untimed warm-up execute pays
-    the one-time costs (segment broadcast, pool spawn, worker program
-    lowering, engine caches), then each timed repetition executes the
+    the one-time costs (chunk lowering, segment broadcast, pool spawn,
+    blob unpickling, engine caches), then each timed repetition executes the
     same plan through a fresh fixer — the steady state of a solver
     service re-solving against a warm scheduler.
     """
@@ -126,8 +126,8 @@ def _warm_hits_single_worker(build_instance):
     """``(worker_warm_hits, chunks)`` of a single-worker re-execute.
 
     With one worker every chunk of the second execute reaches the
-    process that cached its ``(class, start, stop)`` program, so the
-    two numbers must be equal.
+    process that already holds the published blob, so the two numbers
+    must be equal.
     """
     instance = build_instance()
     plan = plan_for_instance(instance)
@@ -270,9 +270,9 @@ def test_process_shm(benchmark, emit):
                 f"{row['workload']}"
             )
             assert row["worker_warm_hits"] == row["warm_chunks"], (
-                f"single-worker shm re-execute replayed "
+                f"single-worker shm re-execute served "
                 f"{row['worker_warm_hits']} of {row['warm_chunks']} "
-                f"chunks from cached programs on {row['workload']}"
+                f"chunks warm on {row['workload']}"
             )
 
     headline = [

@@ -566,8 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks a free one, announced on stdout)",
     )
     serve_parser.add_argument(
-        "--scheduler", choices=SCHEDULER_NAMES, default="process",
-        help="execution backend kept warm across requests",
+        "--scheduler", choices=SCHEDULER_NAMES, default="serial",
+        help="execution backend kept warm across requests "
+        "(default: serial)",
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

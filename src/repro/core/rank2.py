@@ -220,6 +220,14 @@ class Rank2Fixer:
     # ------------------------------------------------------------------
     # Whole-class batch decisions (the vector decide plane)
     # ------------------------------------------------------------------
+    #: Selection discipline on the vector decide plane.
+    vector_kind = "rank2"
+
+    @property
+    def vector_ledger(self):
+        """The live ledger the vector decide plane reads and commits to."""
+        return self._edge_weights
+
     def decide_class(self, cells) -> Optional[List[list]]:
         """Batched pure decide for a whole color class.
 
@@ -234,9 +242,7 @@ class Rank2Fixer:
         """
         from repro.core import vector
 
-        return vector.decide_class_choices(
-            self, "rank2", cells, self._instance, self._edge_weights
-        )
+        return vector.decide_class_choices(self, cells, self._instance)
 
     def commit_class(self, cells, class_choices) -> None:
         """Commit a class's worth of decided choices, in plan order.
@@ -266,10 +272,10 @@ class Rank2Fixer:
             return
         assignment = self._assignment
         steps = self._steps
-        section = state.pending[1]
+        records = state.pending[1]
         refs = state.pending[2]
         for (_owner, ops), cell_refs, choices in zip(
-            section.cells, refs, class_choices
+            records, refs, class_choices
         ):
             for op, ref, choice in zip(ops, cell_refs, choices):
                 variable = op[vector.TOP_VARIABLE]

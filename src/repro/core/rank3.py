@@ -249,6 +249,14 @@ class Rank3Fixer:
     # ------------------------------------------------------------------
     # Whole-class batch decisions (the vector decide plane)
     # ------------------------------------------------------------------
+    #: Selection discipline on the vector decide plane.
+    vector_kind = "rank3"
+
+    @property
+    def vector_ledger(self):
+        """The live ledger the vector decide plane reads and commits to."""
+        return self._pstar.entries
+
     def decide_class(self, cells) -> Optional[List[list]]:
         """Batched pure decide for a whole color class.
 
@@ -263,9 +271,7 @@ class Rank3Fixer:
         """
         from repro.core import vector
 
-        return vector.decide_class_choices(
-            self, "rank3", cells, self._instance, self._pstar.entries
-        )
+        return vector.decide_class_choices(self, cells, self._instance)
 
     def commit_class(self, cells, class_choices) -> None:
         """Commit a class's worth of decided choices, in plan order.
@@ -302,10 +308,10 @@ class Rank3Fixer:
         assignment = self._assignment
         steps = self._steps
         phi = state.phi
-        section = state.pending[1]
+        records = state.pending[1]
         refs = state.pending[2]
         for (_owner, ops), cell_refs, choices in zip(
-            section.cells, refs, class_choices
+            records, refs, class_choices
         ):
             for op, ref, choice in zip(ops, cell_refs, choices):
                 variable = op[vector.TOP_VARIABLE]

@@ -7,26 +7,24 @@ then a Python scan over the support values.  This module batches the
 wave ``j`` decides the ``j``-th op of every cell at once.  Cells of a
 validated class have disjoint event read sets, so the ops of one wave
 are independent by construction; ops within a cell stay sequentially
-dependent and are separated by waves, exactly mirroring the per-cell
-replay loop of :func:`repro.runtime.workers.execute_cell`.
+dependent and are separated by waves, exactly mirroring the per-op
+order of the scalar loop.
 
-Two lowerings share the wave-executor idea:
-
-* **Parent side** (the fixers' ``decide_class``): the instance is
-  lowered once into a :class:`_Template` cached on the instance —
-  kernels deduplicated by fingerprint and stacked
-  (:class:`repro.probability.engine.KernelStack`), one pins-matrix row
-  per event, one flat weight-ledger slot per bookkeeping entry, and
-  per-class wave sections with all index arrays precomputed.  A solve
-  then only carries a small :class:`_RunState` (the pins matrix and the
-  ledger array, specialised from live fixer state) through the
-  template, so repeated solves pay specialisation, not lowering.
-* **Worker side** (:func:`program_from_payloads`): a process worker
-  lowers the :class:`~repro.runtime.workers.CellPayload`\\ s it rebuilt
-  from the shared segment into a :class:`ClassProgram` — no template,
-  since payloads already carry kernels, pins and ledger slices — and
-  caches it per chunk range, refreshing pins and ledger in place on
-  later visits (:func:`refresh_program`).
+There is one lowering and one wave executor.  The instance is lowered
+once into a :class:`_Template` cached on the instance — kernels
+deduplicated by fingerprint and stacked
+(:class:`repro.probability.engine.KernelStack`), one pins-matrix row per
+event, one flat weight-ledger slot per bookkeeping entry, and wave
+sections (one per run of cells: a whole color class, or one process
+chunk of it) with all index arrays precomputed.  A solve then only
+carries a small :class:`_RunState` (the pins matrix and the ledger
+array, specialised from live fixer state) through the template, so
+repeated solves pay specialisation, not lowering.
+:func:`execute_section` runs a section's waves through
+:func:`_run_twave` — in the parent for the serial scheduler, and in
+the process backend's workers, which receive the built stack and their
+chunks' sections once per broadcast and copy only the section's pins
+rows and ledger slots per chunk (:mod:`repro.runtime.workers`).
 
 Bit-identity contract: the engine layer reproduces the scalar kernels'
 mass arithmetic (see :meth:`KernelStack.query`), the selection layer's
@@ -46,14 +44,18 @@ The scalar path stays intact as the differential oracle:
 
 Fallback discipline: lowering and execution never alter fixer state
 beyond the idempotent first-touch defaults ``local_weights`` itself
-installs, so on any internal error ``decide_class`` simply reports the
-class as not vectorizable and the scheduler re-runs it through the
-untouched scalar per-op loop — which reproduces the exact error the
-scalar path would raise (same exception, same op attribution in plan
-order) or succeeds outright.  Speculative run state is confirmed by
-``commit_class`` and rebuilt from ground truth (the assignment and the
-live ledgers) whenever the fixer advanced through any other path; the
-engine's ``vector_fallbacks`` counter tracks abandoned attempts.
+installs.  Two kinds of failure send a class back to the untouched
+scalar per-op loop: a shape the batch cannot express
+(:class:`_NotVectorizable` — a kernel-less event, an unindexable
+support, a stack over the batch limit, a rank-3 op without its
+dependency edge) and a typed :class:`~repro.errors.ReproError` from the
+batch arithmetic, which the scalar loop then re-raises with its exact
+op attribution in plan order.  Each fallback is counted in the engine's
+``vector_fallbacks`` and emitted as a ``vector/fallback`` event with its
+reason; any other exception is a bug and propagates.  Speculative run
+state is confirmed by ``commit_class`` and rebuilt from ground truth
+(the assignment and the live ledgers) whenever the fixer advanced
+through any other path.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ from repro.artifacts.store import (
     STORE as _ARTIFACTS,
     artifacts_enabled,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+from repro.obs.recorder import active as _obs_active
 from repro.probability.engine import (
     DEFAULT_STACK_LIMIT,
     KernelStack,
@@ -257,6 +260,15 @@ class _Section:
 
     __slots__ = ("cells", "waves", "num_ops", "read_rows", "slot_list", "memo")
 
+    def __getstate__(self):
+        # Shipped to process workers without the memo: it is a parent
+        # cache, and its choice batches would only bloat the blob.
+        return None, {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "memo"
+        }
+
 
 class _Template:
     """The instance-wide static lowering, shared across fixers and runs.
@@ -271,7 +283,6 @@ class _Template:
     """
 
     __slots__ = (
-        "instance",
         "kind",
         "index_of",  # event name -> event index
         "names",
@@ -285,12 +296,11 @@ class _Template:
         "values_ids",  # support label tuple -> small int
         "ledger_slots",  # ledger key -> {event name: phi slot}
         "ledger_size",
-        "sections",  # id(cells) -> (cells, _Section)
+        "sections",  # (id(cells), start, stop) -> (cells, _Section)
         "max_values",
     )
 
-    def __init__(self, instance, kind: str) -> None:
-        self.instance = instance
+    def __init__(self, kind: str) -> None:
         self.kind = kind
         self.index_of: Dict[Hashable, int] = {}
         self.names: List[Hashable] = []
@@ -304,7 +314,7 @@ class _Template:
         self.values_ids: Dict[tuple, int] = {}
         self.ledger_slots: Dict[frozenset, Dict[Hashable, int]] = {}
         self.ledger_size = 0
-        self.sections: Dict[int, tuple] = {}
+        self.sections: Dict[tuple, tuple] = {}
         self.max_values = 1
 
     # -- events and kernels -------------------------------------------
@@ -394,16 +404,28 @@ class _Template:
         return (key_uv, key_uw, key_vw), gather, apply_slots
 
     # -- class sections ------------------------------------------------
-    def section_for(self, cells) -> _Section:
-        entry = self.sections.get(id(cells))
+    def section_for(
+        self, instance, cells, start: int = 0, stop: Optional[int] = None
+    ) -> _Section:
+        """The section of ``cells[start:stop]`` (default: all of them).
+
+        The serial scheduler lowers whole classes; the process backend
+        lowers one section per chunk range.  With a single chunk both
+        ask for the same key and share one lowering.  ``instance`` is
+        only read while lowering — the template never holds it, so a
+        cached template keeps no instance (predicates, caches) alive.
+        """
+        if stop is None:
+            stop = len(cells)
+        key = (id(cells), start, stop)
+        entry = self.sections.get(key)
         if entry is not None and entry[0] is cells:
             return entry[1]
-        section = self._lower(cells)
-        self.sections[id(cells)] = (cells, section)
+        section = self._lower(instance, cells[start:stop])
+        self.sections[key] = (cells, section)
         return section
 
-    def _lower(self, cells) -> _Section:
-        instance = self.instance
+    def _lower(self, instance, cells) -> _Section:
         section = _Section()
         section.cells = []
         section.waves = []
@@ -631,13 +653,8 @@ def _template_for(instance, kind: str) -> _Template:
         )
         template = _ARTIFACTS.get("templates", key)
         if template is None:
-            template = _Template(instance, kind)
+            template = _Template(kind)
             _ARTIFACTS.put("templates", key, template)
-        else:
-            # Rebind so sections lowered from here on resolve events
-            # and variables against the live instance (content-equal
-            # to the one the template was first lowered against).
-            template.instance = instance
         templates[kind] = template
     return template
 
@@ -649,7 +666,10 @@ class _RunState:
     """The mutable arrays one fixer's solve carries through a template.
 
     ``pending`` holds the class most recently decided but not yet
-    committed; decisions mutate the pins matrix and the ledger array
+    committed, as ``(cells, op records per cell, live ledger refs per
+    cell)`` — whether one section decided it in this process or several
+    chunk sections did in process workers; decisions mutate the pins
+    matrix and the ledger array
     speculatively, so an unconfirmed pending class (or any fixer
     progress outside the vector path, detected via the step count)
     invalidates the state and forces a rebuild from ground truth.
@@ -770,6 +790,11 @@ def _resolve_refs(section: _Section, edges, kind: str) -> List[list]:
             if keys is None:
                 cell_refs.append(None)
             elif kind == "rank3":
+                missing = [key for key in keys if key not in edges]
+                if missing:
+                    raise _NotVectorizable(
+                        f"no dependency edge {sorted(map(repr, missing[0]))}"
+                    )
                 if len(keys) == 1:
                     cell_refs.append(edges[keys[0]])
                 else:
@@ -811,10 +836,7 @@ def _run_section(state: _RunState, section: _Section) -> List[list]:
         phi[slot_list] = post_phi
         STATS.vector_memo_hits += 1
         return choices
-    max_values = template.max_values
-    results: List[list] = [[] for _ in section.cells]
-    for wave in section.waves:
-        _run_twave(np, stack, pins, phi, wave, results, max_values)
+    results = execute_section(stack, pins, phi, section, template.max_values)
     # LRU insert: the memo evicts its least recently used batch at
     # capacity instead of silently refusing new entries, so a workload
     # cycling through more than MEMO_LIMIT distinct signatures keeps a
@@ -827,6 +849,21 @@ def _run_section(state: _RunState, section: _Section) -> List[list]:
             phi[slot_list].copy(),
         ),
     )
+    return results
+
+
+def execute_section(stack, pins, phi, section, max_values) -> List[list]:
+    """Decide every op of a lowered section, wave by wave.
+
+    Reads and writes only the section's ``read_rows`` of ``pins`` and
+    its ``slot_list`` of ``phi`` (indices of the template layout), and
+    returns the choices per cell in op order.  The serial path passes
+    its run state; a process worker passes its chunk-private copy.
+    """
+    np = _numpy()
+    results: List[list] = [[] for _ in section.cells]
+    for wave in section.waves:
+        _run_twave(np, stack, pins, phi, wave, results, max_values)
     return results
 
 
@@ -982,44 +1019,152 @@ def _run_twave(np, stack, pins, phi, wave, results, max_values) -> None:
 # ----------------------------------------------------------------------
 # Parent-side entry points
 # ----------------------------------------------------------------------
-def decide_class_choices(
-    fixer, kind: str, cells, instance, edges
-) -> Optional[List[list]]:
+def _fallback(fixer, error: Exception) -> None:
+    """Count one class (or chunk) sent to the scalar loop, with its reason."""
+    STATS.vector_fallbacks += 1
+    if fixer is not None:
+        fixer._vector_state = None
+    recorder = _obs_active()
+    if recorder is not None:
+        recorder.event(
+            "vector",
+            "fallback",
+            reason=str(error),
+            error=type(error).__name__,
+        )
+
+
+def _live_state(fixer, template: _Template, edges) -> _RunState:
+    """The fixer's run state, rebuilt unless it is current.
+
+    Current means: lowered against this template, no unconfirmed
+    pending class, and no fixer progress outside the vector path.
+    """
+    state = getattr(fixer, "_vector_state", None)
+    if (
+        state is None
+        or state.template is not template
+        or state.pending is not None
+        or state.steps_seen != len(fixer._steps)
+    ):
+        state = _build_state(fixer, template, edges)
+    state.ensure_capacity(_numpy())
+    return state
+
+
+def _section_refs(state: _RunState, section: _Section, edges, kind):
+    refs = state.refs_cache.get(id(section))
+    if refs is None:
+        refs = _resolve_refs(section, edges, kind)
+        state.refs_cache[id(section)] = refs
+    return refs
+
+
+def _park(fixer, state: _RunState, cells, sections, refs) -> None:
+    """Leave ``cells``' decided lowering pending for ``commit_class``."""
+    state.pending = (
+        cells,
+        [cell for section in sections for cell in section.cells],
+        [cell_refs for section_refs in refs for cell_refs in section_refs],
+    )
+    state.steps_seen = len(fixer._steps) + sum(
+        section.num_ops for section in sections
+    )
+    fixer._vector_state = state
+
+
+def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
     """Batched pure decide for a whole color class.
 
     Returns the per-cell choice lists (and parks the run state as
     pending for :func:`cached_commit` / the lean commit path), or
     ``None`` when the class should take the scalar per-op path instead
-    — scalar decide mode, missing kernels, or any internal error (the
-    scalar loop then reproduces the exact scalar-path outcome,
-    including error attribution).
+    — scalar decide mode, or a counted fallback (see the module
+    docstring); the scalar loop then reproduces the exact scalar-path
+    outcome, including error attribution.  The fixer names its
+    selection discipline and live ledger through ``vector_kind`` and
+    ``vector_ledger``.
     """
     if not vector_enabled():
         return None
+    kind = fixer.vector_kind
+    edges = fixer.vector_ledger
     try:
         template = _template_for(instance, kind)
-        section = template.section_for(cells)
-        state = getattr(fixer, "_vector_state", None)
-        if (
-            state is None
-            or state.template is not template
-            or state.pending is not None
-            or state.steps_seen != len(fixer._steps)
-        ):
-            state = _build_state(fixer, template, edges)
-        refs = state.refs_cache.get(id(section))
-        if refs is None:
-            refs = _resolve_refs(section, edges, kind)
-            state.refs_cache[id(section)] = refs
+        section = template.section_for(instance, cells)
+        state = _live_state(fixer, template, edges)
+        refs = _section_refs(state, section, edges, kind)
         choices = _run_section(state, section)
-    except Exception:
-        STATS.vector_fallbacks += 1
-        fixer._vector_state = None
+    except (_NotVectorizable, ReproError) as error:
+        _fallback(fixer, error)
         return None
-    state.pending = (cells, section, refs)
-    state.steps_seen = len(fixer._steps) + section.num_ops
-    fixer._vector_state = state
+    _park(fixer, state, cells, (section,), (refs,))
     return choices
+
+
+def lower_chunks(instance, kind: str, chunks):
+    """Lower process-backend chunks on the instance's template.
+
+    ``chunks`` lists ``(cells, start, stop)`` ranges of color classes;
+    each is lowered by :meth:`_Template.section_for`, exactly like a
+    serial class.  Returns ``(template, sections)`` with ``None`` for
+    every chunk the batch cannot express (each a counted fallback), and
+    ``None`` throughout when the stacked kernels outgrow the batch
+    limit.
+    """
+    template = _template_for(instance, kind)
+    sections = []
+    for cells, start, stop in chunks:
+        try:
+            sections.append(
+                template.section_for(instance, cells, start, stop)
+            )
+        except (_NotVectorizable, ReproError) as error:
+            _fallback(None, error)
+            sections.append(None)
+    try:
+        template.ensure_stack()
+    except _NotVectorizable as error:
+        _fallback(None, error)
+        sections = [None] * len(sections)
+    return template, sections
+
+
+def open_worker_class(fixer, template: _Template, sections):
+    """The fixer's run state for a class decided by process workers.
+
+    ``sections`` are the class's chunk sections, lowered on ``template``
+    by the process backend.  Returns the current :class:`_RunState`
+    (its ``read_rows``/``slot_list`` are what the parent copies into
+    the shared segment), or ``None`` after a counted fallback — the
+    class then runs through the scalar per-op loop in the parent.
+    """
+    edges = fixer.vector_ledger
+    try:
+        state = _live_state(fixer, template, edges)
+        for section in sections:
+            _section_refs(state, section, edges, fixer.vector_kind)
+    except (_NotVectorizable, ReproError) as error:
+        _fallback(fixer, error)
+        return None
+    fixer._vector_state = state
+    return state
+
+
+def park_worker_class(fixer, state: _RunState, cells, sections) -> None:
+    """Park a worker-decided class for the fixer's lean ``commit_class``.
+
+    The caller has already copied the workers' post-decision pins rows
+    and ledger slots into ``state``, so after the commit the run state
+    is exactly what the serial vector path would hold.
+    """
+    _park(
+        fixer,
+        state,
+        cells,
+        sections,
+        [state.refs_cache[id(section)] for section in sections],
+    )
 
 
 def cached_commit(fixer, cells) -> Optional[_RunState]:
@@ -1037,543 +1182,3 @@ def cached_commit(fixer, cells) -> Optional[_RunState]:
     ):
         return state
     return None
-
-
-# ----------------------------------------------------------------------
-# Worker side: one-shot class programs from payloads
-# ----------------------------------------------------------------------
-# Worker op records are plain tuples; the indices below name the fields.
-OP_VARIABLE = 0  # the DiscreteVariable object
-OP_NAMES = 1  # tuple of affected event names, in bookkeeping order
-OP_RANK = 2  # number of affected events
-OP_VALUES = 3  # tuple of support value labels, in support order
-OP_WEIGHTS = 4  # working-ledger refs (dict, dict triple, or None)
-OP_PIN_MAPS = 5  # per pin site: tuple mapping support position -> pin index
-OP_SUPPORT = 6  # tuple of support value indices (into the value list)
-
-
-class _Wave:
-    """One worker wave's structure: queries, lanes, pin-scatter targets."""
-
-    __slots__ = (
-        "lanes",  # [(cell index, op record)], in plan (cell) order
-        "max_rank",
-        "q_kernel",
-        "q_event",
-        "q_target",
-        "q_op",
-        "q_slot",
-        "q_names",
-        "support_matrix",
-        "support_mask",
-        "groups",  # [(rule, rank, [lane])]
-        "scatter_event",
-        "scatter_pos",
-    )
-
-
-class ClassProgram:
-    """A payload chunk lowered to stacked arrays plus wave structure."""
-
-    __slots__ = (
-        "kind",
-        "kernels",
-        "names",
-        "scopes",
-        "pins",
-        "slots",
-        "cells",  # [(owner, [op record], [event index])]
-        "ledger",
-        "waves",
-        "max_values",
-    )
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.kernels: List[object] = []
-        self.names: List[Hashable] = []
-        self.scopes: List[Tuple[Hashable, ...]] = []
-        self.pins: List[List[int]] = []
-        self.slots: List[int] = []
-        self.cells: List[tuple] = []
-        self.ledger: Dict[frozenset, Dict[Hashable, float]] = {}
-        self.waves: List[_Wave] = []
-        self.max_values = 1
-
-
-def _assemble_waves(program: ClassProgram, raw_ops: List[tuple]) -> None:
-    """Build the per-wave flat structure from raw per-op info.
-
-    ``raw_ops`` entries are ``(cell_index, op_index, op_record, targets,
-    sites)``: ``targets`` pairs each affected event index with the
-    variable's scope position there, ``sites`` lists the cell events to
-    re-pin after the op as ``(event_index, position)`` pairs aligned
-    with the op record's ``OP_PIN_MAPS``.
-    """
-    np = _numpy()
-    num_waves = max((entry[1] for entry in raw_ops), default=-1) + 1
-    buckets: List[List[tuple]] = [[] for _ in range(num_waves)]
-    for entry in raw_ops:
-        buckets[entry[1]].append(entry)
-    slots = program.slots
-    names = program.names
-    naive = program.kind == "naive"
-    for bucket in buckets:
-        wave = _Wave()
-        wave.lanes = [(entry[0], entry[2]) for entry in bucket]
-        q_kernel: List[int] = []
-        q_event: List[int] = []
-        q_target: List[int] = []
-        q_op: List[int] = []
-        q_slot: List[int] = []
-        q_names: List[Hashable] = []
-        groups: Dict[Tuple[str, int], List[int]] = {}
-        scatter_event: List[int] = []
-        scatter_pos: List[int] = []
-        max_rank = 1
-        max_support = 1
-        for lane, (_cell, _w, op, targets, sites) in enumerate(bucket):
-            rank = op[OP_RANK]
-            if rank > max_rank:
-                max_rank = rank
-            size = len(op[OP_VALUES])
-            if size > max_support:
-                max_support = size
-            for slot, (event_index, target) in enumerate(targets):
-                if target < 0:
-                    continue
-                q_kernel.append(slots[event_index])
-                q_event.append(event_index)
-                q_target.append(target)
-                q_op.append(lane)
-                q_slot.append(slot)
-                q_names.append(names[event_index])
-            rule = "rankr" if naive else f"rank{rank}"
-            groups.setdefault((rule, rank), []).append(lane)
-            for site in sites:
-                scatter_event.append(site[0])
-                scatter_pos.append(site[1])
-        count = len(bucket)
-        support_matrix = np.zeros((count, max_support), dtype=np.int64)
-        support_mask = np.zeros((count, max_support), dtype=bool)
-        for lane, (_cell, _w, op, _t, _s) in enumerate(bucket):
-            indices = op[OP_SUPPORT]
-            size = len(indices)
-            support_matrix[lane, :size] = indices
-            support_mask[lane, :size] = True
-        wave.max_rank = max_rank
-        wave.q_kernel = np.asarray(q_kernel, dtype=np.int64)
-        wave.q_event = np.asarray(q_event, dtype=np.int64)
-        wave.q_target = np.asarray(q_target, dtype=np.int64)
-        wave.q_op = np.asarray(q_op, dtype=np.int64)
-        wave.q_slot = np.asarray(q_slot, dtype=np.int64)
-        wave.q_names = q_names
-        wave.support_matrix = support_matrix
-        wave.support_mask = support_mask
-        wave.groups = [
-            (rule, rank, lanes)
-            for (rule, rank), lanes in groups.items()
-        ]
-        wave.scatter_event = np.asarray(scatter_event, dtype=np.int64)
-        wave.scatter_pos = np.asarray(scatter_pos, dtype=np.int64)
-        program.waves.append(wave)
-
-
-def _register_event(
-    program, slot_of, name, kernel, scope_names, pins
-) -> int:
-    """Add one event to the program, sharing stacked kernels by print."""
-    fingerprint = kernel.fingerprint()
-    slot = slot_of.get(fingerprint)
-    if slot is None:
-        slot = len(program.kernels)
-        slot_of[fingerprint] = slot
-        program.kernels.append(kernel)
-    index = len(program.names)
-    program.names.append(name)
-    program.scopes.append(tuple(scope_names))
-    program.pins.append(pins)
-    program.slots.append(slot)
-    return index
-
-
-def _finish_cell(
-    program,
-    raw_ops,
-    cell_index,
-    owner,
-    cell_ops,
-    cell_events,
-    event_kernels,
-):
-    """Resolve one cell's per-op records, targets and pin sites.
-
-    ``cell_ops`` carries ``(variable, names, event_indices)`` per op;
-    ``event_kernels`` maps the cell's event indices to their kernels.
-    The working ledger must already hold every entry a rank-3 op reads
-    (payload ledger slices ship them); naive and rank-2 first touches
-    install the all-ones default ``local_weights`` would.
-    """
-    kind = program.kind
-    ledger = program.ledger
-    # One scan over the cell's event scopes: which events (and where)
-    # contain each variable — execute_cell pins *every* view of the
-    # cell after each op, so pin sites cover the whole cell.
-    by_name: Dict[Hashable, List[tuple]] = {}
-    for event_index in cell_events:
-        kernel = event_kernels[event_index]
-        for position, scope_name in enumerate(
-            program.scopes[event_index]
-        ):
-            by_name.setdefault(scope_name, []).append(
-                (event_index, position, kernel)
-            )
-    op_records = []
-    for op_index, (variable, names, indices) in enumerate(cell_ops):
-        values, support = _support_info(variable)
-        if variable.num_values > program.max_values:
-            program.max_values = variable.num_values
-        sites_raw = by_name.get(variable.name, ())
-        position_of = {site[0]: site[1] for site in sites_raw}
-        targets = [
-            (event_index, position_of.get(event_index, -1))
-            for event_index in indices
-        ]
-        pin_maps = []
-        sites = []
-        for event_index, position, kernel in sites_raw:
-            value_map = kernel.support_map(position, values)
-            if value_map is None:
-                raise _NotVectorizable(
-                    f"support of {variable.name!r} not indexable in "
-                    f"event {program.names[event_index]!r}"
-                )
-            pin_maps.append(value_map)
-            sites.append((event_index, position))
-        rank = len(names)
-        if kind == "naive":
-            key = frozenset(names)
-            weights_ref = ledger.get(key)
-            if weights_ref is None:
-                weights_ref = {name: 1.0 for name in names}
-                ledger[key] = weights_ref
-        elif rank == 1:
-            weights_ref = None
-        elif rank == 2:
-            key = frozenset(names)
-            weights_ref = ledger.get(key)
-            if weights_ref is None:
-                if kind == "rank3":
-                    # Rank-3 ledger slices ship every edge; a miss
-                    # means a malformed payload — scalar replay will
-                    # raise the proper error.
-                    raise KeyError(key)
-                weights_ref = {names[0]: 1.0, names[1]: 1.0}
-                ledger[key] = weights_ref
-        else:
-            u, v, w = names
-            weights_ref = (
-                ledger[frozenset((u, v))],
-                ledger[frozenset((u, w))],
-                ledger[frozenset((v, w))],
-            )
-        record = (
-            variable,
-            names,
-            rank,
-            values,
-            weights_ref,
-            tuple(pin_maps),
-            support,
-        )
-        op_records.append(record)
-        raw_ops.append((cell_index, op_index, record, targets, sites))
-    program.cells.append((owner, op_records, cell_events))
-
-
-def program_from_payloads(payloads) -> ClassProgram:
-    """Lower worker-side :class:`~repro.runtime.workers.CellPayload`\\ s.
-
-    The payloads already carry kernels, pins and ledger slices, so no
-    template is involved; the worker caches the program for its chunk
-    range and refreshes it in place (:func:`refresh_program`).
-    """
-    kind = payloads[0].kind if payloads else "naive"
-    program = ClassProgram(kind)
-    slot_of: Dict[int, int] = {}
-    event_kernels: Dict[int, object] = {}
-    raw_ops: List[tuple] = []
-    for cell_index, payload in enumerate(payloads):
-        index_of: Dict[Hashable, int] = {}
-        cell_events: List[int] = []
-        for event in payload.events:
-            index = _register_event(
-                program,
-                slot_of,
-                event.name,
-                event.kernel,
-                event.scope_names,
-                list(event.pins),
-            )
-            index_of[event.name] = index
-            event_kernels[index] = event.kernel
-            cell_events.append(index)
-        for key, entries in payload.ledger:
-            program.ledger[key] = dict(entries)
-        cell_ops = []
-        for op in payload.ops:
-            names = op.event_names
-            indices = tuple(index_of[name] for name in names)
-            cell_ops.append((op.variable, names, indices))
-        _finish_cell(
-            program,
-            raw_ops,
-            cell_index,
-            payload.owner,
-            cell_ops,
-            cell_events,
-            event_kernels,
-        )
-    _assemble_waves(program, raw_ops)
-    return program
-
-
-def refresh_program(program: ClassProgram, payloads) -> None:
-    """Refresh a cached chunk program's dynamic state in place.
-
-    The shared-memory workers cache the :class:`ClassProgram` lowered
-    for a chunk shape (generation, class, roster range) and replay it on
-    later solves of the same instance; only the pins and the ledger
-    values change between executes.  Raises
-    :class:`_NotVectorizable` on any structural mismatch — callers fall
-    back to a fresh lowering or the scalar loop, so a stale cache can
-    never change results.
-    """
-    pins = program.pins
-    total = len(pins)
-    index = 0
-    for payload in payloads:
-        for event in payload.events:
-            if index >= total or program.names[index] != event.name:
-                raise _NotVectorizable(
-                    "cached program does not match the chunk's events"
-                )
-            pins[index] = list(event.pins)
-            index += 1
-    if index != total:
-        raise _NotVectorizable(
-            "cached program does not match the chunk's events"
-        )
-    # Ledger dicts are mutated in place by _apply_ledger during a run,
-    # so every shipped entry is rewritten from the payload values and
-    # every first-touch default (keys the payloads do not ship) is
-    # reset to the all-ones state local_weights would install.
-    shipped: set = set()
-    for payload in payloads:
-        for key, entries in payload.ledger:
-            ref = program.ledger.get(key)
-            if ref is None:
-                raise _NotVectorizable(
-                    "cached program does not match the chunk's ledger"
-                )
-            for name, weight in entries:
-                ref[name] = weight
-            shipped.add(key)
-    for key, ref in program.ledger.items():
-        if key not in shipped:
-            for name in ref:
-                ref[name] = 1.0
-
-
-def _read_weights(kind: str, rule: str, op) -> tuple:
-    """The bookkeeping weights an op's decision reads, as Python floats."""
-    if rule == "rank1":
-        return ()
-    names = op[OP_NAMES]
-    refs = op[OP_WEIGHTS]
-    if kind == "naive":
-        return tuple(refs[name] for name in names)
-    if rule == "rank2":
-        return (refs[names[0]], refs[names[1]])
-    uv, uw, vw = refs
-    u, v, w = names
-    return (uv[u] * uw[u], uv[v] * vw[v], uw[w] * vw[w])
-
-
-def _apply_ledger(kind: str, op, choice) -> None:
-    """Absorb a committed choice into the working ledger (wave-local)."""
-    if kind == "naive":
-        refs = op[OP_WEIGHTS]
-        for name, weight in zip(op[OP_NAMES], choice.new_weights):
-            refs[name] = weight
-        return
-    rank = op[OP_RANK]
-    if rank == 1:
-        return
-    names = op[OP_NAMES]
-    if rank == 2:
-        refs = op[OP_WEIGHTS]
-        refs[names[0]], refs[names[1]] = choice.new_weights
-        return
-    uv, uw, vw = op[OP_WEIGHTS]
-    u, v, w = names
-    decomposition = choice.decomposition
-    uv[u] = decomposition.a1
-    uv[v] = decomposition.b1
-    uw[u] = decomposition.a2
-    uw[w] = decomposition.c2
-    vw[v] = decomposition.b3
-    vw[w] = decomposition.c3
-
-
-def run_program(program: ClassProgram) -> List[List[object]]:
-    """Execute a lowered payload chunk wave by wave.
-
-    Mutates only program-local state (the pins matrix and the working
-    ledger copies).  Raises on any condition the vectorized arithmetic
-    cannot reproduce — callers fall back to the scalar per-op loop.
-    """
-    np = _numpy()
-    stack = _shared_stack(program.kernels)
-    if stack.cells > DEFAULT_STACK_LIMIT:
-        raise _NotVectorizable(
-            f"kernel stack of {stack.cells} cells exceeds the batch "
-            f"limit"
-        )
-    width = max(stack.width, 1)
-    filler = [-1] * width
-    pins = np.array(
-        [
-            (event_pins + filler[len(event_pins):])
-            if event_pins
-            else filler
-            for event_pins in program.pins
-        ],
-        dtype=np.int64,
-    ).reshape(len(program.pins), width)
-    results: List[List[object]] = [[] for _ in program.cells]
-    kind = program.kind
-    max_values = program.max_values
-    for wave in program.waves:
-        _run_wave(np, stack, pins, wave, results, kind, max_values)
-    return results
-
-
-def _run_wave(np, stack, pins, wave, results, kind, max_values) -> None:
-    """Decide one wave (the next op of every still-active cell)."""
-    lanes = wave.lanes
-    count = len(lanes)
-    if count == 0:
-        return
-    max_rank = wave.max_rank
-    max_support = wave.support_matrix.shape[1]
-    incs = np.ones((count, max_rank, max_support), dtype=np.float64)
-    if wave.q_kernel.shape[0]:
-        afters, before = stack.query(
-            wave.q_kernel,
-            pins[wave.q_event],
-            wave.q_target,
-            max_values,
-            wave.q_names,
-        )
-        gathered = np.take_along_axis(
-            afters, wave.support_matrix[wave.q_op], axis=1
-        )
-        positive = before > 0.0
-        denominator = np.where(positive, before, 1.0)
-        ratios = np.where(
-            positive[:, None], gathered / denominator[:, None], 0.0
-        )
-        incs[wave.q_op, wave.q_slot] = ratios
-
-    choices: List[object] = [None] * count
-    positions: List[int] = [0] * count
-    for rule, rank, group_lanes in wave.groups:
-        unique: Dict[tuple, int] = {}
-        rep_lanes: List[int] = []
-        rep_weights: List[tuple] = []
-        assign: List[int] = []
-        for lane in group_lanes:
-            op = lanes[lane][1]
-            weights = _read_weights(kind, rule, op)
-            key = (
-                op[OP_VALUES],
-                weights,
-                incs[lane, :rank].tobytes(),
-            )
-            index = unique.get(key, -1)
-            if index < 0:
-                index = len(rep_lanes)
-                unique[key] = index
-                rep_lanes.append(lane)
-                rep_weights.append(weights)
-            assign.append(index)
-        rep_array = np.asarray(rep_lanes, dtype=np.int64)
-        variables = [lanes[lane][1][OP_VARIABLE] for lane in rep_lanes]
-        values = [lanes[lane][1][OP_VALUES] for lane in rep_lanes]
-        mask = wave.support_mask[rep_array]
-        sub = incs[rep_array]
-        if rule == "rank1":
-            rep_choices = select_rank1_class(
-                variables, values, sub[:, 0], mask
-            )
-        elif rule == "rank2":
-            weight_matrix = np.asarray(
-                rep_weights, dtype=np.float64
-            ).reshape(len(rep_lanes), 2)
-            rep_choices = select_rank2_class(
-                variables,
-                values,
-                sub[:, 0],
-                sub[:, 1],
-                weight_matrix,
-                mask,
-            )
-        elif rule == "rank3":
-            weight_matrix = np.asarray(
-                rep_weights, dtype=np.float64
-            ).reshape(len(rep_lanes), 3)
-            rep_choices = select_rank3_class(
-                variables,
-                values,
-                sub[:, 0],
-                sub[:, 1],
-                sub[:, 2],
-                weight_matrix,
-                mask,
-            )
-        else:
-            weight_matrix = np.asarray(
-                rep_weights, dtype=np.float64
-            ).reshape(len(rep_lanes), rank)
-            rep_choices = select_rankr_class(
-                variables,
-                values,
-                [sub[:, position] for position in range(rank)],
-                weight_matrix,
-                mask,
-            )
-        rep_positions = [
-            values[index].index(choice.value)
-            for index, choice in enumerate(rep_choices)
-        ]
-        for offset, lane in enumerate(group_lanes):
-            index = assign[offset]
-            choices[lane] = rep_choices[index]
-            positions[lane] = rep_positions[index]
-
-    # Apply the wave in lane (plan) order: ledger updates, choice
-    # collection, and one batched pin scatter for the next wave.
-    scatter_values: List[int] = []
-    for lane in range(count):
-        cell_index, op = lanes[lane]
-        choice = choices[lane]
-        _apply_ledger(kind, op, choice)
-        position = positions[lane]
-        for value_map in op[OP_PIN_MAPS]:
-            scatter_values.append(value_map[position])
-        results[cell_index].append(choice)
-    if scatter_values:
-        pins[wave.scatter_event, wave.scatter_pos] = np.asarray(
-            scatter_values, dtype=np.int64
-        )

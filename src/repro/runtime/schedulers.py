@@ -27,8 +27,9 @@ plane (:mod:`repro.core.vector`) accepts the class; a ``None`` from
 ``decide_class`` — scalar decide mode (``REPRO_DECIDE=scalar``), events
 without compiled kernels — falls back to the per-op loop, which is the
 differential oracle the batch path is tested against.  The process
-backend batches *inside* the workers: each chunk executes as one cached
-class-level program (:func:`repro.runtime.workers.execute_chunk_shm`).
+backend batches *inside* the workers: each chunk is a section of the
+same template lowering, run through the same wave executor
+(:func:`repro.runtime.workers.execute_chunk_shm`).
 
 Every scheduler validates each class's cross-cell disjointness before
 touching it and publishes per-class span / op-count metrics through
@@ -54,20 +55,21 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.artifacts.store import STORE as _ARTIFACTS, artifacts_mode
-from repro.errors import ReproError, SchedulerProtocolError
+from repro.artifacts.store import STORE as _ARTIFACTS
+from repro.errors import ReproError, SchedulerProtocolError, SimulationError
 from repro.faults import FaultPlan, fault_plan_from_env
 from repro.probability import engine as _engine
 from repro.obs.profile import profile_mode_from_env, profiled
 from repro.obs.recorder import active as _obs_active
 from repro.obs.shard import TraceContext, collect_shard_fallback
+from repro.core import vector
 from repro.core.selection import Decision
-from repro.core.vector import decide_mode
 from repro.lll.instance import LLLInstance
 from repro.runtime.plan import ColorClass, FixPlan
 from repro.runtime.shm import (
     CLEANUP_ERRORS,
     ChunkDescriptor,
+    ChunkPlan,
     ShmSession,
     report_cleanup_error,
 )
@@ -123,16 +125,6 @@ def _dispatch_class(fixer, color_class: ColorClass, recorder) -> bool:
     if recorder is not None:
         recorder.count("runtime", "class_batches")
     return True
-
-
-def _fixer_kind(fixer) -> str:
-    """The selection discipline of a fixer, for the shared segment."""
-    name = type(fixer).__name__
-    if name == "Rank2Fixer":
-        return "rank2"
-    if name == "Rank3Fixer":
-        return "rank3"
-    return "naive"
 
 
 class Scheduler(ABC):
@@ -245,10 +237,10 @@ class _ChunkState:
     attempt: int = 0
     #: Whether any attempt of this chunk has failed (for recovery obs).
     faulted: bool = False
-    #: The chunk's ``[start, stop)`` roster range — the whole payload
-    #: of a :class:`~repro.runtime.shm.ChunkDescriptor`.
-    start: int = 0
-    stop: int = 0
+    #: The chunk's lowered section and ``[start, stop)`` cell range —
+    #: the range is the whole payload of a
+    #: :class:`~repro.runtime.shm.ChunkDescriptor`.
+    plan: Optional[ChunkPlan] = None
 
 
 class _ProcessResources:
@@ -287,21 +279,27 @@ class ProcessScheduler(Scheduler):
     """Cells of a class run in a ``ProcessPoolExecutor``; commits stay
     in the parent, in plan order.
 
-    The solve's static structure broadcasts once into a
+    The solve's chunks are lowered on the vector plane's template (the
+    serial scheduler's own ``section_for``) and broadcast once, with the
+    built kernel stack, into a
     :class:`~repro.runtime.shm.SharedInstanceSegment`; warm workers
-    attach at pool start, pre-warm their artifact store from the blob,
-    and receive only fixed-width
-    :class:`~repro.runtime.shm.ChunkDescriptor`\\ s per chunk.  Live
-    pins/phi refresh in place per class, decisions come back through a
+    attach at pool start and receive only fixed-width
+    :class:`~repro.runtime.shm.ChunkDescriptor`\\ s per chunk.  Per
+    class the parent copies the rows and slots its chunks read from the
+    fixer's run state into the segment, decisions come back through a
     preallocated shared result region, and the pool + segment stay warm
     across executes until :meth:`close` (or GC/atexit via
     ``weakref.finalize`` — no leaked ``/dev/shm`` entries).
 
-    The worker replays cells through the shared selection rules; cells
-    that cannot be dispatched (no compiled kernel, pins unavailable)
-    execute in the parent at their merge position, preserving order.
-    ``max_workers`` bounds the pool; ``min_dispatch_ops`` routes tiny
-    classes around the pool entirely.
+    Workers have one path: the chunk's section through the serial
+    vector path's wave executor.  A fully worker-decided class commits
+    through the fixer's ``commit_class``, exactly like the serial
+    scheduler's.  Cells that are not dispatched — scalar decide mode, a
+    chunk the batch cannot express, a fixer whose run state cannot be
+    specialised — execute in the parent at their merge position through
+    the per-op oracle, preserving order.  ``max_workers`` bounds the
+    pool; ``min_dispatch_ops`` routes tiny classes around the pool
+    entirely.
 
     Failure semantics (see docs/scheduling.md): every chunk result is
     awaited with ``deadline`` seconds of patience; a timeout or a dead
@@ -418,8 +416,10 @@ class ProcessScheduler(Scheduler):
             self._shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
         try:
             # The pool stays warm across executes (that is the point);
-            # ``close()`` or the finalizer reclaims it.
-            self._ensure_session(fixer, plan, instance, recorder)
+            # ``close()`` or the finalizer reclaims it.  Scalar decide
+            # mode dispatches nothing, so it publishes nothing either.
+            if vector.vector_enabled():
+                self._ensure_session(fixer, plan, instance, recorder)
             super().execute(fixer, plan, instance)
         finally:
             if self._shard_dir is not None:
@@ -439,7 +439,13 @@ class ProcessScheduler(Scheduler):
         if self._box.session is None:
             self._box.session = ShmSession()
         session = self._box.session
-        outcome = session.ensure(_fixer_kind(fixer), plan, instance)
+        outcome = session.ensure(
+            fixer.vector_kind,
+            plan,
+            instance,
+            self._num_workers,
+            self._min_dispatch_ops,
+        )
         # The warm pool is only valid while it is attached to the
         # session's current segment *name*.  The name comparison (not
         # ``outcome == "segment"``) also covers an earlier ensure that
@@ -473,23 +479,18 @@ class ProcessScheduler(Scheduler):
                 generation=session.generation,
                 blob_bytes=blob_bytes,
                 segment_bytes=session.segment.layout.total_bytes,
-                classes=len(session.lowered.parent_classes),
+                classes=len(session.lowered.classes),
             )
 
     def _acquire_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Warm workers: every process attaches the segment and pins
-            # the parent's decide/artifact modes once, before its first
-            # chunk.
+            # Warm workers: every process attaches the segment once,
+            # before its first chunk.
             self._attached_segment = self._session.segment.name
             self._pool = ProcessPoolExecutor(
                 max_workers=self._num_workers,
                 initializer=_shm_worker_init,
-                initargs=(
-                    self._attached_segment,
-                    artifacts_mode(),
-                    decide_mode(),
-                ),
+                initargs=(self._attached_segment,),
             )
         return self._pool
 
@@ -532,32 +533,45 @@ class ProcessScheduler(Scheduler):
         self, fixer, color_class: ColorClass, instance: LLLInstance
     ) -> None:
         recorder = _obs_active()
-        choices_by_cell = self._collect(fixer, color_class, recorder)
+        choices_by_cell, state, chunks = self._collect(
+            fixer, color_class, recorder
+        )
 
         # Deterministic merge: plan cell order, regardless of which
         # worker finished first (or whether a cell ran in-parent).
         merge_start = time.perf_counter_ns() if recorder is not None else 0
-        for index, cell in enumerate(color_class.cells):
-            choices = choices_by_cell.get(index)
-            if choices is None:
-                for op in cell.ops:
-                    fixer.commit(fixer.decide(op.variable))
-                continue
-            if len(choices) != len(cell.ops):
-                raise SchedulerProtocolError(
-                    f"cell {cell.owner!r}: merge received {len(choices)} "
-                    f"choices for {len(cell.ops)} ops"
-                )
-            for op, choice in zip(cell.ops, choices):
-                variable = instance.variable(op.variable)
-                events = instance.events_of_variable(op.variable)
-                fixer.commit(
-                    Decision(
-                        variable=variable,
-                        events=tuple(events),
-                        choice=choice,
+        cells = color_class.cells
+        if state is not None and len(choices_by_cell) == len(cells):
+            # Every cell was decided by a worker: commit through the
+            # fixer's class commit, exactly as the serial vector path.
+            vector.park_worker_class(
+                fixer, state, cells, [chunk.section for chunk in chunks]
+            )
+            fixer.commit_class(
+                cells, [choices_by_cell[index] for index in range(len(cells))]
+            )
+        else:
+            for index, cell in enumerate(cells):
+                choices = choices_by_cell.get(index)
+                if choices is None:
+                    for op in cell.ops:
+                        fixer.commit(fixer.decide(op.variable))
+                    continue
+                if len(choices) != len(cell.ops):
+                    raise SchedulerProtocolError(
+                        f"cell {cell.owner!r}: merge received "
+                        f"{len(choices)} choices for {len(cell.ops)} ops"
                     )
-                )
+                for op, choice in zip(cell.ops, choices):
+                    variable = instance.variable(op.variable)
+                    events = instance.events_of_variable(op.variable)
+                    fixer.commit(
+                        Decision(
+                            variable=variable,
+                            events=tuple(events),
+                            choice=choice,
+                        )
+                    )
         if recorder is not None:
             recorder.record_span(
                 "runtime", "merge",
@@ -568,20 +582,34 @@ class ProcessScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Per-class collection
     # ------------------------------------------------------------------
-    def _collect(
-        self, fixer, color_class: ColorClass, recorder
-    ) -> Dict[int, List[object]]:
-        """Refresh the segment, ship descriptors, decode the results.
+    def _collect(self, fixer, color_class: ColorClass, recorder):
+        """Stage the class, ship descriptors, decode the results.
 
-        The parent writes the class's live pins/phi/roster into the
-        shared segment once (``shm_refresh`` span), submits fixed-width
-        :class:`~repro.runtime.shm.ChunkDescriptor`\\ s, and decodes the
-        workers' decisions straight out of the shared result region.
+        Returns ``(choices by cell index, run state, chunks)``; the run
+        state is ``None`` when nothing was dispatched.  The parent copies
+        the rows and slots the class's chunks read from the fixer's run
+        state into the shared segment (``shm_refresh`` span), submits
+        fixed-width :class:`~repro.runtime.shm.ChunkDescriptor`\\ s,
+        decodes the workers' decisions straight out of the shared
+        result region, and copies each decided chunk's post-decision
+        rows back into the run state.
         """
         session = self._session
+        if not vector.vector_enabled() or session is None:
+            return {}, None, []
         class_index = session.class_index(color_class)
+        chunks = session.chunks(class_index)
+        if not chunks:
+            return {}, None, []
         refresh_start = time.perf_counter_ns() if recorder is not None else 0
-        roster, written = session.refresh_class(fixer, class_index)
+        state = vector.open_worker_class(
+            fixer,
+            session.lowered.template,
+            [chunk.section for chunk in chunks],
+        )
+        if state is None:
+            return {}, None, []
+        written = session.stage(state, class_index)
         self.ipc_stats["shm_bytes"] = (
             int(self.ipc_stats.get("shm_bytes", 0)) + written
         )
@@ -589,41 +617,32 @@ class ProcessScheduler(Scheduler):
             recorder.record_span(
                 "runtime", "shm_refresh",
                 time.perf_counter_ns() - refresh_start,
-                color=color_class.color, cells=len(roster),
+                color=color_class.color,
+                cells=sum(chunk.stop - chunk.start for chunk in chunks),
             )
             recorder.observe_quantile(
                 "runtime", "shm_bytes_per_class", written
             )
             recorder.count("runtime", "shm_bytes", written)
-        dispatch_ops = sum(
-            len(color_class.cells[cell_id].ops) for cell_id in roster
-        )
-        if len(roster) < 2 or dispatch_ops < self._min_dispatch_ops:
-            return {}
-        # Chunks are contiguous *roster position* ranges, so a chunk is
-        # fully described by [start, stop) — the descriptor wire format.
-        chunks = self._chunk(roster, self._num_workers)
         self._emit_workers_event(recorder, color_class, chunks)
-        return self._dispatch(
-            color_class, class_index, self._make_states(chunks)
-        )
+        states = self._make_states(chunks)
+        results = self._dispatch(color_class, class_index, states)
+        for chunk in chunks:
+            if chunk.start in results:
+                session.absorb(state, chunk)
+        return results, state, chunks
 
-    def _make_states(
-        self, chunks: Sequence[List[int]]
-    ) -> List[_ChunkState]:
-        """One dispatch state per chunk, with its roster range."""
+    def _make_states(self, chunks: Sequence[ChunkPlan]) -> List[_ChunkState]:
+        """One dispatch state per chunk."""
         states: List[_ChunkState] = []
-        position = 0
         for chunk in chunks:
             states.append(
                 _ChunkState(
                     self._next_chunk_id,
-                    list(chunk),
-                    start=position,
-                    stop=position + len(chunk),
+                    list(range(chunk.start, chunk.stop)),
+                    plan=chunk,
                 )
             )
-            position += len(chunk)
             self._next_chunk_id += 1
         self.ipc_stats["chunks"] = (
             int(self.ipc_stats.get("chunks", 0)) + len(states)
@@ -632,14 +651,11 @@ class ProcessScheduler(Scheduler):
 
     @staticmethod
     def _emit_workers_event(
-        recorder, color_class: ColorClass, chunks: Sequence[List[int]]
+        recorder, color_class: ColorClass, chunks: Sequence[ChunkPlan]
     ) -> None:
         if recorder is None:
             return
-        chunk_ops = [
-            sum(len(color_class.cells[index].ops) for index in chunk)
-            for chunk in chunks
-        ]
+        chunk_ops = [chunk.section.num_ops for chunk in chunks]
         recorder.event(
             "runtime",
             "workers",
@@ -758,10 +774,27 @@ class ProcessScheduler(Scheduler):
                 )
                 try:
                     reply = future.result(timeout=self._deadline)
-                except SchedulerProtocolError:
-                    # A malformed reply is a correctness bug, not an
-                    # environmental fault: surface it, never retry it.
+                except (SchedulerProtocolError, SimulationError):
+                    # A malformed reply or a tripped disjointness check
+                    # is a correctness bug, not an environmental fault:
+                    # surface it, never retry it.
                     raise
+                except ReproError as error:
+                    # A typed decide error from the batch arithmetic:
+                    # the chunk's cells run in the parent at merge
+                    # position, where the per-op oracle reproduces the
+                    # scalar outcome with its exact op attribution.
+                    if recorder is not None:
+                        recorder.event(
+                            "runtime",
+                            "fallback",
+                            site="worker",
+                            scope=f"chunk:{state.chunk_id}",
+                            chunk=state.chunk_id,
+                            cells=len(state.cells),
+                            reason=repr(error),
+                        )
+                    continue
                 except (Exception, FuturesCancelledError) as error:
                     # Timeout, dead worker, cancelled wave, IPC failure.
                     if not _is_recoverable_failure(error):
@@ -812,7 +845,7 @@ class ProcessScheduler(Scheduler):
                     if recorder is not None:
                         recorder.count("runtime", "worker_warm_hits")
                 for index, choices in self._harvest(
-                    color_class, class_index, state, reply
+                    color_class, state, reply
                 ):
                     results[index] = choices
                 if state.faulted and recorder is not None:
@@ -907,8 +940,8 @@ class ProcessScheduler(Scheduler):
         descriptor = ChunkDescriptor(
             generation=self._session.generation,
             class_index=class_index,
-            start=state.start,
-            stop=state.stop,
+            start=state.plan.start,
+            stop=state.plan.stop,
             attempt=state.attempt,
         )
         nbytes = len(
@@ -922,19 +955,11 @@ class ProcessScheduler(Scheduler):
                 "runtime", "descriptor_bytes_per_chunk", nbytes
             )
             recorder.count("runtime", "descriptor_bytes", nbytes)
-        return pool.submit(
-            execute_chunk_shm,
-            descriptor,
-            fault,
-            trace,
-            decide_mode(),
-            artifacts_mode(),
-        )
+        return pool.submit(execute_chunk_shm, descriptor, fault, trace)
 
     def _harvest(
         self,
         color_class: ColorClass,
-        class_index: int,
         state: _ChunkState,
         ack,
     ) -> List[Tuple[int, List[object]]]:
@@ -963,20 +988,9 @@ class ProcessScheduler(Scheduler):
                     f"worker wrote {count} choices for "
                     f"{len(cell.ops)} ops"
                 )
-        return self._session.decode_chunk(class_index, state.cells)
-
-    @staticmethod
-    def _chunk(indices: Sequence[int], workers: int) -> List[List[int]]:
-        """Split cell indices into at most ``workers`` contiguous chunks."""
-        count = min(max(workers, 1), len(indices))
-        size, remainder = divmod(len(indices), count)
-        chunks: List[List[int]] = []
-        start = 0
-        for position in range(count):
-            end = start + size + (1 if position < remainder else 0)
-            chunks.append(list(indices[start:end]))
-            start = end
-        return [chunk for chunk in chunks if chunk]
+        return list(
+            zip(state.cells, self._session.decode_chunk(state.plan))
+        )
 
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:

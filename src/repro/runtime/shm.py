@@ -1,36 +1,51 @@
 """Zero-copy shared-memory IPC for the process execution backend.
 
-Almost everything a worker needs to decide a cell — kernels, variables,
-scope tuples, ledger topology — is static for the whole solve, so none
-of it should cross the process boundary per chunk.  This module keeps
-it in one per-solve **SharedInstanceSegment**
+Almost everything a worker needs to decide a chunk of cells — the
+stacked kernels and the chunk's lowered wave section — is static for
+the whole solve, so none of it should cross the process boundary per
+chunk.  This module keeps it in one per-solve **SharedInstanceSegment**
 (`multiprocessing.shared_memory`):
 
-* the *static* structure — cells, ops, variables, compiled kernels,
-  scope names, ledger slot ids — is pickled **once** per solve into the
+* the *static* structure is the vector plane's own lowering: the
+  parent lowers each dispatchable chunk into a section of the
+  instance's :class:`~repro.core.vector._Template` (the same
+  ``section_for`` path the serial scheduler uses), and the built
+  :class:`~repro.probability.engine.KernelStack` plus those sections —
+  no instance, no predicates — are pickled **once** per solve into the
   segment's blob region and unpickled **once** per worker process;
 * the *dynamic* state — the pins matrix and the flat float64 phi
-  ledger of the vector plane — lives in preallocated numpy regions the
-  parent refreshes in place before each class;
-* workers thereafter receive only a compact fixed-width
-  :class:`ChunkDescriptor` (generation, class id, roster range,
-  attempt) and write their decisions as fixed-width float64 records
-  into a preallocated shared result region, so the parent's merge is an
-  index copy, not an unpickle.
+  ledger, in the template's row and slot layout — lives in
+  preallocated numpy regions: before each class the parent copies the
+  rows and slots the class's sections read from its run state (a numpy
+  copy), and each worker decides its chunk in the chunk-private rows of
+  the ``*_out`` regions, so the input regions a retry reads are never
+  written by a worker;
+* workers receive only a compact fixed-width :class:`ChunkDescriptor`
+  (generation, class id, cell range, attempt) and write their
+  decisions as fixed-width float64 records into a preallocated shared
+  result region, so the parent's merge is an index copy, not an
+  unpickle.
 
-Bit-identity with the serial oracle holds because every number
-crossing the segment is an exact float64/int64 round-trip and the
-parent reconstructs the same frozen choice dataclasses the worker's
-selection rules returned.
+Bit-identity with the serial oracle holds because workers run the
+serial vector path's own wave executor on the same sections, every
+number crossing the segment is an exact float64/int64 round-trip, and
+the parent reconstructs the same frozen choice dataclasses the
+worker's selection rules returned.
 
 Segment layout (all regions 8-byte aligned, capacities in the header)::
 
     [ header   ] 16 x int64: magic, generation, blob length, capacities
-    [ blob     ] pickled ShmStaticPlan (static structure, one per solve)
-    [ pins     ] int64  [num_events, pin_width]   refreshed per class
-    [ phi      ] float64[ledger_size]             refreshed per class
-    [ roster   ] int64  [max_cells]               dispatchable cell ids
+    [ blob     ] pickled WorkerPlan (stack + chunk sections, per solve)
+    [ pins     ] int64  [num_events, pin_width]   parent-written per class
+    [ phi      ] float64[ledger_size]             parent-written per class
+    [ pins_out ] int64  [num_events, pin_width]   worker-written per chunk
+    [ phi_out  ] float64[ledger_size]             worker-written per chunk
     [ results  ] float64[max_ops, record_width]   worker decisions
+
+Capacities carry geometric headroom (each rounded up to a power of
+two), so a stream of same-shape solves re-broadcasts into one segment
+instead of reallocating it — and rebuilding the worker pool — per
+solve.
 
 The parent owns the segment: it creates, broadcasts and ultimately
 ``close()``/``unlink()``\\ s it (a module-level registry plus ``atexit``
@@ -47,10 +62,11 @@ import itertools
 import os
 import pickle
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.core import vector
 from repro.errors import ObsError, ReproError, SchedulerProtocolError
 from repro.obs.recorder import active as _obs_active
 from repro.probability.engine import _numpy
@@ -96,10 +112,9 @@ H_BLOB_LENGTH = 2
 H_NUM_EVENTS = 3
 H_PIN_WIDTH = 4
 H_LEDGER_SIZE = 5
-H_MAX_CELLS = 6
-H_MAX_OPS = 7
-H_RECORD_WIDTH = 8
-H_BLOB_CAPACITY = 9
+H_MAX_OPS = 6
+H_RECORD_WIDTH = 7
+H_BLOB_CAPACITY = 8
 
 #: Result-record tags (row[0]) naming the choice dataclass encoded.
 TAG_RANK1 = 1
@@ -121,6 +136,11 @@ def record_width_for(max_rank: int) -> int:
     return max(MIN_RECORD_WIDTH, 4 + 2 * int(max_rank))
 
 
+def _headroom(need: int) -> int:
+    """Geometric capacity for ``need`` entries: the next power of two."""
+    return 1 << max(int(need) - 1, 0).bit_length()
+
+
 @dataclass(frozen=True)
 class SegmentLayout:
     """Region capacities and byte offsets of one shared segment.
@@ -134,7 +154,6 @@ class SegmentLayout:
     num_events: int
     pin_width: int
     ledger_size: int
-    max_cells: int
     max_ops: int
     record_width: int
     blob_capacity: int
@@ -152,22 +171,48 @@ class SegmentLayout:
         return self.pins_offset + self.num_events * self.pin_width * 8
 
     @property
-    def roster_offset(self) -> int:
+    def pins_out_offset(self) -> int:
         return self.phi_offset + self.ledger_size * 8
 
     @property
+    def phi_out_offset(self) -> int:
+        return self.pins_out_offset + self.num_events * self.pin_width * 8
+
+    @property
     def results_offset(self) -> int:
-        return self.roster_offset + self.max_cells * 8
+        return self.phi_out_offset + self.ledger_size * 8
 
     @property
     def total_bytes(self) -> int:
         return self.results_offset + self.max_ops * self.record_width * 8
 
+    def fits(self, need: "SegmentLayout") -> bool:
+        """Whether a solve needing ``need`` can publish into this layout."""
+        return all(
+            getattr(need, name) <= getattr(self, name)
+            for name in self.__dataclass_fields__
+        )
+
+    def grown_for(self, need: "SegmentLayout") -> "SegmentLayout":
+        """The layout to reallocate for ``need``: grow-only, with headroom."""
+        return SegmentLayout(
+            num_events=max(self.num_events, _headroom(need.num_events)),
+            pin_width=max(self.pin_width, need.pin_width),
+            ledger_size=max(self.ledger_size, _headroom(need.ledger_size)),
+            max_ops=max(self.max_ops, _headroom(need.max_ops)),
+            record_width=max(self.record_width, need.record_width),
+            blob_capacity=max(
+                self.blob_capacity, _headroom(need.blob_capacity)
+            ),
+        )
+
 
 class SegmentViews:
     """Numpy views over one mapped segment, shared by both sides."""
 
-    __slots__ = ("header", "blob", "pins", "phi", "roster", "results")
+    __slots__ = (
+        "header", "blob", "pins", "phi", "pins_out", "phi_out", "results"
+    )
 
     def __init__(self, buf, layout: SegmentLayout) -> None:
         np = _numpy()
@@ -178,18 +223,24 @@ class SegmentViews:
             buf, dtype=np.uint8, count=layout.blob_capacity,
             offset=layout.blob_offset,
         )
+        pins_shape = (layout.num_events, layout.pin_width)
         self.pins = np.frombuffer(
             buf, dtype=np.int64,
             count=layout.num_events * layout.pin_width,
             offset=layout.pins_offset,
-        ).reshape(layout.num_events, layout.pin_width)
+        ).reshape(pins_shape)
         self.phi = np.frombuffer(
             buf, dtype=np.float64, count=layout.ledger_size,
             offset=layout.phi_offset,
         )
-        self.roster = np.frombuffer(
-            buf, dtype=np.int64, count=layout.max_cells,
-            offset=layout.roster_offset,
+        self.pins_out = np.frombuffer(
+            buf, dtype=np.int64,
+            count=layout.num_events * layout.pin_width,
+            offset=layout.pins_out_offset,
+        ).reshape(pins_shape)
+        self.phi_out = np.frombuffer(
+            buf, dtype=np.float64, count=layout.ledger_size,
+            offset=layout.phi_out_offset,
         )
         self.results = np.frombuffer(
             buf, dtype=np.float64,
@@ -208,53 +259,19 @@ class SegmentViews:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ShmEvent:
-    """One event of a cell: kernel + scope, pins read from the segment."""
-
-    name: Hashable
-    kernel: object
-    scope_names: Tuple[Hashable, ...]
-    #: Row of the shared pins matrix holding this event's live pins.
-    event_id: int
-
-
-@dataclass(frozen=True)
-class ShmOp:
-    """One fixing: the variable object plus its event names in order."""
-
-    variable: object
-    event_names: Tuple[Hashable, ...]
-
-
-@dataclass(frozen=True)
-class ShmCell:
-    """A dispatch-capable cell's static structure.
-
-    ``ledger`` lists the cell's bookkeeping reads in first-touch order
-    as ``(names, slots)`` pairs — the worker zips each names tuple with
-    the float64 phi values at ``slots`` to rebuild the cell's exact
-    ledger slice.  ``op_offset`` is the cell's first row in the shared
-    result region (class-local).
-    """
-
-    owner: Hashable
-    ops: Tuple[ShmOp, ...]
-    events: Tuple[ShmEvent, ...]
-    ledger: Tuple[Tuple[Tuple[Hashable, ...], Tuple[int, ...]], ...]
-    op_offset: int
-
-
-@dataclass(frozen=True)
-class ShmStaticPlan:
+class WorkerPlan:
     """The whole solve's static structure, pickled once per broadcast.
 
-    ``classes[i][cell_id]`` is ``None`` for cells that can never be
-    dispatched (an event without a compiled kernel) — they execute in
-    the parent and never appear in a roster.
+    ``chunks`` maps ``(class index, start, stop)`` — a dispatchable
+    chunk's cell range — to its lowered template section and the
+    class-local result row of its first op.  ``width`` is the pins
+    column count ``stack`` reads.
     """
 
-    kind: str
-    classes: Tuple[Tuple[Optional[ShmCell], ...], ...]
+    stack: object
+    width: int
+    max_values: int
+    chunks: Dict[Tuple[int, int, int], Tuple[object, int]]
 
 
 @dataclass(frozen=True)
@@ -262,8 +279,8 @@ class ChunkDescriptor:
     """The fixed-width wire format of one dispatched chunk.
 
     Five small ints are the whole per-chunk message: workers resolve
-    everything else from their attached segment (roster range
-    ``[start, stop)`` into the current class's roster region).
+    everything else from their attached segment (``[start, stop)`` is
+    the chunk's cell range within its class).
     """
 
     generation: int
@@ -390,189 +407,109 @@ def decode_choice(row, values: Tuple[Hashable, ...], rank: int):
 
 
 # ----------------------------------------------------------------------
-# Lowering (parent side, once per (plan, instance, kind))
+# Chunk lowering (parent side, once per (plan, instance, kind))
 # ----------------------------------------------------------------------
 
-@dataclass
-class _ParentCell:
-    """Parent-side refresh/decode metadata for one cell.
+def chunk_ranges(count: int, workers: int) -> List[Tuple[int, int]]:
+    """Split ``count >= 1`` cells into at most ``workers`` ranges."""
+    parts = min(max(workers, 1), count)
+    size, remainder = divmod(count, parts)
+    ranges: List[Tuple[int, int]] = []
+    start = 0
+    for position in range(parts):
+        stop = start + size + (1 if position < remainder else 0)
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
-    ``steps`` is the cell's refresh walk — per op, first the scope pins
-    of the op's not-yet-seen events, then the ledger fills — so the
-    fixer-side side effects (``local_weights`` installing defaults)
-    land in a fixed first-touch order.  ``static_ok`` is ``False`` for
-    cells that can never dispatch; their truncated steps are still
-    replayed so those side effects do not depend on dispatchability.
-    """
 
-    #: Per op: ``(new_events, fills)`` where ``new_events`` entries are
-    #: ``(event, event_id, scope_len)`` and ``fills`` entries are
-    #: ``("w", events, names, slots)`` or ``("p", u, v, slot_u, slot_v)``.
-    steps: Tuple[tuple, ...]
-    #: Per op: ``(values, rank)`` for result decoding.
-    op_meta: Tuple[Tuple[tuple, int], ...]
+@dataclass(frozen=True)
+class ChunkPlan:
+    """One dispatchable chunk: its cell range and lowered section."""
+
+    start: int
+    stop: int
+    section: object
+    #: Class-local result row of the chunk's first op.
     op_offset: int
-    static_ok: bool
 
 
 @dataclass
 class LoweredSolve:
-    """Everything one broadcast needs: blob, parent meta, capacities."""
+    """Everything one broadcast needs: blob, chunk plans, capacities.
 
-    kind: str
-    blob: bytes
-    parent_classes: List[List[_ParentCell]]
-    num_events: int
-    pin_width: int
-    ledger_size: int
-    max_cells: int
-    max_ops: int
-    record_width: int
-
-
-def lower_solve(kind: str, plan, instance) -> LoweredSolve:
-    """Lower a fix plan + instance into the shared-segment structure.
-
-    Walks every cell's ops in plan order, gating on compiled kernels
-    and recording the ledger reads in first-touch order, and splits the
-    result into the static pickled-once blob and the per-class refresh
-    program the parent replays against the live fixer.
+    ``classes[i]`` lists class ``i``'s dispatchable chunks (empty when
+    the class runs in the parent); ``need`` holds the exact region
+    sizes this solve uses.
     """
-    event_ids: Dict[Hashable, int] = {}
-    slot_registry: Dict[frozenset, Dict[Hashable, int]] = {}
-    next_slot = 0
-    pin_width = 1
-    max_rank = 1
-    max_cells = 1
+
+    template: object
+    classes: List[List[ChunkPlan]]
+    blob: bytes
+    need: SegmentLayout
+
+
+def lower_chunks(
+    kind: str, plan, instance, workers: int, min_dispatch_ops: int
+) -> LoweredSolve:
+    """Lower every dispatchable chunk of ``plan`` into template sections.
+
+    Chunks go through :func:`repro.core.vector.lower_chunks` — the
+    instance's template and the serial scheduler's ``section_for``.  A
+    class with fewer than two cells or ``min_dispatch_ops`` ops is never
+    dispatched, and a chunk the batch cannot express is left out; their
+    cells run in the parent at merge position, through the per-op
+    oracle.
+    """
+    wanted: List[Tuple[int, int, int, int]] = []
+    requests: List[tuple] = []
     max_ops = 1
-    static_classes: List[Tuple[Optional[ShmCell], ...]] = []
-    parent_classes: List[List[_ParentCell]] = []
-    for color_class in plan.classes:
-        static_cells: List[Optional[ShmCell]] = []
-        parent_cells: List[_ParentCell] = []
-        op_offset = 0
-        for cell in color_class.cells:
-            seen: set = set()
-            cell_keys: set = set()
-            events_static: List[ShmEvent] = []
-            ops_static: List[ShmOp] = []
-            ledger_static: List[tuple] = []
-            steps: List[tuple] = []
-            op_meta: List[tuple] = []
-            ok = True
-            for op in cell.ops:
-                variable = instance.variable(op.variable)
-                events = instance.events_of_variable(op.variable)
-                new_events: List[tuple] = []
-                for event in events:
-                    if event.name in seen:
-                        continue
-                    seen.add(event.name)
-                    if event.compiled_kernel() is None:
-                        ok = False
-                        break
-                    eid = event_ids.get(event.name)
-                    if eid is None:
-                        eid = len(event_ids)
-                        event_ids[event.name] = eid
-                    scope = tuple(event.scope_names)
-                    events_static.append(
-                        ShmEvent(event.name, event.compiled_kernel(),
-                                 scope, eid)
-                    )
-                    new_events.append((event, eid, len(scope)))
-                    if len(scope) > pin_width:
-                        pin_width = len(scope)
-                if not ok:
-                    # Truncate at the first kernel-less event: earlier
-                    # ops' steps stay (side effects), the rest of the
-                    # cell is never walked.
-                    if new_events:
-                        steps.append((tuple(new_events), ()))
-                    break
-                names = tuple(event.name for event in events)
-                rank = len(names)
-                if rank > max_rank:
-                    max_rank = rank
-                values = tuple(
-                    value for value, _prob in variable.support_items()
-                )
-                ops_static.append(ShmOp(variable, names))
-                op_meta.append((values, rank))
-                fills: List[tuple] = []
-                if kind == "naive" or len(events) == 2:
-                    key = frozenset(names)
-                    if key not in cell_keys:
-                        cell_keys.add(key)
-                        by_name = slot_registry.get(key)
-                        if by_name is None:
-                            by_name = {}
-                            for name in names:
-                                by_name[name] = next_slot
-                                next_slot += 1
-                            slot_registry[key] = by_name
-                        slots = tuple(by_name[name] for name in names)
-                        ledger_static.append((names, slots))
-                        fills.append(("w", tuple(events), names, slots))
-                elif len(events) == 3:
-                    for u, v in (
-                        (names[0], names[1]),
-                        (names[0], names[2]),
-                        (names[1], names[2]),
-                    ):
-                        key = frozenset((u, v))
-                        if key in cell_keys:
-                            continue
-                        cell_keys.add(key)
-                        by_name = slot_registry.get(key)
-                        if by_name is None:
-                            by_name = {u: next_slot, v: next_slot + 1}
-                            next_slot += 2
-                            slot_registry[key] = by_name
-                        slots = (by_name[u], by_name[v])
-                        ledger_static.append(((u, v), slots))
-                        fills.append(("p", u, v, slots[0], slots[1]))
-                steps.append((tuple(new_events), tuple(fills)))
-            parent_cells.append(
-                _ParentCell(
-                    steps=tuple(steps),
-                    op_meta=tuple(op_meta) if ok else (),
-                    op_offset=op_offset,
-                    static_ok=ok,
-                )
-            )
-            static_cells.append(
-                ShmCell(
-                    owner=cell.owner,
-                    ops=tuple(ops_static),
-                    events=tuple(events_static),
-                    ledger=tuple(ledger_static),
-                    op_offset=op_offset,
-                )
-                if ok
-                else None
-            )
-            op_offset += len(cell.ops)
-        if len(color_class.cells) > max_cells:
-            max_cells = len(color_class.cells)
-        if op_offset > max_ops:
-            max_ops = op_offset
-        static_classes.append(tuple(static_cells))
-        parent_classes.append(parent_cells)
+    for class_index, color_class in enumerate(plan.classes):
+        cells = color_class.cells
+        if len(cells) < 2 or color_class.num_ops < min_dispatch_ops:
+            continue
+        offsets = [0]
+        for cell in cells:
+            offsets.append(offsets[-1] + len(cell.ops))
+        max_ops = max(max_ops, offsets[-1])
+        for start, stop in chunk_ranges(len(cells), workers):
+            wanted.append((class_index, start, stop, offsets[start]))
+            requests.append((cells, start, stop))
+    template, sections = vector.lower_chunks(instance, kind, requests)
+    classes: List[List[ChunkPlan]] = [[] for _ in plan.classes]
+    shipped: Dict[Tuple[int, int, int], Tuple[object, int]] = {}
+    max_rank = 1
+    for (class_index, start, stop, offset), section in zip(wanted, sections):
+        if section is None:
+            continue
+        classes[class_index].append(ChunkPlan(start, stop, section, offset))
+        shipped[(class_index, start, stop)] = (section, offset)
+        for _owner, ops in section.cells:
+            for op in ops:
+                max_rank = max(max_rank, op[vector.TOP_RANK])
+    stack = template.stack
+    width = max(stack.width, 1) if stack is not None else 1
     blob = pickle.dumps(
-        ShmStaticPlan(kind=kind, classes=tuple(static_classes)),
+        WorkerPlan(
+            stack=stack if shipped else None,
+            width=width,
+            max_values=template.max_values,
+            chunks=shipped,
+        ),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     return LoweredSolve(
-        kind=kind,
+        template=template,
+        classes=classes,
         blob=blob,
-        parent_classes=parent_classes,
-        num_events=max(len(event_ids), 1),
-        pin_width=pin_width,
-        ledger_size=max(next_slot, 1),
-        max_cells=max_cells,
-        max_ops=max_ops,
-        record_width=record_width_for(max_rank),
+        need=SegmentLayout(
+            num_events=max(len(template.names), 1),
+            pin_width=width,
+            ledger_size=max(template.ledger_size, 1),
+            max_ops=max_ops,
+            record_width=record_width_for(max_rank),
+            blob_capacity=_align8(len(blob)),
+        ),
     )
 
 
@@ -627,7 +564,6 @@ class SharedInstanceSegment:
         header[H_NUM_EVENTS] = layout.num_events
         header[H_PIN_WIDTH] = layout.pin_width
         header[H_LEDGER_SIZE] = layout.ledger_size
-        header[H_MAX_CELLS] = layout.max_cells
         header[H_MAX_OPS] = layout.max_ops
         header[H_RECORD_WIDTH] = layout.record_width
         header[H_BLOB_CAPACITY] = layout.blob_capacity
@@ -686,7 +622,6 @@ class AttachedSegment:
             num_events=int(header[H_NUM_EVENTS]),
             pin_width=int(header[H_PIN_WIDTH]),
             ledger_size=int(header[H_LEDGER_SIZE]),
-            max_cells=int(header[H_MAX_CELLS]),
             max_ops=int(header[H_MAX_OPS]),
             record_width=int(header[H_RECORD_WIDTH]),
             blob_capacity=int(header[H_BLOB_CAPACITY]),
@@ -719,38 +654,33 @@ class ShmSession:
     broadcast); a different solve re-lowers, rewrites the blob in place
     when it fits (generation bump — warm workers re-read the blob but
     the pool survives), and only reallocates the segment when the new
-    capacities outgrow the old ones.
+    capacities outgrow the old ones (with geometric headroom).
     """
 
     def __init__(self) -> None:
         self.segment: Optional[SharedInstanceSegment] = None
         self.lowered: Optional[LoweredSolve] = None
         self.generation = 0
-        self._kind: Optional[str] = None
+        self._shape: Optional[tuple] = None
         self._plan_ref = None
         self._instance_ref = None
         self._class_index: Dict[int, int] = {}
 
-    def _is_current(self, kind: str, plan, instance) -> bool:
-        if self.lowered is None or self._kind != kind:
+    def _is_current(self, shape: tuple, plan, instance) -> bool:
+        if self.lowered is None or self._shape != shape:
             return False
         if self._plan_ref is None or self._instance_ref is None:
             return False
         return self._plan_ref() is plan and self._instance_ref() is instance
 
-    def _fits(self, lowered: LoweredSolve) -> bool:
-        layout = self.segment.layout
-        return (
-            lowered.num_events <= layout.num_events
-            and lowered.pin_width <= layout.pin_width
-            and lowered.ledger_size <= layout.ledger_size
-            and lowered.max_cells <= layout.max_cells
-            and lowered.max_ops <= layout.max_ops
-            and lowered.record_width == layout.record_width
-            and len(lowered.blob) <= layout.blob_capacity
-        )
-
-    def ensure(self, kind: str, plan, instance) -> str:
+    def ensure(
+        self,
+        kind: str,
+        plan,
+        instance,
+        workers: int = 1,
+        min_dispatch_ops: int = 2,
+    ) -> str:
         """Publish the solve; returns ``reuse``/``broadcast``/``segment``.
 
         ``segment`` means a new segment name was allocated — the caller
@@ -766,7 +696,8 @@ class ShmSession:
         protocol violation.  The ``reuse`` path double-checks the
         published header generation for the same reason.
         """
-        if self._is_current(kind, plan, instance):
+        shape = (kind, workers, min_dispatch_ops)
+        if self._is_current(shape, plan, instance):
             segment = self.segment
             if (
                 segment is not None
@@ -776,25 +707,24 @@ class ShmSession:
                 return "reuse"
             # Defensive: the session claims this solve is current but
             # the segment header disagrees — republish it.
-        lowered = lower_solve(kind, plan, instance)
+        lowered = lower_chunks(
+            kind, plan, instance, workers, min_dispatch_ops
+        )
         generation = self.generation + 1
         outcome = "broadcast"
         try:
-            if self.segment is not None and not self._fits(lowered):
-                self.segment.close()
-                self.segment = None
-            if self.segment is None:
-                self.segment = SharedInstanceSegment(
-                    SegmentLayout(
-                        num_events=lowered.num_events,
-                        pin_width=lowered.pin_width,
-                        ledger_size=lowered.ledger_size,
-                        max_cells=lowered.max_cells,
-                        max_ops=lowered.max_ops,
-                        record_width=lowered.record_width,
-                        blob_capacity=_align8(len(lowered.blob)),
-                    )
-                )
+            if self.segment is None or not self.segment.layout.fits(
+                lowered.need
+            ):
+                layout = (
+                    self.segment.layout
+                    if self.segment is not None
+                    else SegmentLayout(0, 0, 0, 0, 0, 0)
+                ).grown_for(lowered.need)
+                if self.segment is not None:
+                    self.segment.close()
+                    self.segment = None
+                self.segment = SharedInstanceSegment(layout)
                 outcome = "segment"
             self.segment.publish(lowered.blob, generation)
         except BaseException:
@@ -802,7 +732,7 @@ class ShmSession:
             raise
         self.generation = generation
         self.lowered = lowered
-        self._kind = kind
+        self._shape = shape
         try:
             self._plan_ref = weakref.ref(plan)
             self._instance_ref = weakref.ref(instance)
@@ -823,7 +753,7 @@ class ShmSession:
         miss ``_is_current`` and republish from scratch.
         """
         self.lowered = None
-        self._kind = None
+        self._shape = None
         self._plan_ref = None
         self._instance_ref = None
         self._class_index = {}
@@ -831,70 +761,53 @@ class ShmSession:
     def class_index(self, color_class) -> int:
         return self._class_index[id(color_class)]
 
-    def refresh_class(self, fixer, class_index: int) -> Tuple[List[int], int]:
-        """Write one class's live pins/phi/roster; returns (roster, bytes).
+    def chunks(self, class_index: int) -> List[ChunkPlan]:
+        """The class's dispatchable chunks (empty: it runs in the parent)."""
+        return self.lowered.classes[class_index]
 
-        Replays each cell's lowered walk against the live fixer —
-        ``scope_pins`` calls, then ``local_weights``/``pstar`` reads, in
-        first-touch order — writing into the shared regions.  A cell
-        whose pins are unavailable aborts at that point and stays off
-        the roster (it runs in the parent at merge time).
+    def stage(self, state, class_index: int) -> int:
+        """Copy the rows and slots the class's chunks read into the segment.
+
+        ``state`` is the fixer's :class:`~repro.core.vector._RunState`,
+        in the template's row and slot layout; returns the bytes
+        written.
         """
         views = self.segment.views
-        pins_view = views.pins
-        phi = views.phi
-        roster: List[int] = []
+        width = self.lowered.need.pin_width
         written = 0
-        for cell_id, pcell in enumerate(
-            self.lowered.parent_classes[class_index]
-        ):
-            ok = pcell.static_ok
-            for new_events, fills in pcell.steps:
-                for event, eid, width in new_events:
-                    pins = event.scope_pins(fixer.assignment)
-                    if pins is None:
-                        ok = False
-                        break
-                    pins_view[eid, :width] = pins
-                    written += width * 8
-                if not ok:
-                    break
-                for fill in fills:
-                    if fill[0] == "w":
-                        _tag, events, _names, slots = fill
-                        weights = fixer.local_weights(events)
-                        for slot, weight in zip(slots, weights):
-                            phi[slot] = weight
-                        written += len(slots) * 8
-                    else:
-                        _tag, u, v, slot_u, slot_v = fill
-                        phi[slot_u] = fixer.pstar.value(u, v, u)
-                        phi[slot_v] = fixer.pstar.value(u, v, v)
-                        written += 16
-            if ok:
-                roster.append(cell_id)
-        roster_view = views.roster
-        for position, cell_id in enumerate(roster):
-            roster_view[position] = cell_id
-        written += len(roster) * 8
-        return roster, written
+        for chunk in self.chunks(class_index):
+            rows = chunk.section.read_rows
+            slots = chunk.section.slot_list
+            views.pins[rows, :width] = state.pins[rows, :width]
+            views.phi[slots] = state.phi[slots]
+            written += (rows.shape[0] * width + slots.shape[0]) * 8
+        return written
 
-    def decode_chunk(
-        self, class_index: int, cell_ids: Sequence[int]
-    ) -> List[Tuple[int, List[object]]]:
-        """Rebuild the choices a worker wrote for one chunk's cells."""
+    def absorb(self, state, chunk: ChunkPlan) -> None:
+        """Copy a decided chunk's post-decision rows/slots into ``state``."""
+        views = self.segment.views
+        width = self.lowered.need.pin_width
+        rows = chunk.section.read_rows
+        slots = chunk.section.slot_list
+        state.pins[rows, :width] = views.pins_out[rows, :width]
+        state.phi[slots] = views.phi_out[slots]
+
+    def decode_chunk(self, chunk: ChunkPlan) -> List[List[object]]:
+        """Rebuild the choices a worker wrote for one chunk, per cell."""
         rows = self.segment.views.results
-        parent_cells = self.lowered.parent_classes[class_index]
-        decoded: List[Tuple[int, List[object]]] = []
-        for cell_id in cell_ids:
-            pcell = parent_cells[cell_id]
-            choices = [
-                decode_choice(
-                    rows[pcell.op_offset + position], values, rank
+        offset = chunk.op_offset
+        decoded: List[List[object]] = []
+        for _owner, ops in chunk.section.cells:
+            choices = []
+            for op in ops:
+                choices.append(
+                    decode_choice(
+                        rows[offset], op[vector.TOP_VALUES],
+                        op[vector.TOP_RANK],
+                    )
                 )
-                for position, (values, rank) in enumerate(pcell.op_meta)
-            ]
-            decoded.append((cell_id, choices))
+                offset += 1
+            decoded.append(choices)
         return decoded
 
     def close(self) -> None:
@@ -902,8 +815,4 @@ class ShmSession:
         if self.segment is not None:
             self.segment.close()
             self.segment = None
-        self.lowered = None
-        self._kind = None
-        self._plan_ref = None
-        self._instance_ref = None
-        self._class_index = {}
+        self._forget()

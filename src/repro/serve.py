@@ -2,10 +2,12 @@
 
 The ROADMAP's service item, closed: a long-running asyncio HTTP server
 (`repro serve`) that accepts solve/verify/plan requests as JSON bodies
-and dispatches them onto one persistent
+and dispatches them onto one persistent scheduler — the serial oracle
+by default, or ``--scheduler process`` for the
 :class:`~repro.runtime.schedulers.ProcessScheduler` + shared-memory
-plane, with the process-global :class:`~repro.artifacts.store.STORE` as
-the request-level cache.  Two layers of reuse, both riding the PR 8
+plane, which no measurement has yet shown beating serial
+(EXPERIMENTS.md E2/E8) — with the process-global
+:class:`~repro.artifacts.store.STORE` as the request-level cache.  Two layers of reuse, both riding the PR 8
 artifact plane:
 
 * **shape-level** — same-shape requests skip kernel compilation,
@@ -107,7 +109,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8787
-    scheduler: str = "process"
+    #: ``serial`` by default: the committed E2/E8 rows put the process
+    #: plane at 0.11x-0.27x of serial on these workload families.
+    scheduler: str = "serial"
     workers: Optional[int] = None
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     deadline_s: float = DEFAULT_DEADLINE_S

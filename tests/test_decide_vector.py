@@ -172,6 +172,20 @@ def test_vector_path_actually_engages():
     assert STATS.vector_fallbacks == 0
 
 
+def test_bug_in_the_batch_path_propagates(monkeypatch):
+    """Only typed fallbacks reach the scalar loop; a bug surfaces."""
+    from repro.core import solve, vector
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug in the wave executor")
+
+    monkeypatch.setattr(vector, "_run_twave", broken)
+    instance = build_instance(("triples", 8, 6, 0))
+    with using_decide("vector"):
+        with pytest.raises(TypeError, match="injected bug"):
+            solve(instance, scheduler=make_scheduler("serial"))
+
+
 # ----------------------------------------------------------------------
 # Fallback composition: naive engine, ambient fault schedule
 # ----------------------------------------------------------------------

@@ -11,8 +11,14 @@ Three promises under test, matching the plane's contract
   and at scheduler garbage collection.  No orphaned ``/dev/shm``
   entries, ever.
 * **Warm reuse** — a second execute over the same solve re-uses the
-  published segment (no re-broadcast) and a single worker replays its
-  cached class programs for every chunk (``worker_warm_hits``).
+  published segment (no re-broadcast), a warm worker serves every chunk
+  without re-reading the blob (``worker_warm_hits``), and a stream of
+  same-shape fresh solves re-broadcasts into one segment and one pool.
+
+Workers have one path — the parent's template sections through the
+vector plane's wave executor — so whatever is not dispatched (scalar
+decide mode, a chunk holding a kernel-less event) runs in the parent
+and must still match the serial transcript.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import glob
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.artifacts.store import STORE
 from repro.core import certify_recovery, solve_distributed
 from repro.errors import SchedulerProtocolError
 from repro.faults import FaultPlan
@@ -43,7 +50,6 @@ from repro.runtime.shm import (
     ChunkDescriptor,
     SegmentLayout,
     ShmSession,
-    lower_solve,
 )
 
 SLOW_SETTINGS = settings(
@@ -255,13 +261,13 @@ class TestSegmentLifecycle:
 # ----------------------------------------------------------------------
 class TestWarmReuse:
     def test_second_execute_reuses_segment_and_warms(self):
-        """One worker holds every cached program, so every chunk is warm.
+        """One worker holds the published blob, so every chunk is warm.
 
-        With several workers the pool does not promise that a chunk
-        reaches the process that cached its ``(class, start, stop)``
-        program, so warm hits are only guaranteed with one worker.  A
-        dropped program shows up in the trace as its cause, a
-        ``worker/vector_fallback`` event.
+        Warm means the worker served the chunk without re-reading the
+        segment blob.  With several workers the pool does not promise
+        that every process has synced the current generation before it
+        receives a chunk, so warm hits are only guaranteed with one
+        worker.  Nothing may fall back to the parent on the way.
         """
         from repro.core.rank2 import Rank2Fixer
         from repro.runtime import plan_for_instance
@@ -279,18 +285,40 @@ class TestWarmReuse:
                 scheduler.close()
             fallbacks = [
                 event for event in recorder.memory.events
-                if event["component"] == "worker"
-                and event["event"] == "vector_fallback"
+                if event["event"] == "fallback"
             ]
         assert fallbacks == []
         assert first["broadcasts"] == 1
         # Same (plan, instance): the segment is reused verbatim.
         assert second["broadcasts"] == 0
         assert second["generation"] == first["generation"]
-        # The second pass replays a cached class program for every chunk.
+        # The second pass serves every chunk from the synced blob.
         assert second["chunks"] > 0
         assert second["worker_warm_hits"] == second["chunks"]
         assert second["descriptor_bytes"] > 0
+
+    def test_fresh_same_shape_solves_share_one_segment_and_pool(self):
+        """Geometric headroom: fresh instances re-broadcast, never realloc."""
+        from repro.core import solve
+
+        scheduler = ProcessScheduler(max_workers=1)
+        segments = set()
+        pools = []
+        try:
+            for seed in range(20):
+                instance = all_zero_edge_instance(
+                    random_regular_graph(200, 4, seed=seed), 3
+                )
+                solve(instance, scheduler=scheduler)
+                segments.update(live_segment_names())
+                pools.append(scheduler._pool)
+            stats = dict(scheduler.ipc_stats)
+        finally:
+            scheduler.close()
+        assert len(segments) == 1
+        assert all(pool is pools[0] for pool in pools)
+        assert stats["generation"] == 20
+        assert shm_entries() == []
 
     def test_new_solve_rebroadcasts_without_new_segment_when_it_fits(self):
         from repro.core.rank2 import Rank2Fixer
@@ -317,38 +345,109 @@ class TestWarmReuse:
 
 
 # ----------------------------------------------------------------------
+# What is not dispatched runs in the parent
+# ----------------------------------------------------------------------
+class TestParentFallback:
+    @staticmethod
+    def _execute(instance, scheduler):
+        from repro.core.rank2 import Rank2Fixer
+        from repro.runtime import plan_for_instance
+
+        fixer = Rank2Fixer(instance)
+        try:
+            scheduler.execute(fixer, plan_for_instance(instance), instance)
+            stats = dict(getattr(scheduler, "ipc_stats", {}))
+        finally:
+            close = getattr(scheduler, "close", None)
+            if close is not None:
+                close()
+        values = {
+            variable.name: fixer.assignment.value_of(variable.name)
+            for variable in instance.variables
+        }
+        return (values, fixer.steps, fixer.certified_bounds()), stats
+
+    def test_kernel_less_class_is_not_dispatched_and_matches_serial(self):
+        """A class holding a kernel-less event runs in the parent."""
+        reference, _ = self._execute(
+            all_zero_edge_instance(cycle_graph(13), 3), SerialScheduler()
+        )
+        _, plain = self._execute(
+            all_zero_edge_instance(cycle_graph(13), 3),
+            ProcessScheduler(max_workers=1),
+        )
+        instance = all_zero_edge_instance(cycle_graph(13), 3)
+        # Pretend the first event's scope product blew the compile
+        # limit: it has no kernel, so no section can include it.  The
+        # store goes first: its plans and templates tiers would hand
+        # back the content-equal instance's kernel-backed lowering.
+        STORE.clear()
+        instance.events[0]._kernel = None
+        with recording() as recorder:
+            candidate, stats = self._execute(
+                instance, ProcessScheduler(max_workers=1)
+            )
+            events = list(recorder.memory.events)
+        assert candidate == reference
+        # One chunk per class with one worker: the two classes touching
+        # the kernel-less event stay home, the third still dispatches.
+        assert 0 < stats["chunks"] < plain["chunks"]
+        reasons = [
+            event["payload"]["reason"] for event in events
+            if event["component"] == "vector"
+            and event["event"] == "fallback"
+        ]
+        assert reasons and all("no compiled kernel" in r for r in reasons)
+        assert shm_entries() == []
+
+    def test_scalar_mode_dispatches_nothing_and_matches_serial(self):
+        from repro.core.vector import using_decide
+
+        with using_decide("scalar"):
+            reference, _ = self._execute(
+                all_zero_edge_instance(cycle_graph(14), 3),
+                SerialScheduler(),
+            )
+            candidate, stats = self._execute(
+                all_zero_edge_instance(cycle_graph(14), 3),
+                ProcessScheduler(max_workers=2),
+            )
+        assert candidate == reference
+        assert stats["chunks"] == 0
+        assert stats["broadcasts"] == 0
+        assert live_segment_names() == ()
+
+
+# ----------------------------------------------------------------------
 # Unit coverage: layout, lowering, descriptors
 # ----------------------------------------------------------------------
 class TestShmUnits:
     def test_layout_offsets_are_aligned_and_ordered(self):
         layout = SegmentLayout(
             num_events=5, pin_width=3, ledger_size=7,
-            max_cells=4, max_ops=9, record_width=16, blob_capacity=123,
+            max_ops=9, record_width=16, blob_capacity=123,
         )
         offsets = [
             layout.blob_offset, layout.pins_offset, layout.phi_offset,
-            layout.roster_offset, layout.results_offset,
-            layout.total_bytes,
+            layout.pins_out_offset, layout.phi_out_offset,
+            layout.results_offset, layout.total_bytes,
         ]
         assert offsets == sorted(offsets)
         assert all(offset % 8 == 0 for offset in offsets)
 
-    def test_lower_solve_mirrors_payload_gating(self):
-        from repro.core.rank2 import Rank2Fixer
-        from repro.runtime import plan_for_instance
-
-        instance = all_zero_edge_instance(cycle_graph(12), 3)
-        plan = plan_for_instance(instance)
-        Rank2Fixer(instance)  # kernels compile on instance construction
-        lowered = lower_solve("rank2", plan, instance)
-        assert lowered.kind == "rank2"
-        assert len(lowered.parent_classes) == plan.num_classes
-        total_cells = sum(
-            len(cells) for cells in lowered.parent_classes
+    def test_headroom_grows_geometrically_and_only_up(self):
+        need = SegmentLayout(
+            num_events=200, pin_width=4, ledger_size=801,
+            max_ops=120, record_width=16, blob_capacity=190_000,
         )
-        assert total_cells == plan.num_cells
-        assert lowered.max_ops >= 1
-        assert lowered.record_width >= 16
+        layout = SegmentLayout(0, 0, 0, 0, 0, 0).grown_for(need)
+        assert (layout.num_events, layout.ledger_size, layout.max_ops) == (
+            256, 1024, 128
+        )
+        assert layout.blob_capacity == 262_144
+        assert layout.pin_width == 4 and layout.fits(need)
+        smaller = SegmentLayout(10, 2, 10, 10, 16, 100)
+        assert layout.grown_for(smaller) == layout
 
     def test_session_reuse_is_identity_keyed(self):
         from repro.runtime import plan_for_instance
@@ -424,6 +523,28 @@ class TestShmUnits:
         finally:
             session.close()
         assert live_segment_names() == ()
+
+    def test_tripwire_rejects_cells_sharing_an_event(self):
+        """Two cells reading one pins row in a chunk raise, never decide."""
+        from repro.core import vector
+        from repro.errors import SimulationError
+        from repro.runtime import plan_for_instance
+        from repro.runtime.workers import _validate_chunk_disjoint
+
+        instance = all_zero_edge_instance(cycle_graph(10), 3)
+        plan = plan_for_instance(instance)
+        template, sections = vector.lower_chunks(
+            instance, "rank2", [(plan.classes[0].cells, 0, None)]
+        )
+        _validate_chunk_disjoint(sections[0])
+        # Adjacent cycle edges share an event: a broken "class".
+        cells = [
+            cell for color_class in plan.classes
+            for cell in color_class.cells
+        ]
+        clashing = template.section_for(instance, cells)
+        with pytest.raises(SimulationError, match="read by two cells"):
+            _validate_chunk_disjoint(clashing)
 
     def test_descriptor_is_tiny(self):
         import pickle

@@ -85,7 +85,10 @@ class ServerThread:
 
 @pytest.fixture(scope="module")
 def served():
-    thread = ServerThread(workers=2)
+    # Pinned to the process plane (not the serial default) so the
+    # suite, and its ambient-fault CI leg, keep covering worker
+    # recovery and shm teardown behind the server.
+    thread = ServerThread(scheduler="process", workers=2)
     yield thread
     thread.stop()
 
@@ -303,7 +306,7 @@ class TestDrain:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--workers", "2",
+                "--port", "0", "--scheduler", "process", "--workers", "2",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
