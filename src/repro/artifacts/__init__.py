@@ -23,9 +23,7 @@ from repro.artifacts.store import (
     using_artifacts,
 )
 from repro.artifacts.fingerprint import (
-    digest_key,
-    event_artifact_key,
-    event_structure,
+    event_shape_key,
     instance_fingerprint,
     instance_key,
     stack_key,
@@ -43,9 +41,7 @@ __all__ = [
     "artifacts_mode",
     "set_artifacts_mode",
     "using_artifacts",
-    "digest_key",
-    "event_artifact_key",
-    "event_structure",
+    "event_shape_key",
     "instance_fingerprint",
     "instance_key",
     "stack_key",

@@ -2,15 +2,38 @@
 
 An artifact (kernel, template, plan, index map) may be shared between
 two instances only if *everything* it bakes in is equal between them.
-The lean commit paths push template-held variable objects, event names
-and value labels straight into fixer state (assignments, step records,
-phi ledgers), and ``EventKernel.value_index`` is label-addressed — so
-the fingerprint is **content-addressed, not rename-insensitive**: it
-covers event names, scope names, value labels, probability vectors and
-the tabulated bad-outcome sets, in construction order.  Two instances
-produced by the same generator with the same parameters fingerprint
-identically; renaming a variable changes the fingerprint (a
-rename-insensitive canonicalisation is future service-layer work).
+Two kinds of key exist, one per granularity:
+
+* the **shape key** of an event (:func:`event_shape_key`) is name-free:
+  a digest of the per-position value labels, the IEEE bytes of the
+  per-position probabilities and the tabulated bad outcomes (sorted by
+  ``repr``).  That is exactly what :meth:`EventKernel.from_outcomes`
+  reads, and a kernel holds no names, so every event of one shape — in
+  this instance or any other — shares one compiled kernel.  The theorems
+  apply one local rule to every event, and the bundled generators emit
+  one shape per scope size.
+* the **instance fingerprint** (:func:`instance_fingerprint`) is
+  content-exact, not rename-insensitive: the lean commit paths push
+  template-held variable objects, event names and value labels straight
+  into fixer state (assignments, step records, phi ledgers), and
+  ``EventKernel.value_index`` is label-addressed.  It covers event
+  names, scopes, variable names, value labels, probability vectors and
+  the tabulated bad-outcome sets, in construction order, so two
+  instances fingerprint equal exactly when those all match: the labels
+  ``0``, ``0.0`` and ``False`` differ, the probabilities ``0.0`` and
+  ``-0.0`` differ, a renamed variable, a reordered scope and reordered
+  events all differ.  Two instances produced by the same generator with
+  the same parameters fingerprint identically.
+
+The instance fingerprint is one pass over the events.  Each distinct
+variable contributes its name ``repr`` once and each distinct support
+(value-label ``repr`` and probability bytes) is tokenised once; each
+event contributes its name, its scope as variable indices and its
+shape, and the pass ends with one digest over a few flat buffers.  The
+shape key each event gets on the way is memoised on the event, so
+kernel acquisition after a fingerprint pays one attribute read.
+Nothing survives the pass except those memos and the fingerprint
+itself (cached on the instance): the pass keeps no cache of its own.
 
 Fingerprintability requires every event to carry a *bad-outcomes hint*
 (events built via :meth:`BadEvent.from_bad_outcomes` /
@@ -21,9 +44,8 @@ equality without enumerating it, so instances containing one are
 reported unfingerprintable (``None``) and every store tier skips them —
 they keep the exact legacy per-object cache behaviour.
 
-Keys are 16-byte BLAKE2b digests of canonical ``repr`` streams rather
-than the structure tuples themselves: at n = 10^6 events the digest
-keys cost ~50 MB where the tuples would cost ~0.5 GB.  The scheme
+Keys are 16-byte BLAKE2b digests rather than the structures themselves:
+at n = 10^6 events the structures would cost ~0.5 GB.  The scheme
 relies on ``repr`` faithfulness of names and value labels, the same
 assumption the plan builders already make when they sort events by
 ``repr``.
@@ -31,8 +53,11 @@ assumption the plan builders already make when they sort events by
 
 from __future__ import annotations
 
+from array import array
 from hashlib import blake2b
-from typing import Optional, Tuple
+from itertools import accumulate, chain, count, repeat
+from operator import attrgetter
+from typing import List, Optional, Tuple
 
 _UNSET = object()
 
@@ -41,86 +66,139 @@ _UNSET = object()
 _DIGEST_SIZE = 16
 
 
-def event_structure(event) -> Optional[tuple]:
-    """The canonical structure tuple of one event, or ``None``.
-
-    ``None`` means the event's semantics are not tabulated (predicate
-    closure without a bad-outcomes hint) and nothing derived from it
-    may be shared across objects.
-    """
-    hint = event.bad_outcomes_hint
-    if hint is None:
-        return None
-    return (
-        event.name,
-        event.scope_names,
-        tuple(
-            (variable.values, variable.probabilities)
-            for variable in event.variables
-        ),
-        tuple(sorted(map(repr, hint))),
-    )
+def _support_token(variable) -> Tuple[str, bytes]:
+    """A variable's support, exactly: label ``repr`` and probability bytes."""
+    return repr(variable.values), bytes(array("d", variable.probabilities))
 
 
-def digest_key(structure: tuple) -> bytes:
-    """A fixed-width digest key for one canonical structure tuple."""
+def _shape_digest(supports: tuple, hint_reprs: tuple) -> bytes:
+    """The shape key of per-position support tokens and a sorted hint."""
     return blake2b(
-        repr(structure).encode("utf-8"), digest_size=_DIGEST_SIZE
+        repr((supports, hint_reprs)).encode("utf-8"), digest_size=_DIGEST_SIZE
     ).digest()
 
 
-def event_artifact_key(event) -> Optional[bytes]:
+def _hint_reprs(hint) -> tuple:
+    return tuple(sorted(map(repr, hint)))
+
+
+def event_shape_key(event) -> Optional[bytes]:
     """The kernels-tier key of one event, or ``None``.
 
-    Content-addressed over the event's name, scope, per-variable
-    supports and tabulated bad outcomes — everything
-    :meth:`EventKernel.from_outcomes` reads — so a hit returns a kernel
-    bit-identical to the one compilation would produce.
-
-    The digest is memoised on the event (events are immutable once
-    their hint is set): every consumer after the first — the kernel
-    tier, :func:`instance_fingerprint` — pays one attribute read
-    instead of a repr + BLAKE2b pass over the structure tuple.
+    Name-free: a digest over the event's per-position supports (value
+    labels and probabilities) and its tabulated bad outcomes —
+    everything :meth:`EventKernel.from_outcomes` reads — so a hit
+    returns a kernel bit-identical to the one compilation would
+    produce, whichever event of that shape compiled it.  ``None`` for
+    an event without a bad-outcomes hint.  Memoised on the event
+    (events are immutable once their hint is set).
     """
-    cached = getattr(event, "_artifact_key", None)
-    if cached is not None:
-        return cached
-    structure = event_structure(event)
-    if structure is None:
-        return None
-    key = digest_key(structure)
-    try:
-        event._artifact_key = key
-    except AttributeError:
-        pass
+    key = event._shape_key
+    if key is None:
+        hint = event.bad_outcomes_hint
+        if hint is None:
+            return None
+        key = event._shape_key = _shape_digest(
+            tuple(map(_support_token, event.variables)), _hint_reprs(hint)
+        )
     return key
+
+
+def _intern(items: list) -> Tuple[list, List[int]]:
+    """The distinct items in first-appearance order, and each item's index."""
+    distinct = list(dict.fromkeys(items))
+    index = dict(zip(distinct, count()))
+    return distinct, list(map(index.__getitem__, items))
+
+
+def _fingerprint(events) -> Optional[bytes]:
+    """The one-pass fingerprint of an event sequence (see module doc).
+
+    Written as whole-column ``map``/``zip`` passes rather than a loop
+    per event or per variable, so the per-item work runs inside the
+    interpreter's C iterators; only distinct supports and distinct
+    shapes are handled one by one.
+    """
+    hints = list(map(attrgetter("bad_outcomes_hint"), events))
+    if None in hints:
+        return None
+    scopes = list(map(attrgetter("variables"), events))
+    scope_lengths = array("q", map(len, scopes))
+    flat = list(chain.from_iterable(scopes))
+    ids = list(map(id, flat))
+    objects = dict(zip(ids, flat))
+    slots = dict(zip(objects, count()))
+    flat_slots = list(map(slots.__getitem__, ids))
+    variables = list(objects.values())
+
+    # Supports, exactly: variables are grouped by value-tuple object and
+    # the IEEE bytes of their probabilities (floats compare 0.0 == -0.0,
+    # bytes do not), and only one per group is tokenised.
+    values = list(map(id, map(attrgetter("values"), variables)))
+    probabilities = list(map(bytes, map(
+        array, repeat("d"), map(attrgetter("probabilities"), variables)
+    )))
+    representatives = dict(zip(zip(values, probabilities), variables))
+    supports, object_supports = _intern(
+        list(map(_support_token, representatives.values()))
+    )
+    support_of = dict(zip(representatives, object_supports))
+    slot_supports = list(
+        map(support_of.__getitem__, zip(values, probabilities))
+    )
+
+    # The variable table: one row per distinct name repr.  Supports need
+    # no column: the shapes of the events holding a variable say its
+    # support at every scope position.
+    names, slot_rows = _intern(
+        list(map(repr, map(attrgetter("name"), variables)))
+    )
+    scope_rows = list(map(slot_rows.__getitem__, flat_slots))
+
+    # Each event's shape: its supports by scope position and its hint.
+    flat_supports = list(map(slot_supports.__getitem__, flat_slots))
+    ends = list(accumulate(scope_lengths))
+    event_supports = map(
+        tuple, map(flat_supports.__getitem__, map(slice, [0] + ends, ends))
+    )
+    shapes, event_shapes = _intern(
+        list(zip(event_supports, map(_hint_reprs, hints)))
+    )
+    keys = [
+        _shape_digest(tuple([supports[s] for s in positions]), hint_reprs)
+        for positions, hint_reprs in shapes
+    ]
+    for event, shape in zip(events, event_shapes):
+        event._shape_key = keys[shape]
+
+    # The header fixes every column's length, so the byte stream parses
+    # one way only.
+    header = repr((
+        list(map(repr, map(attrgetter("name"), events))),
+        names,
+        keys,
+    )).encode("utf-8")
+    hasher = blake2b(digest_size=_DIGEST_SIZE)
+    hasher.update(len(header).to_bytes(8, "little"))
+    hasher.update(header)
+    for column in (scope_lengths, scope_rows, event_shapes):
+        hasher.update(array("q", column))
+    return hasher.digest()
 
 
 def instance_fingerprint(instance) -> Optional[bytes]:
     """The structural fingerprint of a whole instance, or ``None``.
 
-    A digest over every event's digest key in construction order
-    (event order determines variable first-appearance order, hence
-    every iteration order the plan builders and the template lowering
-    see).  Hashing the per-event *keys* rather than the raw structure
-    streams means one structure pass per event per process — the pass
-    the kernels tier needs anyway — and the instance digest itself
-    touches only 16 bytes per event.  Cached on the instance —
-    instances are immutable after construction, so the fingerprint
-    never goes stale.
+    Content-exact over every event in construction order (event order
+    determines variable first-appearance order, hence every iteration
+    order the plan builders and the template lowering see).  Cached on
+    the instance — instances are immutable after construction, so the
+    fingerprint never goes stale.
     """
     cached = getattr(instance, "_artifact_fingerprint", _UNSET)
     if cached is not _UNSET:
         return cached
-    hasher = blake2b(digest_size=_DIGEST_SIZE)
-    fingerprint: Optional[bytes] = None
-    for event in instance.events:
-        key = event_artifact_key(event)
-        if key is None:
-            break
-        hasher.update(key)
-    else:
-        fingerprint = hasher.digest()
+    fingerprint = _fingerprint(instance.events)
     instance._artifact_fingerprint = fingerprint
     return fingerprint
 

@@ -50,10 +50,12 @@ _VALID_MODES = ("on", "off")
 # time would crash ``import repro`` before CLI error handling exists.
 _MODE: Optional[str] = None
 
-#: Default per-tier entry capacities.  The kernel tier is sized for the
-#: n = 10^6 scale workloads (one event per node); the structural tiers
-#: hold one entry per instance *shape*, which production traffic keeps
-#: small by construction.
+#: Default per-tier entry capacities.  The kernel tier is keyed on the
+#: name-free shape digest of an event, so it holds one entry per
+#: distinct event shape; its capacity still covers an n = 10^6 instance
+#: whose every event has its own shape.  The structural tiers hold one
+#: entry per instance *shape*, which production traffic keeps small by
+#: construction.
 DEFAULT_CAPACITIES: Dict[str, int] = {
     "kernels": 1 << 20,
     "stacks": 512,

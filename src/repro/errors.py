@@ -122,6 +122,18 @@ class DeadlineExceededError(ReproError):
     """
 
 
+class CertificateError(ReproError):
+    """A solve produced an answer its certificate does not back.
+
+    Raised by the solve service when an answer fails a check of the
+    paper's certificate: the assignment does not verify (some bad event
+    occurs), the largest certified bound is not below 1, or the
+    smallest slack is negative.  The message names the failed check.
+    Such an answer is never served or memoised; it is a fault of the
+    program, not of the request.
+    """
+
+
 class FaultSpecError(ReproError):
     """A fault-injection specification string or plan is malformed."""
 

@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.artifacts.fingerprint import event_artifact_key
+from repro.artifacts.fingerprint import event_shape_key
 from repro.artifacts.store import (
     LRUCache,
     STORE as _ARTIFACTS,
@@ -107,7 +107,7 @@ class BadEvent:
         "_cache_limit",
         "_kernel",
         "_bad_outcomes_hint",
-        "_artifact_key",
+        "_shape_key",
     )
 
     def __init__(
@@ -131,9 +131,9 @@ class BadEvent:
         self._cache = LRUCache(self._cache_limit)
         self._kernel = _UNCOMPILED
         self._bad_outcomes_hint: Optional[FrozenSet[Tuple[Hashable, ...]]] = None
-        # Memoised structural digest (repro.artifacts.fingerprint); the
-        # event is immutable once its hint is set, so it never goes stale.
-        self._artifact_key: Optional[bytes] = None
+        # Memoised shape key (repro.artifacts.fingerprint); the event is
+        # immutable once its hint is set, so it never goes stale.
+        self._shape_key: Optional[bytes] = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -196,18 +196,15 @@ class BadEvent:
             size *= variable.num_values
             if size > limit:
                 return None
-        # Cross-instance reuse: an event whose semantics are tabulated
-        # (bad-outcomes hint) is content-addressable, and a same-shape
-        # instance solved earlier already paid for this exact kernel.
-        # Keys include the event *name*, so reuse is across instances,
-        # never within one (within-instance dedup already happens at
-        # the KernelStack layer, and keeping compile counts per event
-        # keeps them deterministic for the perf gate).
-        artifact_key = (
-            event_artifact_key(self) if artifacts_enabled() else None
-        )
-        if artifact_key is not None:
-            kernel = _ARTIFACTS.get("kernels", artifact_key)
+        # Shape reuse: an event whose semantics are tabulated
+        # (bad-outcomes hint) has a name-free shape key, and a kernel
+        # holds no names, so every event of that shape — in this
+        # instance or in one solved earlier — shares one compile.
+        # Compile counts are therefore per distinct shape under
+        # REPRO_ARTIFACTS=on and per event under off.
+        shape_key = event_shape_key(self) if artifacts_enabled() else None
+        if shape_key is not None:
+            kernel = _ARTIFACTS.get("kernels", shape_key)
             if kernel is not None:
                 _engine.STATS.kernel_reuses += 1
                 return kernel
@@ -231,8 +228,8 @@ class BadEvent:
                 outcomes=kernel.num_outcomes,
                 bad_outcomes=kernel.num_bad,
             )
-        if artifact_key is not None:
-            _ARTIFACTS.put("kernels", artifact_key, kernel)
+        if shape_key is not None:
+            _ARTIFACTS.put("kernels", shape_key, kernel)
         return kernel
 
     @property

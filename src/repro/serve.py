@@ -76,6 +76,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.artifacts.store import STORE
 from repro.errors import (
     AdmissionError,
+    CertificateError,
     CriterionViolationError,
     DeadlineExceededError,
     ReproError,
@@ -90,6 +91,7 @@ from repro.probability.assignment import PartialAssignment
 
 #: HTTP status by error type; anything else maps to 500.
 _ERROR_STATUS = {
+    CertificateError: 500,
     AdmissionError: 429,
     DeadlineExceededError: 504,
     CriterionViolationError: 422,
@@ -160,6 +162,24 @@ def _solve_cache_key(payload: Dict[str, Any]) -> str:
             "seed": int(payload.get("seed", 0)),
         }
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
+
+
+def _require_certificate(
+    verified: bool, max_certified_bound: float, min_slack: float
+) -> None:
+    """Raise :class:`CertificateError` naming each failed certificate check."""
+    failed = []
+    if not verified:
+        failed.append("verified")
+    if not max_certified_bound < 1.0:
+        failed.append(f"max_certified_bound < 1 (got {max_certified_bound!r})")
+    if not min_slack >= 0.0:
+        failed.append(f"min_slack >= 0 (got {min_slack!r})")
+    if failed:
+        raise CertificateError(
+            "solve produced an uncertified answer; failed: "
+            + "; ".join(failed)
+        )
 
 
 def _encode_pairs(items) -> List[List[Any]]:
@@ -273,13 +293,15 @@ class SolveService:
             instance = instance_from_request(payload)
             result = solve(instance, scheduler=self._scheduler)
             verified = verify_solution(instance, result.assignment).ok
+            bound, slack = result.max_certified_bound, result.min_slack
+            _require_certificate(verified, bound, slack)
             full = {
-                "ok": bool(verified),
+                "ok": True,
                 "result": {
                     "steps": result.num_steps,
-                    "min_slack": result.min_slack,
-                    "max_certified_bound": result.max_certified_bound,
-                    "verified": bool(verified),
+                    "min_slack": slack,
+                    "max_certified_bound": bound,
+                    "verified": True,
                     "assignment": _encode_pairs(result.assignment.items()),
                     "certified_bounds": _encode_pairs(
                         result.certified_bounds.items()

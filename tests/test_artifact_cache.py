@@ -20,13 +20,14 @@ corrupt or double-populate the store).
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.artifacts import (
     LRUCache,
     STORE,
     artifacts_enabled,
     artifacts_mode,
+    event_shape_key,
     instance_fingerprint,
     set_artifacts_mode,
     using_artifacts,
@@ -44,7 +45,14 @@ from repro.generators import (
     parity_edge_instance,
     random_regular_graph,
 )
-from repro.probability import reset_engine_stats
+from repro.lll import LLLInstance
+from repro.lll.io import instance_from_dict, instance_to_dict
+from repro.probability import (
+    BadEvent,
+    DiscreteVariable,
+    reset_engine_stats,
+    using_engine,
+)
 from repro.probability.engine import STATS
 from repro.runtime import make_scheduler, plan_for_instance
 
@@ -239,6 +247,298 @@ def test_fingerprints_separate_shapes():
     other_k = instance_fingerprint(all_zero_edge_instance(cycle_graph(9), 4))
     assert same_a == same_b
     assert len({same_a, other_n, other_k}) == 3
+
+
+# ----------------------------------------------------------------------
+# Fingerprint exactness: the one-pass fingerprint against the per-event
+# repr streams it replaced
+# ----------------------------------------------------------------------
+def structure_stream(instance):
+    """The content the fingerprint must be exact over, one repr per event.
+
+    This is the per-event structure the fingerprint used to digest:
+    event name, scope names, each scope variable's values and
+    probabilities, and the bad outcomes sorted by ``repr``.  Two
+    instances must fingerprint equal exactly when these streams are.
+    """
+    return [
+        repr((
+            event.name,
+            event.scope_names,
+            tuple(
+                (variable.values, variable.probabilities)
+                for variable in event.variables
+            ),
+            tuple(sorted(map(repr, event.bad_outcomes_hint))),
+        ))
+        for event in instance.events
+    ]
+
+
+def build_from_desc(desc, share_variables=True):
+    """An instance from plain data.
+
+    ``desc = (variables, events)``: variables are ``(name, values,
+    probabilities)``; events are ``(name, scope as variable indices,
+    bad outcomes, copies)``, where ``copies`` maps a variable index to
+    the spec of a private copy this event uses instead.  With
+    ``share_variables=False`` every event gets its own copy of each
+    scope variable, so object sharing differs while the content does
+    not.
+    """
+    variables, events = desc
+    shared = [DiscreteVariable(*spec) for spec in variables]
+    built = []
+    for name, scope, bad, copies in events:
+        scope_variables = [
+            DiscreteVariable(*copies[index]) if index in copies
+            else shared[index] if share_variables
+            else DiscreteVariable(*variables[index])
+            for index in scope
+        ]
+        built.append(BadEvent.from_bad_outcomes(name, scope_variables, bad))
+    return LLLInstance(built)
+
+
+#: One support tuple object per alphabet, shared by every variable, as
+#: the generators share theirs.
+SUPPORTS = {2: (0, 1), 3: (0, 1, 2)}
+
+
+@st.composite
+def instance_descs(draw):
+    """Small rank-2 or rank-3 instances with hinted events.
+
+    Every variable joins at most ``rank`` events; supports hold the
+    label ``0`` and some distributions hold a ``0.0`` probability, so
+    the label and signed-zero mutations always have a target.
+    """
+    rank = draw(st.sampled_from((2, 3)))
+    num_events = draw(st.integers(min_value=2, max_value=6))
+    scopes = [[] for _ in range(num_events)]
+    variables = []
+    for index in range(draw(st.integers(min_value=2, max_value=9))):
+        alphabet = draw(st.sampled_from((2, 3)))
+        values = SUPPORTS[alphabet]
+        probabilities = draw(st.sampled_from((
+            tuple([1.0 / alphabet] * alphabet),
+            (1.0,) + (0.0,) * (alphabet - 1),
+        )))
+        name = draw(
+            st.sampled_from((("v", index), f"v{index}", 100 + index))
+        )
+        variables.append((name, values, probabilities))
+        members = draw(st.lists(
+            st.integers(min_value=0, max_value=num_events - 1),
+            min_size=1, max_size=rank, unique=True,
+        ))
+        for member in members:
+            scopes[member].append(index)
+    events = []
+    for position, scope in enumerate(scopes):
+        if not scope:
+            continue
+        supports = [variables[index][1] for index in scope]
+        all_zero = [tuple(0 for _ in scope)]
+        others = draw(st.lists(
+            st.tuples(*[st.sampled_from(values) for values in supports]),
+            max_size=2,
+        ))
+        events.append((position, scope, all_zero + others, {}))
+    assume(len(events) >= 2)
+    return variables, events
+
+
+def _relabel(value, old, new):
+    return new if (value == old and type(value) is type(old)) else value
+
+
+MUTATIONS = (
+    "label", "label-one-copy", "signed-zero", "rename", "rename-event",
+    "swap-scope", "swap-events", "hint",
+)
+
+
+def mutate(desc, kind, data):
+    """One single-point edit of ``desc`` of the given kind."""
+    variables, events = [list(part) for part in desc]
+    if kind == "label":
+        # Relabel 0 as 0.0 or False in one support, its hint entries, or
+        # both: equal under ``==``, different to a template.
+        target = data.draw(st.integers(0, len(variables) - 1))
+        new = data.draw(st.sampled_from((0.0, False)))
+        where = data.draw(st.sampled_from(("support", "hint", "both")))
+        name, values, probabilities = variables[target]
+        if where in ("support", "both"):
+            values = tuple(_relabel(value, 0, new) for value in values)
+            variables[target] = (name, values, probabilities)
+        if where in ("hint", "both"):
+            events = [
+                (event_name, scope, [
+                    tuple(
+                        _relabel(value, 0, new) if index == target else value
+                        for index, value in zip(scope, outcome)
+                    )
+                    for outcome in bad
+                ], copies)
+                for event_name, scope, bad, copies in events
+            ]
+    elif kind == "label-one-copy":
+        # One event holds a private copy of a variable whose support
+        # says False where every other event's says 0.
+        target = data.draw(st.integers(0, len(events) - 1))
+        event_name, scope, bad, copies = events[target]
+        index = data.draw(st.sampled_from(scope))
+        name, values, probabilities = variables[index]
+        values = tuple(_relabel(value, 0, False) for value in values)
+        events[target] = (
+            event_name, scope, bad, {index: (name, values, probabilities)}
+        )
+    elif kind == "signed-zero":
+        candidates = [
+            index for index, (_, _, probabilities) in enumerate(variables)
+            if 0.0 in probabilities
+        ]
+        assume(candidates)
+        target = data.draw(st.sampled_from(candidates))
+        name, values, probabilities = variables[target]
+        variables[target] = (
+            name, values, tuple(-0.0 if p == 0.0 else p for p in probabilities)
+        )
+    elif kind == "rename":
+        target = data.draw(st.integers(0, len(variables) - 1))
+        name, values, probabilities = variables[target]
+        variables[target] = (("renamed", target), values, probabilities)
+    elif kind == "rename-event":
+        target = data.draw(st.integers(0, len(events) - 1))
+        event_name, scope, bad, copies = events[target]
+        new_name = data.draw(st.sampled_from((
+            float(event_name), ("renamed-event", event_name),
+        )))
+        events[target] = (new_name, scope, bad, copies)
+    elif kind == "swap-scope":
+        candidates = [i for i, event in enumerate(events) if len(event[1]) > 1]
+        assume(candidates)
+        target = data.draw(st.sampled_from(candidates))
+        event_name, scope, bad, copies = events[target]
+        a, b = data.draw(st.lists(
+            st.integers(0, len(scope) - 1), min_size=2, max_size=2,
+            unique=True,
+        ))
+
+        def swapped(row):
+            row = list(row)
+            row[a], row[b] = row[b], row[a]
+            return tuple(row)
+
+        events[target] = (
+            event_name, swapped(scope), [swapped(o) for o in bad], copies
+        )
+    elif kind == "swap-events":
+        a, b = data.draw(st.lists(
+            st.integers(0, len(events) - 1), min_size=2, max_size=2,
+            unique=True,
+        ))
+        events[a], events[b] = events[b], events[a]
+    else:
+        target = data.draw(st.integers(0, len(events) - 1))
+        event_name, scope, bad, copies = events[target]
+        outcome = tuple(
+            data.draw(st.sampled_from(variables[index][1])) for index in scope
+        )
+        if outcome in bad:
+            bad = [other for other in bad if other != outcome]
+        else:
+            bad = bad + [outcome]
+        events[target] = (event_name, scope, bad, copies)
+    return variables, events
+
+
+FINGERPRINT_SETTINGS = settings(
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@FINGERPRINT_SETTINGS
+@given(desc=instance_descs(), data=st.data())
+def test_fingerprint_equal_iff_structure_streams_equal(kind, desc, data):
+    mutated = mutate(desc, kind, data)
+    share = data.draw(st.booleans())
+    base = build_from_desc(desc, share)
+    other = build_from_desc(mutated, share)
+    same_content = structure_stream(base) == structure_stream(other)
+    fingerprints = instance_fingerprint(base), instance_fingerprint(other)
+    assert (fingerprints[0] == fingerprints[1]) == same_content, kind
+
+
+@FINGERPRINT_SETTINGS
+@given(desc=instance_descs())
+def test_copies_and_round_trips_fingerprint_equal(desc):
+    instance = build_from_desc(desc)
+    fingerprint = instance_fingerprint(instance)
+    assert fingerprint is not None
+    assert instance_fingerprint(build_from_desc(desc)) == fingerprint
+    unshared = build_from_desc(desc, share_variables=False)
+    assert instance_fingerprint(unshared) == fingerprint
+    round_trip = instance_from_dict(instance_to_dict(instance))
+    assert structure_stream(round_trip) == structure_stream(instance)
+    assert instance_fingerprint(round_trip) == fingerprint
+    # The shape keys the pass memoises on events are the ones an event
+    # computes on its own.
+    fresh = build_from_desc(desc)
+    assert [event_shape_key(e) for e in fresh.events] == [
+        event_shape_key(e) for e in instance.events
+    ]
+
+
+def test_fingerprint_sees_which_event_has_which_shape():
+    """Moving a shape between events keeps the set of shapes, not the
+    fingerprint."""
+    variables = [(("v", i), SUPPORTS[2], (0.5, 0.5)) for i in range(3)]
+    scopes = [(0, 1), (1, 2), (2, 0)]
+    plain, doubled = [(0, 0)], [(0, 0), (1, 1)]
+
+    def desc(hints):
+        return variables, [
+            (position, scope, hint, {})
+            for position, (scope, hint) in enumerate(zip(scopes, hints))
+        ]
+
+    before = build_from_desc(desc([plain, doubled, plain]))
+    after = build_from_desc(desc([plain, doubled, doubled]))
+    assert structure_stream(before) != structure_stream(after)
+    assert instance_fingerprint(before) != instance_fingerprint(after)
+
+
+def test_shape_keys_ignore_names_but_not_supports():
+    instance = all_zero_edge_instance(cycle_graph(6), 3)
+    keys = {event_shape_key(event) for event in instance.events}
+    assert len(keys) == 1
+    wider = all_zero_edge_instance(cycle_graph(6), 4)
+    assert event_shape_key(wider.events[0]) not in keys
+
+
+@pytest.mark.parametrize("fingerprint_first", (False, True))
+def test_single_shape_instance_compiles_one_kernel(fingerprint_first):
+    """One compile per distinct shape with the plane on, one per event off."""
+    expected = {"on": 1, "off": 9}
+    with using_engine("compiled"):
+        for mode, compiles in expected.items():
+            with using_artifacts(mode):
+                STORE.clear()
+                reset_engine_stats()
+                instance = all_zero_edge_instance(cycle_graph(9), 3)
+                if fingerprint_first:
+                    instance_fingerprint(instance)
+                kernels = [e.compiled_kernel() for e in instance.events]
+                assert STATS.kernel_compiles == compiles, mode
+                assert len({id(kernel) for kernel in kernels}) == compiles
+                if mode == "on":
+                    assert STORE.tier("kernels").misses == 1
+                    assert STORE.tier("kernels").hits == 8
 
 
 # ----------------------------------------------------------------------

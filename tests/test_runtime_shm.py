@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gc
 import glob
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -60,8 +61,12 @@ SLOW_SETTINGS = settings(
 
 
 def shm_entries():
-    """The ``/dev/shm`` entries this library could have created."""
-    return sorted(glob.glob("/dev/shm/repro_shm_*"))
+    """The ``/dev/shm`` entries this process could have created.
+
+    Segment names carry the creating process's pid, so a test run on
+    the same machine never sees (or blames) another run's segments.
+    """
+    return sorted(glob.glob(f"/dev/shm/repro_shm_{os.getpid()}_*"))
 
 
 def fast_scheduler(**kwargs):

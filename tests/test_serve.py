@@ -21,6 +21,7 @@ Four promises under test, matching the serving contract
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import glob
 import json
 import os
@@ -31,10 +32,11 @@ import threading
 
 import pytest
 
-from repro.artifacts.store import using_artifacts
+from repro.artifacts.store import STORE, using_artifacts
 from repro.core.sequential import solve
 from repro.generators import build_family_instance
 from repro.lll.io import _encode_name, instance_to_dict
+from repro.probability.assignment import PartialAssignment
 from repro.runtime.schedulers import make_scheduler
 from repro.serve import ServeClient, ServeConfig, SolveServer
 
@@ -288,6 +290,67 @@ class TestAdmissionAndDeadlines:
         assert stats["cache"]["hit_rate"] is not None
         assert "solutions" in stats["cache"]["tiers"]
         client.close()
+
+
+# ----------------------------------------------------------------------
+# Certificate: an answer the paper's certificate does not back is a 500
+# ----------------------------------------------------------------------
+
+def _solve_with_one_flipped_value(real_solve):
+    """``solve`` whose answer has one value flipped so an event occurs."""
+
+    def flipped(instance, **kwargs):
+        result = real_solve(instance, **kwargs)
+        values = dict(result.assignment.items())
+        for event in instance.events:
+            nonzero = [
+                name for name in event.scope_names if values[name] != 0
+            ]
+            if len(nonzero) == 1:
+                # Every scope variable is now 0: the event occurs.
+                values[nonzero[0]] = 0
+                break
+        else:
+            raise AssertionError("no event is one flip from occurring")
+        return dataclasses.replace(
+            result, assignment=PartialAssignment(values)
+        )
+
+    return flipped
+
+
+class TestCertificate:
+    def test_uncertified_answer_is_a_typed_500_and_not_memoised(
+        self, monkeypatch
+    ):
+        import repro.core.sequential as sequential
+
+        payload = {"family": "cycle", "n": 14, "alphabet": 3}
+        thread = ServerThread(scheduler="serial")
+        try:
+            client = thread.client()
+            with using_artifacts("on"):
+                STORE.clear()
+                monkeypatch.setattr(
+                    sequential,
+                    "solve",
+                    _solve_with_one_flipped_value(sequential.solve),
+                )
+                status, body = client.solve(payload)
+                assert status == 500
+                assert body["error"]["type"] == "CertificateError"
+                assert "verified" in body["error"]["message"]
+                assert len(STORE.tier("solutions")) == 0
+                # The honest solve of the same request is computed
+                # afresh (nothing was memoised) and served.
+                monkeypatch.undo()
+                status, body = client.solve(payload)
+                assert status == 200 and body["ok"]
+                assert STORE.tier("solutions").misses == 2
+                assert len(STORE.tier("solutions")) == 1
+            client.close()
+        finally:
+            thread.stop()
 
 
 # ----------------------------------------------------------------------
