@@ -34,10 +34,11 @@ import os
 import time
 
 import _obs_harness
-from repro.artifacts import STORE, using_artifacts
+from repro.artifacts import STORE
 from repro.core import Rank2Fixer
 from repro.generators import all_zero_edge_instance, cycle_graph
 from repro.lll import verify_solution
+from repro.planes import using_planes
 from repro.runtime import make_scheduler
 from repro.runtime.plan import plan_for_instance
 
@@ -108,7 +109,7 @@ def _run_phases():
     rows = []
     transcripts = {}
 
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         def cold_prepare():
             instance = _build()
             _obs_harness.reset_engine([instance])  # clears the store too
@@ -127,7 +128,7 @@ def _run_phases():
         warm_ok = verify_solution(instance, fixer.assignment).ok
         hit_rate = _hit_rate(warm_before, warm_after)
 
-    with using_artifacts("off"):
+    with using_planes(artifacts="off"):
         def oracle_prepare():
             instance = _build()
             _obs_harness.reset_engine([instance])

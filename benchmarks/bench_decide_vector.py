@@ -43,7 +43,6 @@ import time
 
 import _obs_harness
 from repro.core import Rank2Fixer, Rank3Fixer
-from repro.core.vector import using_decide
 from repro.generators import (
     all_zero_edge_instance,
     all_zero_triple_instance,
@@ -51,6 +50,7 @@ from repro.generators import (
     cyclic_triples,
 )
 from repro.lll import verify_solution
+from repro.planes import using_planes
 from repro.probability.engine import STATS
 from repro.runtime import make_scheduler
 from repro.runtime.plan import plan_for_instance
@@ -89,7 +89,7 @@ def _run_headline():
     # per-instance class templates, populates the per-event caches the
     # scalar loop reads — steady state for both contenders.
     for mode in ("vector", "scalar"):
-        with using_decide(mode):
+        with using_planes(decide=mode):
             warm = Rank3Fixer(instance)
             make_scheduler("serial").execute(warm, plan, instance)
     rows = []
@@ -98,7 +98,7 @@ def _run_headline():
     for mode in ("vector", "scalar"):
         best = None
         fixer = None
-        with using_decide(mode):
+        with using_planes(decide=mode):
             for _ in range(REPEATS):
                 start = time.perf_counter()
                 fixer = Rank3Fixer(instance)
@@ -134,7 +134,7 @@ def _run_headline():
 
 def _run_scale():
     """End-to-end rank-2 solve at the scale target, vector mode."""
-    with using_decide("vector"):
+    with using_planes(decide="vector"):
         build_start = time.perf_counter()
         instance = all_zero_edge_instance(cycle_graph(SCALE_N), 3)
         plan = plan_for_instance(instance)

@@ -19,6 +19,8 @@ the full API:
 * :mod:`repro.applications` — sinkless orientation, weak splitting, ...
 * :mod:`repro.generators` — graphs, hypergraphs and instance workloads
 * :mod:`repro.analysis` — log*, round-bound formulas, experiment records
+* :mod:`repro.planes` — the fast/oracle plane config (``REPRO_ENGINE``,
+  ``REPRO_GRAPH``, ``REPRO_DECIDE``, ``REPRO_ARTIFACTS``)
 """
 
 from repro.lll import (

@@ -59,6 +59,8 @@ from itertools import accumulate, chain, count, repeat
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
+from repro.planes import planes
+
 _UNSET = object()
 
 #: Digest width. 16 bytes = 128 bits: collision probability is
@@ -208,19 +210,26 @@ def instance_key(instance, *parts) -> Optional[Tuple]:
 
     Convenience for the template/plan/indexing tiers: the instance
     fingerprint plus discriminating parts (kind, rank, artifact name).
+    ``None`` under ``REPRO_ARTIFACTS=off``, so the oracle never pays
+    for a fingerprint.
     """
+    if planes().artifacts == "off":
+        return None
     fingerprint = instance_fingerprint(instance)
     if fingerprint is None:
         return None
     return (fingerprint,) + parts
 
 
-def stack_key(kernels) -> Tuple:
+def stack_key(kernels) -> Optional[Tuple]:
     """The stacks-tier key: the interned fingerprints of the kernels.
 
     ``EventKernel.fingerprint()`` interns on kernel *content* within a
     process, so content-identical kernel sets — including kernels
     unpickled afresh in a worker for every chunk — map to the same key
-    and share one stacked truth table.
+    and share one stacked truth table.  ``None`` under
+    ``REPRO_ARTIFACTS=off``.
     """
+    if planes().artifacts == "off":
+        return None
     return tuple(kernel.fingerprint() for kernel in kernels)

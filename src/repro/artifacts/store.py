@@ -21,7 +21,8 @@ the same shape — across fixers, schedulers, and (for the kernel-stack
 tier) across process-pool workers, which hold their own per-process
 store warmed by repeated chunk dispatch.
 
-``REPRO_ARTIFACTS=on|off`` selects the plane (default ``on``); ``off``
+The ``artifacts`` plane of :mod:`repro.planes`
+(``REPRO_ARTIFACTS=on|off``, default ``on``) switches the store; ``off``
 disables every cross-object tier and is the differential oracle — the
 legacy per-object caches retain their exact behaviour, so a transcript
 under ``off`` is the reference an ``on`` run must reproduce bit for
@@ -36,19 +37,11 @@ from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError
-
-#: Environment variable selecting the artifact plane ("on" or "off").
-ARTIFACTS_ENV = "REPRO_ARTIFACTS"
+from repro.planes import planes
 
 #: Environment variable overriding per-tier capacities,
 #: e.g. ``REPRO_ARTIFACTS_CAPACITY=kernels=2048,plans=16``.
 CAPACITY_ENV = "REPRO_ARTIFACTS_CAPACITY"
-
-_VALID_MODES = ("on", "off")
-
-# Lazily validated, like REPRO_ENGINE/REPRO_DECIDE: raising at import
-# time would crash ``import repro`` before CLI error handling exists.
-_MODE: Optional[str] = None
 
 #: Default per-tier entry capacities.  The kernel tier is keyed on the
 #: name-free shape digest of an event, so it holds one entry per
@@ -72,66 +65,6 @@ DEFAULT_CAPACITIES: Dict[str, int] = {
 
 #: Capacity for tiers not listed in :data:`DEFAULT_CAPACITIES`.
 FALLBACK_CAPACITY = 256
-
-
-def _mode_from_env() -> str:
-    mode = os.environ.get(ARTIFACTS_ENV, "on").strip().lower()
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"{ARTIFACTS_ENV}={mode!r} is not a valid artifacts mode; "
-            f"expected one of {_VALID_MODES}"
-        )
-    return mode
-
-
-def artifacts_mode() -> str:
-    """The active artifact plane: ``"on"`` or ``"off"``."""
-    global _MODE
-    if _MODE is None:
-        _MODE = _mode_from_env()
-    return _MODE
-
-
-def artifacts_enabled() -> bool:
-    """Whether cross-instance artifact reuse is active."""
-    return artifacts_mode() == "on"
-
-
-def set_artifacts_mode(mode: str) -> str:
-    """Select the artifact plane process-wide; returns the previous mode."""
-    global _MODE
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"invalid artifacts mode {mode!r}; expected one of "
-            f"{_VALID_MODES}"
-        )
-    previous = artifacts_mode()
-    _MODE = mode
-    return previous
-
-
-class using_artifacts:
-    """Context manager: run the body under a specific artifacts mode.
-
-    The differential-oracle pattern of the artifact-cache parity tests::
-
-        with using_artifacts("off"):
-            reference = solve(instance)
-        with using_artifacts("on"):
-            candidate = solve(instance)
-    """
-
-    def __init__(self, mode: str) -> None:
-        self._mode = mode
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> str:
-        self._previous = set_artifacts_mode(self._mode)
-        return self._mode
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._previous is not None:
-            set_artifacts_mode(self._previous)
 
 
 class LRUCache:
@@ -271,13 +204,13 @@ class ArtifactStore:
 
     def get(self, tier_name: str, key: Optional[Hashable]) -> Any:
         """Tier lookup; ``None`` when off, unfingerprintable, or missing."""
-        if key is None or not artifacts_enabled():
+        if key is None or planes().artifacts == "off":
             return None
         return self.tier(tier_name).get(key)
 
     def put(self, tier_name: str, key: Optional[Hashable], value: Any) -> None:
         """Tier insert; dropped when off or unfingerprintable."""
-        if key is None or not artifacts_enabled():
+        if key is None or planes().artifacts == "off":
             return
         self.tier(tier_name).put(key, value)
 

@@ -38,6 +38,7 @@ from repro.core import solve, solve_distributed, solve_distributed_local
 from repro.errors import CriterionViolationError, ReproError
 from repro.generators import build_family_instance, random_regular_graph
 from repro.lll import verify_solution
+from repro.planes import PLANE_TABLE, planes, set_planes
 from repro.runtime.schedulers import SCHEDULER_NAMES
 
 FAMILIES = ("cycle", "regular", "torus", "triples")
@@ -45,29 +46,14 @@ FAMILIES = ("cycle", "regular", "torus", "triples")
 
 def _apply_backend_args(args) -> None:
     """Install the ``--engine``/``--graph``/``--decide``/``--artifacts``
-    selections.
-
-    Each flag is the CLI front for one of the four process-wide backend
-    switches (``REPRO_ENGINE`` / ``REPRO_GRAPH`` / ``REPRO_DECIDE`` /
-    ``REPRO_ARTIFACTS``); a flag that was not given leaves the ambient
-    environment selection untouched.
-    """
-    if getattr(args, "engine", None):
-        from repro.probability import set_engine_mode
-
-        set_engine_mode(args.engine)
-    if getattr(args, "graph", None):
-        from repro.graph import set_backend
-
-        set_backend(args.graph)
-    if getattr(args, "decide", None):
-        from repro.core.vector import set_decide_mode
-
-        set_decide_mode(args.decide)
-    if getattr(args, "artifacts", None):
-        from repro.artifacts import set_artifacts_mode
-
-        set_artifacts_mode(args.artifacts)
+    selections into the plane config; a flag that was not given leaves
+    the ambient environment selection untouched."""
+    given = {
+        field: getattr(args, field)
+        for field, _env, _fast, _oracle in PLANE_TABLE
+        if getattr(args, field, None)
+    }
+    set_planes(**given)
 
 
 def _build_instance(args):
@@ -241,7 +227,6 @@ def _command_plan(args) -> int:
     _apply_backend_args(args)
     instance = _build_instance(args)
     plan = plan_for_instance(instance)
-    plan.validate()
     print(
         f"plan: kind={plan.kind}, palette={plan.palette}, "
         f"coloring_rounds={plan.coloring_rounds}"
@@ -396,10 +381,10 @@ def _command_bench(args) -> int:
 
 
 def _command_cache(args) -> int:
-    from repro.artifacts import STORE, artifacts_mode
+    from repro.artifacts import STORE
 
     if args.cache_command == "stats":
-        print(f"artifact cache: mode={artifacts_mode()}")
+        print(f"artifact cache: mode={planes().artifacts}")
         stats = STORE.stats()
         if not stats:
             print("  (no tiers materialised)")
@@ -490,27 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument("--seed", type=int, default=0)
 
     def add_backend_arguments(subparser) -> None:
-        subparser.add_argument(
-            "--engine", choices=("compiled", "naive"), default=None,
-            help="probability engine (default: REPRO_ENGINE, else "
-            "compiled)",
-        )
-        subparser.add_argument(
-            "--graph", choices=("vectorized", "reference"), default=None,
-            help="graph substrate backend (default: REPRO_GRAPH, else "
-            "vectorized)",
-        )
-        subparser.add_argument(
-            "--decide", choices=("vector", "scalar"), default=None,
-            help="decide plane: whole-class batch decisions or the "
-            "per-op scalar oracle (default: REPRO_DECIDE, else vector)",
-        )
-        subparser.add_argument(
-            "--artifacts", choices=("on", "off"), default=None,
-            help="structural-fingerprint artifact cache: reuse "
-            "kernels/plans/templates across same-shape instances "
-            "(default: REPRO_ARTIFACTS, else on)",
-        )
+        for field, env, fast, oracle in PLANE_TABLE:
+            subparser.add_argument(
+                f"--{field}", choices=(fast, oracle), default=None,
+                help=f"{field} plane: {fast} or the {oracle} oracle "
+                f"(default: {env}, else {fast})",
+            )
 
     solve_parser = commands.add_parser(
         "solve", help="solve a generated workload"

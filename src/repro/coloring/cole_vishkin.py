@@ -159,15 +159,11 @@ def compute_cole_vishkin_coloring(
     # Array-native fast path: one CSR gather per round instead of a
     # per-node message loop.  Imported lazily (repro.graph imports the
     # coloring package).
-    from repro.graph import (
-        CSRGraph,
-        cole_vishkin_arrays,
-        csr_eligible_network,
-        vectorized_enabled,
-    )
+    from repro.graph import cole_vishkin_arrays, fast_path_csr
 
-    if vectorized_enabled() and csr_eligible_network(network):
-        return cole_vishkin_arrays(CSRGraph.from_network(network), parents)
+    csr = fast_path_csr(network)
+    if csr is not None:
+        return cole_vishkin_arrays(csr, parents)
     algorithm = ColeVishkinAlgorithm(network.identifier_space())
     simulator = Simulator(network, algorithm, inputs=dict(parents))
     result = simulator.run(max_rounds=algorithm.rounds_needed + 1)

@@ -49,24 +49,6 @@ class EdgeColoringResult:
     virtual_rounds: int
 
 
-def _dispatch_csr(network):
-    """Resolve the array-native fast path for a coloring entry point.
-
-    Accepts either a :class:`Network` or a
-    :class:`repro.graph.CSRGraph` (CSR inputs always take the array
-    path); returns the CSR to use, or ``None`` for the reference path.
-    Imported lazily — repro.graph imports this module for the result
-    dataclasses.
-    """
-    from repro.graph import CSRGraph, csr_eligible_network, vectorized_enabled
-
-    if isinstance(network, CSRGraph):
-        return network
-    if vectorized_enabled() and csr_eligible_network(network):
-        return CSRGraph.from_network(network)
-    return None
-
-
 def compute_edge_coloring(
     network: Network, target: Optional[int] = None
 ) -> EdgeColoringResult:
@@ -75,10 +57,12 @@ def compute_edge_coloring(
     ``network`` may also be a :class:`repro.graph.CSRGraph`, in which
     case the array-native substrate is used directly.
     """
-    csr = _dispatch_csr(network)
-    if csr is not None:
-        from repro.graph import edge_coloring_arrays
+    # Imported lazily — repro.graph imports this module for the result
+    # dataclasses.
+    from repro.graph import edge_coloring_arrays, fast_path_csr
 
+    csr = fast_path_csr(network)
+    if csr is not None:
         return edge_coloring_arrays(csr, target)
     virtual, index = line_graph_network(network)
     if target is None:
@@ -128,10 +112,10 @@ def compute_two_hop_coloring(
     ``network`` may also be a :class:`repro.graph.CSRGraph`, in which
     case the array-native substrate is used directly.
     """
-    csr = _dispatch_csr(network)
-    if csr is not None:
-        from repro.graph import two_hop_coloring_arrays
+    from repro.graph import fast_path_csr, two_hop_coloring_arrays
 
+    csr = fast_path_csr(network)
+    if csr is not None:
         return two_hop_coloring_arrays(csr, target)
     square = square_graph_network(network)
     if target is None:

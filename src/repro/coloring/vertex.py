@@ -89,23 +89,17 @@ def compute_vertex_coloring(
     # whole-palette rounds over a CSR adjacency, element-identical to the
     # per-node simulation below.  Imported lazily — repro.graph imports
     # this module for ColoringResult.
-    from repro.graph import backend as _graph_backend
+    from repro.graph import fast_path_csr, vertex_coloring_arrays
 
-    if _graph_backend.vectorized_enabled():
-        from repro.graph import (
-            CSRGraph,
-            csr_eligible_network,
-            vertex_coloring_arrays,
+    csr = fast_path_csr(network)
+    if csr is not None:
+        return vertex_coloring_arrays(
+            csr,
+            target=target,
+            identifier_space=identifier_space,
+            max_rounds=max_rounds,
+            reduction=reduction,
         )
-
-        if csr_eligible_network(network):
-            return vertex_coloring_arrays(
-                CSRGraph.from_network(network),
-                target=target,
-                identifier_space=identifier_space,
-                max_rounds=max_rounds,
-                reduction=reduction,
-            )
 
     recorder = _obs_active()
     linial = LinialColoringAlgorithm(identifier_space, degree)

@@ -25,18 +25,12 @@ the disjointness that makes this faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence, Set, Tuple
+from typing import Tuple
 
-from repro.errors import SimulationError
-from repro.core.indexing import indexed_dependency_network
 from repro.core.rank2 import Rank2Fixer
 from repro.core.rank3 import Rank3Fixer
 from repro.core.results import FixingResult
 from repro.lll.instance import LLLInstance
-
-#: Backward-compatible alias; the helper is public now (see
-#: :mod:`repro.core.indexing`).
-_indexed_dependency_network = indexed_dependency_network
 
 
 @dataclass
@@ -68,22 +62,6 @@ class DistributedResult:
     def assignment(self):
         """The computed variable assignment."""
         return self.fixing.assignment
-
-
-def _assert_round_disjoint(
-    instance: LLLInstance, round_variables: Sequence[Hashable]
-) -> None:
-    """Check that simultaneously-fixed variables share no event."""
-    touched: Set[Hashable] = set()
-    for name in round_variables:
-        events = {event.name for event in instance.events_of_variable(name)}
-        overlap = touched & events
-        if overlap:
-            raise SimulationError(
-                f"schedule conflict: variable {name!r} touches events "
-                f"{sorted(map(repr, overlap))} already touched this round"
-            )
-        touched.update(events)
 
 
 def _execute_plan(fixer, plan, instance, scheduler) -> DistributedResult:

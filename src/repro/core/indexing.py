@@ -25,7 +25,7 @@ import networkx as nx
 import numpy as np
 
 from repro.artifacts.fingerprint import instance_key
-from repro.artifacts.store import STORE as _ARTIFACTS, artifacts_enabled
+from repro.artifacts.store import STORE as _ARTIFACTS
 from repro.lll.instance import LLLInstance
 from repro.local_model.network import Network
 
@@ -73,7 +73,7 @@ def indexed_dependency_network(
     # names and scopes are part of the fingerprint, so an equal-shape
     # instance gets back content-identical mappings and an identical
     # relabeled network (read-only by contract).
-    key = instance_key(instance, "network") if artifacts_enabled() else None
+    key = instance_key(instance, "network")
     result = _ARTIFACTS.get("indexings", key)
     if result is None:
         graph = instance.dependency_graph
@@ -97,7 +97,7 @@ def indexed_csr(instance: LLLInstance):
     cached = _CSR_CACHE.get(instance)
     if cached is not None:
         return cached
-    key = instance_key(instance, "csr") if artifacts_enabled() else None
+    key = instance_key(instance, "csr")
     result = _ARTIFACTS.get("indexings", key)
     if result is not None:
         _CSR_CACHE[instance] = result

@@ -37,10 +37,11 @@ lanes with identical selection inputs (support labels, Inc rows,
 bookkeeping weights) are deduplicated before selection — sound because
 a decision reads nothing else.
 
-The scalar path stays intact as the differential oracle:
-``REPRO_DECIDE=scalar`` switches every scheduler back to per-op
-``decide``/``commit``, and the Hypothesis suite in
-``tests/test_decide_vector.py`` holds the two planes to exact equality.
+The scalar path stays intact as the differential oracle: the ``decide``
+plane of :mod:`repro.planes` (``REPRO_DECIDE=scalar``) switches every
+scheduler back to per-op ``decide``/``commit``, and the Hypothesis suite
+in ``tests/test_decide_vector.py`` holds the two planes to exact
+equality.
 
 Fallback discipline: lowering and execution never alter fixer state
 beyond the idempotent first-touch defaults ``local_weights`` itself
@@ -60,17 +61,13 @@ through any other path.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.artifacts.fingerprint import instance_key, stack_key
-from repro.artifacts.store import (
-    LRUCache,
-    STORE as _ARTIFACTS,
-    artifacts_enabled,
-)
-from repro.errors import ConfigurationError, ReproError
+from repro.artifacts.store import LRUCache, STORE as _ARTIFACTS
+from repro.errors import ReproError
 from repro.obs.recorder import active as _obs_active
+from repro.planes import planes
 from repro.probability.engine import (
     DEFAULT_STACK_LIMIT,
     KernelStack,
@@ -83,75 +80,6 @@ from repro.core.selection import (
     select_rank3_class,
     select_rankr_class,
 )
-
-#: Environment variable selecting the decide plane ("vector" or "scalar").
-DECIDE_ENV = "REPRO_DECIDE"
-
-_VALID_MODES = ("vector", "scalar")
-
-# Lazily validated, like REPRO_ENGINE: raising at import time would
-# crash ``import repro`` before CLI error handling exists.
-_MODE: Optional[str] = None
-
-
-def _mode_from_env() -> str:
-    mode = os.environ.get(DECIDE_ENV, "vector").strip().lower()
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"{DECIDE_ENV}={mode!r} is not a valid decide mode; "
-            f"expected one of {_VALID_MODES}"
-        )
-    return mode
-
-
-def decide_mode() -> str:
-    """The active decide plane: ``"vector"`` or ``"scalar"``."""
-    global _MODE
-    if _MODE is None:
-        _MODE = _mode_from_env()
-    return _MODE
-
-
-def vector_enabled() -> bool:
-    """Whether whole-class batched decisions should be attempted."""
-    return decide_mode() == "vector"
-
-
-def set_decide_mode(mode: str) -> str:
-    """Select the decide plane process-wide; returns the previous mode."""
-    global _MODE
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"invalid decide mode {mode!r}; expected one of {_VALID_MODES}"
-        )
-    previous = decide_mode()
-    _MODE = mode
-    return previous
-
-
-class using_decide:
-    """Context manager: run the body under a specific decide mode.
-
-    The differential-oracle pattern of the vector/scalar parity tests::
-
-        with using_decide("scalar"):
-            reference = solve(instance)
-        with using_decide("vector"):
-            candidate = solve(instance)
-    """
-
-    def __init__(self, mode: str) -> None:
-        self._mode = mode
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> str:
-        self._previous = set_decide_mode(self._mode)
-        return self._mode
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._previous is not None:
-            set_decide_mode(self._previous)
-
 
 _MISSING = object()
 
@@ -626,7 +554,7 @@ def _shared_stack(kernels) -> KernelStack:
     ``math.fsum`` order regardless of which kernel objects it was built
     from — bit-identity is preserved by construction.
     """
-    key = stack_key(kernels) if artifacts_enabled() else None
+    key = stack_key(kernels)
     stack = _ARTIFACTS.get("stacks", key)
     if stack is None:
         stack = KernelStack(kernels)
@@ -646,11 +574,7 @@ def _template_for(instance, kind: str) -> _Template:
         # — equal fingerprints mean equal event names, scopes, supports
         # and truth tables, so every name, kernel and variable object
         # the template holds is interchangeable with this instance's.
-        key = (
-            instance_key(instance, "template", kind)
-            if artifacts_enabled()
-            else None
-        )
+        key = instance_key(instance, "template", kind)
         template = _ARTIFACTS.get("templates", key)
         if template is None:
             template = _Template(kind)
@@ -1085,7 +1009,7 @@ def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
     selection discipline and live ledger through ``vector_kind`` and
     ``vector_ledger``.
     """
-    if not vector_enabled():
+    if planes().decide == "scalar":
         return None
     kind = fixer.vector_kind
     edges = fixer.vector_ledger

@@ -46,8 +46,10 @@ def torus_graph(rows: int, cols: int) -> nx.Graph:
 
 def random_regular_graph(num_nodes: int, degree: int, seed: int) -> nx.Graph:
     """A uniformly random ``degree``-regular simple graph."""
-    if degree >= num_nodes:
-        raise ReproError("degree must be smaller than the number of nodes")
+    if not 0 <= degree < num_nodes:
+        raise ReproError(
+            "degree must be non-negative and smaller than the number of nodes"
+        )
     if (num_nodes * degree) % 2 != 0:
         raise ReproError("num_nodes * degree must be even")
     return nx.random_regular_graph(degree, num_nodes, seed=seed)

@@ -71,6 +71,8 @@ def build_family_instance(
     )
     from repro.generators.hypergraphs import cyclic_triples
 
+    if n < 1:
+        raise ReproError(f"n must be positive, got {n}")
     if family == "cycle":
         return all_zero_edge_instance(cycle_graph(n), alphabet)
     if family == "regular":

@@ -10,23 +10,19 @@ NumPy index arrays:
   (:class:`BatchedSimulator`) delivering a whole round's messages as one
   CSR gather;
 * :mod:`repro.graph.coloring` — whole-palette array implementations of
-  Linial, greedy / Kuhn-Wattenhofer reduction, and Cole-Vishkin;
-* :mod:`repro.graph.backend` — ``REPRO_GRAPH`` backend selection
-  (``vectorized`` default, ``reference`` keeps the per-node oracle).
+  Linial, greedy / Kuhn-Wattenhofer reduction, and Cole-Vishkin.
+
+The ``graph`` plane of :mod:`repro.planes` (``REPRO_GRAPH``) selects
+these fast paths (``vectorized``, the default) or the per-node
+``reference`` oracle.
 
 Every fast path is element-identical to its per-node twin; the
 Hypothesis differential suite in ``tests/test_graph_substrate.py``
 enforces the equivalence.
 """
 
-from repro.graph.backend import (
-    REFERENCE,
-    VECTORIZED,
-    active_backend,
-    set_backend,
-    use_backend,
-    vectorized_enabled,
-)
+from typing import Optional
+
 from repro.graph.batched import ArrayAlgorithm, BatchedSimulator
 from repro.graph.coloring import (
     ColeVishkinArrayAlgorithm,
@@ -47,6 +43,7 @@ from repro.graph.csr import (
     require_index_dtype,
     square_csr,
 )
+from repro.planes import planes
 
 __all__ = [
     "ArrayAlgorithm",
@@ -56,33 +53,34 @@ __all__ = [
     "GreedyReductionArrayAlgorithm",
     "KWReductionArrayAlgorithm",
     "LinialArrayAlgorithm",
-    "REFERENCE",
-    "VECTORIZED",
-    "active_backend",
     "cole_vishkin_arrays",
-    "csr_eligible_network",
     "edge_coloring_arrays",
     "edge_coloring_with_arrays",
+    "fast_path_csr",
     "line_graph_csr",
     "require_index_dtype",
-    "set_backend",
     "square_csr",
     "two_hop_coloring_arrays",
     "two_hop_coloring_with_arrays",
-    "use_backend",
     "validate_proper_vertex_arrays",
     "vertex_coloring_arrays",
-    "vectorized_enabled",
 ]
 
 
-def csr_eligible_network(network) -> bool:
-    """Whether a Network's identifiers admit the CSR representation.
+def fast_path_csr(network) -> Optional[CSRGraph]:
+    """The CSR a coloring entry point runs on, or ``None`` for its
+    per-node reference path.
 
-    CSR positions double as identifiers, so the nodes must be exactly the
-    integers ``0 .. n - 1``; anything else stays on the reference path.
+    A :class:`CSRGraph` input always takes the array path.  A
+    :class:`~repro.local_model.network.Network` takes it when the graph
+    plane is ``vectorized`` and its identifiers are exactly the integers
+    ``0 .. n - 1`` (CSR positions double as identifiers).
     """
+    if isinstance(network, CSRGraph):
+        return network
+    if planes().graph == "reference":
+        return None
     n = network.num_nodes
-    return all(
-        isinstance(node, int) and 0 <= node < n for node in network.nodes
-    )
+    if all(isinstance(node, int) and 0 <= node < n for node in network.nodes):
+        return CSRGraph.from_network(network)
+    return None

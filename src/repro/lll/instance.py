@@ -15,7 +15,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.artifacts import STORE as _ARTIFACTS, artifacts_enabled
+from repro.artifacts import STORE as _ARTIFACTS
 from repro.artifacts.fingerprint import instance_key
 from repro.errors import ReproError, UnknownVariableError
 from repro.lll.hypergraph import Hypergraph
@@ -170,9 +170,7 @@ class LLLInstance:
         instance avoids materialising the dependency graph just to take
         a degree maximum (precondition checks need only the scalar).
         """
-        key = (
-            instance_key(self, "max-degree") if artifacts_enabled() else None
-        )
+        key = instance_key(self, "max-degree")
         cached = _ARTIFACTS.get("parameters", key)
         if cached is not None:
             return cached
@@ -190,11 +188,7 @@ class LLLInstance:
         enumeration.  Always returns a fresh dict; callers own (and may
         mutate) their copy.
         """
-        key = (
-            instance_key(self, "probabilities")
-            if artifacts_enabled()
-            else None
-        )
+        key = instance_key(self, "probabilities")
         cached = _ARTIFACTS.get("parameters", key)
         if cached is not None:
             return dict(cached)

@@ -42,8 +42,14 @@ def _encode_name(name: Hashable) -> Any:
 
 
 def _decode_name(encoded: Any) -> Hashable:
-    if isinstance(encoded, dict) and "__tuple__" in encoded:
-        return tuple(_decode_name(part) for part in encoded["__tuple__"])
+    if isinstance(encoded, dict):
+        parts = encoded.get("__tuple__")
+        if len(encoded) != 1 or not isinstance(parts, list):
+            raise ReproError(
+                f"cannot decode name {encoded!r}: the only object form is "
+                f"{{\"__tuple__\": [...]}}"
+            )
+        return tuple(_decode_name(part) for part in parts)
     if isinstance(encoded, list):
         return tuple(_decode_name(part) for part in encoded)
     return encoded
@@ -90,11 +96,25 @@ def instance_to_dict(
 
 
 def instance_from_dict(payload: Dict[str, Any]) -> LLLInstance:
-    """Rebuild an instance serialised by :func:`instance_to_dict`."""
+    """Rebuild an instance serialised by :func:`instance_to_dict`.
+
+    A payload of the wrong shape (a missing key, a scalar where a list
+    belongs) raises :class:`~repro.errors.ReproError`, like a payload
+    with invalid content.
+    """
     if payload.get("format") != "repro-lll-instance":
         raise ReproError("payload is not a serialised LLL instance")
     if payload.get("version") != 1:
         raise ReproError(f"unsupported version {payload.get('version')!r}")
+    try:
+        return _instance_from_fields(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise ReproError(
+            f"malformed instance dict: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _instance_from_fields(payload: Dict[str, Any]) -> LLLInstance:
     variables: Dict[Hashable, DiscreteVariable] = {}
     for spec in payload["variables"]:
         name = _decode_name(spec["name"])

@@ -4,17 +4,15 @@ Independent finite random variables (:class:`DiscreteVariable`), partial
 assignments (:class:`PartialAssignment`), bad events with exact conditional
 probabilities (:class:`BadEvent`), whole-space operations
 (:class:`ProductSpace`), and the table-driven compiled kernel engine
-(:mod:`repro.probability.engine`, selected via ``REPRO_ENGINE``).
+(:mod:`repro.probability.engine`, the ``engine`` plane of
+:mod:`repro.planes`).
 """
 
 from repro.probability.assignment import PartialAssignment
 from repro.probability.engine import (
     EventKernel,
-    engine_mode,
     reset_stats as reset_engine_stats,
-    set_engine_mode,
     stats as engine_stats,
-    using_engine,
 )
 from repro.probability.event import (
     BadEvent,
@@ -33,9 +31,6 @@ __all__ = [
     "DEFAULT_CACHE_LIMIT",
     "DEFAULT_ENUMERATION_LIMIT",
     "DEFAULT_SPACE_LIMIT",
-    "engine_mode",
     "engine_stats",
     "reset_engine_stats",
-    "set_engine_mode",
-    "using_engine",
 ]

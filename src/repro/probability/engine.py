@@ -23,12 +23,11 @@ the same (scope-position) order as the naive enumerator and sums with
 defined — the differential Hypothesis suite in
 ``tests/test_probability_engine.py`` holds them to 1e-12.
 
-The engine is selected process-wide via the ``REPRO_ENGINE`` environment
-variable (``compiled`` by default; ``naive`` retains the enumerating path
-as a differential oracle) and can be toggled at runtime with
-:func:`set_engine_mode` / :class:`using_engine`.  Events whose full scope
-product exceeds :func:`compile_limit` are never compiled and always take
-the naive path, so oversized scopes keep their existing
+The engine is the ``engine`` plane of :mod:`repro.planes`: ``compiled``
+by default; ``naive`` (``REPRO_ENGINE=naive``) retains the enumerating
+path as the differential oracle.  Events whose full scope product
+exceeds :func:`compile_limit` are never compiled and always take the
+naive path, so oversized scopes keep their existing
 :class:`~repro.errors.EnumerationLimitError` behaviour.
 """
 
@@ -46,23 +45,8 @@ PROBABILITY_MASS_TOLERANCE = 1e-9
 #: Default cap on the full-scope outcome count a kernel may tabulate.
 DEFAULT_COMPILE_LIMIT = 1 << 16
 
-#: Environment variable selecting the engine ("naive" or "compiled").
-ENGINE_ENV = "REPRO_ENGINE"
-
 #: Environment variable overriding the kernel compile limit.
 COMPILE_LIMIT_ENV = "REPRO_ENGINE_COMPILE_LIMIT"
-
-_VALID_MODES = ("naive", "compiled")
-
-
-def _mode_from_env() -> str:
-    mode = os.environ.get(ENGINE_ENV, "compiled").strip().lower()
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"{ENGINE_ENV}={mode!r} is not a valid engine mode; "
-            f"expected one of {_VALID_MODES}"
-        )
-    return mode
 
 
 def _compile_limit_from_env() -> int:
@@ -82,24 +66,10 @@ def _compile_limit_from_env() -> int:
     return limit
 
 
-# Environment values are validated lazily, on first use: raising at
+# Validated lazily, on first use, like the plane config: raising at
 # import time would crash ``import repro`` itself with a raw traceback
 # before any CLI error handling can catch the ReproError.
-_MODE: Optional[str] = None
 _COMPILE_LIMIT: Optional[int] = None
-
-
-def engine_mode() -> str:
-    """The active engine mode: ``"naive"`` or ``"compiled"``."""
-    global _MODE
-    if _MODE is None:
-        _MODE = _mode_from_env()
-    return _MODE
-
-
-def compiled_enabled() -> bool:
-    """Whether the compiled kernel path is active."""
-    return engine_mode() == "compiled"
 
 
 def compile_limit() -> int:
@@ -108,43 +78,6 @@ def compile_limit() -> int:
     if _COMPILE_LIMIT is None:
         _COMPILE_LIMIT = _compile_limit_from_env()
     return _COMPILE_LIMIT
-
-
-def set_engine_mode(mode: str) -> str:
-    """Select the engine process-wide; returns the previous mode."""
-    global _MODE
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"invalid engine mode {mode!r}; expected one of {_VALID_MODES}"
-        )
-    previous = engine_mode()
-    _MODE = mode
-    return previous
-
-
-class using_engine:
-    """Context manager: run the body under a specific engine mode.
-
-    The differential oracle pattern used by the parity tests and the
-    engine benchmark::
-
-        with using_engine("naive"):
-            reference = solve(instance_a)
-        with using_engine("compiled"):
-            candidate = solve(instance_b)
-    """
-
-    def __init__(self, mode: str) -> None:
-        self._mode = mode
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> str:
-        self._previous = set_engine_mode(self._mode)
-        return self._mode
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._previous is not None:
-            set_engine_mode(self._previous)
 
 
 # ----------------------------------------------------------------------

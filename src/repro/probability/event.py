@@ -42,12 +42,9 @@ from typing import (
 )
 
 from repro.artifacts.fingerprint import event_shape_key
-from repro.artifacts.store import (
-    LRUCache,
-    STORE as _ARTIFACTS,
-    artifacts_enabled,
-)
+from repro.artifacts.store import LRUCache, STORE as _ARTIFACTS
 from repro.errors import EnumerationLimitError, InvalidAssignmentError, UnknownVariableError
+from repro.planes import planes
 from repro.probability import engine as _engine
 from repro.probability.assignment import PartialAssignment
 from repro.probability.engine import EventKernel, checked_mass_sum
@@ -181,7 +178,7 @@ class BadEvent:
         the compile limit and the event's own enumeration limit (so a
         kernel-computable query is always naive-computable too).
         """
-        if not _engine.compiled_enabled():
+        if planes().engine == "naive":
             return None
         kernel = self._kernel
         if kernel is _UNCOMPILED:
@@ -202,7 +199,9 @@ class BadEvent:
         # instance or in one solved earlier — shares one compile.
         # Compile counts are therefore per distinct shape under
         # REPRO_ARTIFACTS=on and per event under off.
-        shape_key = event_shape_key(self) if artifacts_enabled() else None
+        shape_key = (
+            event_shape_key(self) if planes().artifacts == "on" else None
+        )
         if shape_key is not None:
             kernel = _ARTIFACTS.get("kernels", shape_key)
             if kernel is not None:

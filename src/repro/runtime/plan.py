@@ -10,8 +10,8 @@ The structural invariant that makes parallel execution sound: within a
 class, distinct cells have disjoint read sets (``read_events``).  A
 variable only appears in the scopes of its own events, which are exactly
 its op's read set, so decisions in different cells of one class read and
-write disjoint state and commute.  :meth:`FixPlan.validate` asserts this
-instead of trusting the coloring.
+write disjoint state and commute.  Every :class:`ColorClass` asserts this
+when it is constructed instead of trusting the coloring.
 
 The builders replicate the exact scheduling of
 :func:`repro.core.distributed.solve_distributed_rank2` /
@@ -36,7 +36,7 @@ from typing import (
 )
 
 from repro.artifacts.fingerprint import instance_key
-from repro.artifacts.store import STORE as _ARTIFACTS, artifacts_enabled
+from repro.artifacts.store import STORE as _ARTIFACTS
 from repro.errors import SimulationError
 from repro.coloring import (
     compute_edge_coloring,
@@ -46,6 +46,7 @@ from repro.coloring import (
 )
 from repro.core.indexing import indexed_dependency_network
 from repro.lll.instance import LLLInstance
+from repro.planes import planes
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,32 @@ class FixCell:
 
 @dataclass(frozen=True)
 class ColorClass:
-    """One round of the schedule: independent cells of a single color."""
+    """One round of the schedule: independent cells of a single color.
+
+    Construction raises :class:`~repro.errors.SimulationError` unless
+    the cells' read sets are pairwise disjoint.  A class is frozen, so
+    this one check covers every later execute of it, including replays
+    of a plan served from the ``plans`` artifact tier.
+    """
 
     #: The color index (``-1`` for the rank-1 pre-round of the rank-2
     #: algorithm, which precedes the edge coloring).
     color: int
     #: The cells, in deterministic merge order.
     cells: Tuple[FixCell, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.cells) < 2:
+            return
+        owner: Dict[Hashable, int] = {}
+        for index, cell in enumerate(self.cells):
+            for op in cell.ops:
+                for name in op.events:
+                    if owner.setdefault(name, index) != index:
+                        raise SimulationError(
+                            f"schedule conflict in color class "
+                            f"{self.color}: event {name!r} read by two cells"
+                        )
 
     @property
     def num_ops(self) -> int:
@@ -114,19 +134,6 @@ class ColorClass:
     def span(self) -> int:
         """Length of the longest cell — the class's critical path."""
         return max((len(cell.ops) for cell in self.cells), default=0)
-
-    def validate_disjoint(self) -> None:
-        """Raise unless the cells' read sets are pairwise disjoint."""
-        touched: Set[Hashable] = set()
-        for cell in self.cells:
-            reads = cell.read_events
-            overlap = touched & reads
-            if overlap:
-                raise SimulationError(
-                    f"schedule conflict in color class {self.color}: "
-                    f"events {sorted(map(repr, overlap))} read by two cells"
-                )
-            touched.update(reads)
 
 
 @dataclass(frozen=True)
@@ -180,11 +187,6 @@ class FixPlan:
                 for op in cell.ops:
                     yield op.variable
 
-    def validate(self) -> None:
-        """Assert the cross-cell disjointness invariant of every class."""
-        for cls in self.classes:
-            cls.validate_disjoint()
-
 
 # ----------------------------------------------------------------------
 # Builders
@@ -209,9 +211,7 @@ def _rank2_coloring(instance: LLLInstance):
     thunk)`` where the thunk yields ``(palette, coloring_rounds,
     colors)``.
     """
-    from repro.graph import vectorized_enabled
-
-    if vectorized_enabled():
+    if planes().graph == "vectorized":
         from repro.core.indexing import indexed_csr
         from repro.graph import (
             edge_coloring_with_arrays,
@@ -250,9 +250,7 @@ def _rank3_coloring(instance: LLLInstance):
     in ``G^2`` is exactly "within distance two").  Returns
     ``(from_index, num_edges, thunk)``.
     """
-    from repro.graph import vectorized_enabled
-
-    if vectorized_enabled():
+    if planes().graph == "vectorized":
         from repro.core.indexing import indexed_csr
         from repro.graph import (
             two_hop_coloring_with_arrays,
@@ -291,11 +289,7 @@ def build_plan_rank2(instance: LLLInstance) -> FixPlan:
     # Plans are frozen dataclasses of pure names, derived only from the
     # fingerprinted structure, so an equal-shape instance can reuse the
     # whole schedule — coloring included — without rebuilding it.
-    plan_key = (
-        instance_key(instance, "plan", "rank2")
-        if artifacts_enabled()
-        else None
-    )
+    plan_key = instance_key(instance, "plan", "rank2")
     cached = _ARTIFACTS.get("plans", plan_key)
     if cached is not None:
         return cached
@@ -378,11 +372,7 @@ def build_plan_rank3(instance: LLLInstance) -> FixPlan:
     :func:`repro.core.distributed.solve_distributed_rank3`, so the serial
     traversal is that function's exact historical fixing order.
     """
-    plan_key = (
-        instance_key(instance, "plan", "rank3")
-        if artifacts_enabled()
-        else None
-    )
+    plan_key = instance_key(instance, "plan", "rank3")
     cached = _ARTIFACTS.get("plans", plan_key)
     if cached is not None:
         return cached

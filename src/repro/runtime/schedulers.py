@@ -31,9 +31,9 @@ backend batches *inside* the workers: each chunk is a section of the
 same template lowering, run through the same wave executor
 (:func:`repro.runtime.workers.execute_chunk_shm`).
 
-Every scheduler validates each class's cross-cell disjointness before
-touching it and publishes per-class span / op-count metrics through
-:mod:`repro.obs`.
+Every scheduler publishes per-class span / op-count metrics through
+:mod:`repro.obs`; cross-cell disjointness is checked once, when each
+:class:`~repro.runtime.plan.ColorClass` is built.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.probability import engine as _engine
 from repro.obs.profile import profile_mode_from_env, profiled
 from repro.obs.recorder import active as _obs_active
 from repro.obs.shard import TraceContext, collect_shard_fallback
+from repro.planes import planes
 from repro.core import vector
 from repro.core.selection import Decision
 from repro.lll.instance import LLLInstance
@@ -143,11 +144,16 @@ class Scheduler(ABC):
     name: str = "abstract"
 
     def describe(self) -> str:
-        """One-line backend config echo for run headers and reports."""
-        return self.name
+        """One-line config echo for run headers, reports and ``/healthz``:
+        the backend, then every plane not at its default
+        (``serial decide=scalar``)."""
+        return " ".join(self._describe_backend() + planes().overrides())
+
+    def _describe_backend(self) -> List[str]:
+        return [self.name]
 
     def execute(self, fixer, plan: FixPlan, instance: LLLInstance) -> None:
-        """Run every class of the plan, with validation and metrics."""
+        """Run every class of the plan, with metrics."""
         recorder = _obs_active()
         # REPRO_PROFILE only takes effect when a recorder is live — the
         # profile events need a trace to land in.
@@ -168,7 +174,6 @@ class Scheduler(ABC):
         with profiled(recorder, "scheduler", self._profile_mode,
                       name=f"execute:{self.name}"):
             for index, color_class in enumerate(plan.classes):
-                color_class.validate_disjoint()
                 start = time.perf_counter_ns() if recorder is not None else 0
                 self._run_class(fixer, color_class, instance)
                 if recorder is not None:
@@ -200,7 +205,7 @@ class Scheduler(ABC):
     def _run_class(
         self, fixer, color_class: ColorClass, instance: LLLInstance
     ) -> None:
-        """Fix every op of one (validated) color class."""
+        """Fix every op of one color class."""
 
 
 class SerialScheduler(Scheduler):
@@ -381,13 +386,13 @@ class ProcessScheduler(Scheduler):
     def _session(self) -> Optional[ShmSession]:
         return self._box.session
 
-    def describe(self) -> str:
+    def _describe_backend(self) -> List[str]:
         parts = [f"process workers={self._num_workers}"]
         if self._deadline is not None:
             parts.append(f"deadline={self._deadline:g}s")
         if self._fault_plan is not None:
             parts.append("faults=on")
-        return " ".join(parts)
+        return parts
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared segment (idempotent).
@@ -418,7 +423,7 @@ class ProcessScheduler(Scheduler):
             # The pool stays warm across executes (that is the point);
             # ``close()`` or the finalizer reclaims it.  Scalar decide
             # mode dispatches nothing, so it publishes nothing either.
-            if vector.vector_enabled():
+            if planes().decide == "vector":
                 self._ensure_session(fixer, plan, instance, recorder)
             super().execute(fixer, plan, instance)
         finally:
@@ -595,7 +600,7 @@ class ProcessScheduler(Scheduler):
         rows back into the run state.
         """
         session = self._session
-        if not vector.vector_enabled() or session is None:
+        if planes().decide == "scalar" or session is None:
             return {}, None, []
         class_index = session.class_index(color_class)
         chunks = session.chunks(class_index)

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -120,6 +121,41 @@ class ServeConfig:
     drain_timeout_s: float = 30.0
 
 
+#: The integer parameters of a family spec, with their defaults.
+_FAMILY_DEFAULTS = {"n": 16, "alphabet": 3, "degree": 4, "seed": 0}
+
+
+def _family_params(payload: Dict[str, Any]) -> Dict[str, int]:
+    """The spec's family parameters, each checked to be a JSON integer."""
+    params = {}
+    for key, default in _FAMILY_DEFAULTS.items():
+        value = payload.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ReproError(
+                f"family parameter {key!r} must be an integer, got {value!r}"
+            )
+        params[key] = value
+    return params
+
+
+def _deadline_s(payload: Dict[str, Any], default: float) -> float:
+    """The request's ``deadline_s``: a finite number of seconds, >= 0.
+
+    Zero is a budget already spent (a typed 504); negative, NaN,
+    infinite and non-numeric values are malformed requests.
+    """
+    value = payload.get("deadline_s", default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # Bounded before float(): an int too large for a float raises.
+        seconds = float(value) if abs(value) < 1e300 else math.inf
+        if math.isfinite(seconds) and seconds >= 0:
+            return seconds
+    raise ReproError(
+        f"'deadline_s' must be a finite, non-negative number of seconds, "
+        f"got {value!r}"
+    )
+
+
 def instance_from_request(payload: Dict[str, Any]) -> LLLInstance:
     """Build the request's instance: an ``lll.io`` dict or a family spec."""
     if not isinstance(payload, dict):
@@ -135,13 +171,7 @@ def instance_from_request(payload: Dict[str, Any]) -> LLLInstance:
             "request needs an 'instance' dict or a 'family' spec "
             "(family/n/alphabet/degree/seed)"
         )
-    return build_family_instance(
-        str(family),
-        int(payload.get("n", 16)),
-        alphabet=int(payload.get("alphabet", 3)),
-        degree=int(payload.get("degree", 4)),
-        seed=int(payload.get("seed", 0)),
-    )
+    return build_family_instance(str(family), **_family_params(payload))
 
 
 def _solve_cache_key(payload: Dict[str, Any]) -> str:
@@ -156,10 +186,7 @@ def _solve_cache_key(payload: Dict[str, Any]) -> str:
     else:
         spec = {
             "family": str(payload.get("family")),
-            "n": int(payload.get("n", 16)),
-            "alphabet": int(payload.get("alphabet", 3)),
-            "degree": int(payload.get("degree", 4)),
-            "seed": int(payload.get("seed", 0)),
+            **_family_params(payload),
         }
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
@@ -319,7 +346,9 @@ class SolveService:
     def _verify(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         instance = instance_from_request(payload)
         pairs = payload.get("assignment")
-        if not isinstance(pairs, list):
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
             raise ReproError(
                 "'assignment' must be a [[name, value], ...] list"
             )
@@ -572,6 +601,7 @@ class SolveServer:
             return 200, {
                 "status": "draining" if self._draining else "ok",
                 "inflight": self._inflight,
+                "scheduler": self.service.describe(),
             }
         if path == "/v1/stats" and method == "GET":
             return 200, self.service.stats()
@@ -591,6 +621,10 @@ class SolveServer:
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             return 400, _error_body(
                 ReproError(f"request body is not valid JSON: {error}")
+            )
+        if not isinstance(payload, dict):
+            return 400, _error_body(
+                ReproError("request body must be a JSON object")
             )
         try:
             return 200, await self._dispatch(kind, payload)
@@ -612,7 +646,7 @@ class SolveServer:
                 f"server is at its in-flight limit "
                 f"({self.config.max_inflight}); retry with backoff"
             )
-        deadline_s = float(payload.get("deadline_s", self.config.deadline_s))
+        deadline_s = _deadline_s(payload, self.config.deadline_s)
         deadline = time.monotonic() + deadline_s
         loop = asyncio.get_running_loop()
         self._inflight += 1

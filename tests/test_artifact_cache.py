@@ -25,12 +25,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from repro.artifacts import (
     LRUCache,
     STORE,
-    artifacts_enabled,
-    artifacts_mode,
     event_shape_key,
     instance_fingerprint,
-    set_artifacts_mode,
-    using_artifacts,
 )
 from repro.artifacts.store import ArtifactStore
 from repro.core.naive_rankr import NaiveRankRFixer
@@ -51,8 +47,8 @@ from repro.probability import (
     BadEvent,
     DiscreteVariable,
     reset_engine_stats,
-    using_engine,
 )
+from repro.planes import planes, set_planes, using_planes
 from repro.probability.engine import STATS
 from repro.runtime import make_scheduler, plan_for_instance
 
@@ -140,9 +136,9 @@ def assert_identical(reference, candidate, label):
 
 def run_differential(spec, kind, scheduler_name, **scheduler_kwargs):
     """Serial off-oracle vs cold-store vs warm-store, all bit-identical."""
-    with using_artifacts("off"):
+    with using_planes(artifacts="off"):
         reference = transcript(spec, kind, "serial")
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         cold = transcript(spec, kind, scheduler_name, **scheduler_kwargs)
         warm = transcript(spec, kind, scheduler_name, **scheduler_kwargs)
@@ -183,7 +179,7 @@ def test_artifacts_identical_naive_rankr(spec):
 # ----------------------------------------------------------------------
 def test_second_same_shape_instance_reuses_artifacts():
     spec = ("cycle", 12, 3, 0)
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         reset_engine_stats()
         first = transcript(spec, "rank2", "serial")
@@ -212,7 +208,7 @@ def test_second_same_shape_instance_reuses_artifacts():
 
 
 def test_different_shape_instances_do_not_collide():
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         a = transcript(("cycle", 12, 3, 0), "rank2", "serial")
         b = transcript(("cycle", 13, 3, 0), "rank2", "serial")
@@ -226,7 +222,7 @@ def test_unfingerprintable_instance_skips_every_tier():
     """Opaque-predicate events keep the exact legacy (per-object) path."""
     instance = parity_edge_instance(cycle_graph(8), 0.1)
     assert instance_fingerprint(instance) is None
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         plan = plan_for_instance(instance)
         fixer = Rank2Fixer(instance)
@@ -525,9 +521,9 @@ def test_shape_keys_ignore_names_but_not_supports():
 def test_single_shape_instance_compiles_one_kernel(fingerprint_first):
     """One compile per distinct shape with the plane on, one per event off."""
     expected = {"on": 1, "off": 9}
-    with using_engine("compiled"):
+    with using_planes(engine="compiled"):
         for mode, compiles in expected.items():
-            with using_artifacts(mode):
+            with using_planes(artifacts=mode):
                 STORE.clear()
                 reset_engine_stats()
                 instance = all_zero_edge_instance(cycle_graph(9), 3)
@@ -585,7 +581,7 @@ def test_lru_cache_zero_capacity_never_stores():
 
 
 def test_store_off_mode_is_inert():
-    with using_artifacts("off"):
+    with using_planes(artifacts="off"):
         STORE.clear()
         STORE.put("plans", ("key",), "value")
         assert STORE.get("plans", ("key",)) is None
@@ -594,7 +590,7 @@ def test_store_off_mode_is_inert():
 
 
 def test_store_none_key_is_inert():
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         STORE.put("plans", None, "value")
         assert STORE.get("plans", None) is None
@@ -604,7 +600,7 @@ def test_store_none_key_is_inert():
 
 def test_store_capacity_override():
     store = ArtifactStore(capacities={"plans": 1})
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         store.put("plans", "a", 1)
         store.put("plans", "b", 2)
         assert store.get("plans", "a") is None
@@ -619,10 +615,10 @@ def test_section_memo_is_lru_and_survives_tiny_limit(monkeypatch):
     from repro.core import vector
 
     spec = ("triples", 12, 6, 0)
-    with using_artifacts("off"):
+    with using_planes(artifacts="off"):
         reference = transcript(spec, "rank3", "serial")
     monkeypatch.setattr(vector, "MEMO_LIMIT", 1)
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         cold = transcript(spec, "rank3", "serial")
         warm = transcript(spec, "rank3", "serial")
@@ -648,7 +644,7 @@ def test_section_memo_over_limit_path_evicts():
     from repro.core import vector
 
     spec = ("triples", 12, 6, 0)
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         transcript(spec, "rank3", "serial")
         memos = [
@@ -676,10 +672,10 @@ def test_section_memo_over_limit_path_evicts():
 # ----------------------------------------------------------------------
 def test_artifacts_identical_under_ambient_fault_schedule(monkeypatch):
     spec = ("triples", 14, 6, 0)
-    with using_artifacts("off"):
+    with using_planes(artifacts="off"):
         reference = transcript(spec, "rank3", "serial")
     monkeypatch.setenv("REPRO_FAULTS", "seed=3,crash=0.5,deadline=15")
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         cold = transcript(spec, "rank3", "process",
                           max_workers=2, backoff_base=0.0)
@@ -700,18 +696,17 @@ def test_artifacts_identical_under_ambient_fault_schedule(monkeypatch):
 # Mode plumbing and CLI
 # ----------------------------------------------------------------------
 def test_artifacts_mode_plumbing():
-    previous = artifacts_mode()
+    previous = planes()
     try:
-        assert set_artifacts_mode("off") == previous
-        assert artifacts_mode() == "off"
-        assert not artifacts_enabled()
-        with using_artifacts("on"):
-            assert artifacts_enabled()
-        assert artifacts_mode() == "off"
+        assert set_planes(artifacts="off") == previous
+        assert planes().artifacts == "off"
+        with using_planes(artifacts="on"):
+            assert planes().artifacts == "on"
+        assert planes().artifacts == "off"
         with pytest.raises(ReproError):
-            set_artifacts_mode("maybe")
+            set_planes(artifacts="maybe")
     finally:
-        set_artifacts_mode(previous)
+        set_planes(artifacts=previous.artifacts)
 
 
 def test_capacity_env_parse_rejects_garbage(monkeypatch):
@@ -737,7 +732,7 @@ def test_scheduler_publishes_artifact_stats():
     from repro.obs import recording
 
     spec = ("cycle", 10, 3, 0)
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         with recording(run_id="artifact-stats") as recorder:
             transcript(spec, "rank2", "serial")
@@ -752,7 +747,7 @@ def test_scheduler_publishes_artifact_stats():
 def test_cli_cache_stats_and_clear(capsys):
     from repro.cli import main
 
-    with using_artifacts("on"):
+    with using_planes(artifacts="on"):
         STORE.clear()
         transcript(("cycle", 10, 3, 0), "rank2", "serial")
         assert main(["cache", "stats"]) == 0
@@ -768,14 +763,14 @@ def test_cli_cache_stats_and_clear(capsys):
 def test_cli_solve_artifacts_flag(capsys):
     from repro.cli import main
 
-    previous = artifacts_mode()
+    previous = planes()
     try:
         code = main([
             "solve", "--family", "cycle", "--n", "10", "--alphabet", "3",
             "--distributed", "--artifacts", "off",
         ])
         assert code == 0
-        assert artifacts_mode() == "off"
+        assert planes().artifacts == "off"
     finally:
-        set_artifacts_mode(previous)
+        set_planes(artifacts=previous.artifacts)
     assert "solved" in capsys.readouterr().out

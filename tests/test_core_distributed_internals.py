@@ -3,10 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.core.distributed import (
-    _assert_round_disjoint,
-    _indexed_dependency_network,
-)
+from repro.core.indexing import indexed_dependency_network
 from repro.core.local_protocol import LocalFixingProtocol
 from repro.generators import (
     all_zero_edge_instance,
@@ -15,44 +12,53 @@ from repro.generators import (
     cyclic_triples,
 )
 from repro.local_model.algorithm import NodeState
+from repro.runtime.plan import ColorClass, FixCell, _op_for
+
+
+def _round_class(instance, round_variables):
+    """A color class fixing each variable in its own cell, at once."""
+    return ColorClass(
+        color=0,
+        cells=tuple(
+            FixCell(owner=name, ops=(_op_for(instance, name),))
+            for name in round_variables
+        ),
+    )
 
 
 class TestRoundDisjointness:
     def test_accepts_disjoint_variables(self):
         instance = all_zero_edge_instance(cycle_graph(6), 3)
         # Edges {0,1} and {3,4} share no event.
-        _assert_round_disjoint(
+        color_class = _round_class(
             instance, [("edge", 0, 1), ("edge", 3, 4)]
         )
+        assert color_class.num_ops == 2
 
     def test_rejects_conflicting_variables(self):
         instance = all_zero_edge_instance(cycle_graph(6), 3)
         # Edges {0,1} and {1,2} share event 1.
         with pytest.raises(SimulationError, match="conflict"):
-            _assert_round_disjoint(
-                instance, [("edge", 0, 1), ("edge", 1, 2)]
-            )
+            _round_class(instance, [("edge", 0, 1), ("edge", 1, 2)])
 
     def test_rejects_triple_conflicts(self):
         instance = all_zero_triple_instance(9, cyclic_triples(9), 5)
         # Adjacent triples share events.
         with pytest.raises(SimulationError):
-            _assert_round_disjoint(
-                instance, [("tri", 0, 1, 2), ("tri", 1, 2, 3)]
-            )
+            _round_class(instance, [("tri", 0, 1, 2), ("tri", 1, 2, 3)])
 
 
 class TestIndexedNetwork:
     def test_round_trip_mapping(self):
         instance = all_zero_edge_instance(cycle_graph(6), 3)
-        network, to_index, from_index = _indexed_dependency_network(instance)
+        network, to_index, from_index = indexed_dependency_network(instance)
         assert network.num_nodes == 6
         for name, index in to_index.items():
             assert from_index[index] == name
 
     def test_structure_preserved(self):
         instance = all_zero_triple_instance(9, cyclic_triples(9), 5)
-        network, to_index, _from_index = _indexed_dependency_network(instance)
+        network, to_index, _from_index = indexed_dependency_network(instance)
         dependency = instance.dependency_graph
         assert network.graph.number_of_edges() == dependency.number_of_edges()
         for u, v in dependency.edges():

@@ -23,12 +23,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.naive_rankr import NaiveRankRFixer
 from repro.core.rank2 import Rank2Fixer
 from repro.core.rank3 import Rank3Fixer
-from repro.core.vector import (
-    decide_mode,
-    set_decide_mode,
-    using_decide,
-    vector_enabled,
-)
 from repro.errors import ReproError
 from repro.generators import (
     all_zero_edge_instance,
@@ -38,7 +32,8 @@ from repro.generators import (
     random_regular_graph,
 )
 from repro.probability import reset_engine_stats
-from repro.probability.engine import STATS, using_engine
+from repro.planes import planes, set_planes, using_planes
+from repro.probability.engine import STATS
 from repro.runtime import make_scheduler, plan_for_instance
 
 SLOW_SETTINGS = settings(
@@ -102,7 +97,7 @@ def transcript(spec, kind, scheduler_name, mode, **scheduler_kwargs):
     """One full run: fresh instance, fresh fixer, fresh scheduler."""
     instance = build_instance(spec)
     plan = plan_for_instance(instance)
-    with using_decide(mode):
+    with using_planes(decide=mode):
         fixer = make_fixer(kind, instance)
         scheduler = make_scheduler(scheduler_name, **scheduler_kwargs)
         scheduler.execute(fixer, plan, instance)
@@ -181,7 +176,7 @@ def test_bug_in_the_batch_path_propagates(monkeypatch):
 
     monkeypatch.setattr(vector, "_run_twave", broken)
     instance = build_instance(("triples", 8, 6, 0))
-    with using_decide("vector"):
+    with using_planes(decide="vector"):
         with pytest.raises(TypeError, match="injected bug"):
             solve(instance, scheduler=make_scheduler("serial"))
 
@@ -194,7 +189,7 @@ def test_bug_in_the_batch_path_propagates(monkeypatch):
 @given(spec=rank3_specs())
 def test_vector_identical_under_naive_engine(spec):
     """No compiled kernels -> the class path falls back, bit-identically."""
-    with using_engine("naive"):
+    with using_planes(engine="naive"):
         reference = transcript(spec, "rank3", "serial", "scalar")
         candidate = transcript(spec, "rank3", "serial", "vector")
     assert_identical(reference, candidate, "naive-engine")
@@ -217,24 +212,23 @@ def test_vector_identical_under_ambient_fault_schedule(monkeypatch):
 # Mode plumbing
 # ----------------------------------------------------------------------
 def test_decide_mode_plumbing():
-    previous = decide_mode()
+    previous = planes()
     try:
-        assert set_decide_mode("scalar") == previous
-        assert decide_mode() == "scalar"
-        assert not vector_enabled()
-        with using_decide("vector"):
-            assert vector_enabled()
-        assert decide_mode() == "scalar"
+        assert set_planes(decide="scalar") == previous
+        assert planes().decide == "scalar"
+        with using_planes(decide="vector"):
+            assert planes().decide == "vector"
+        assert planes().decide == "scalar"
         with pytest.raises(ReproError):
-            set_decide_mode("quantum")
+            set_planes(decide="quantum")
     finally:
-        set_decide_mode(previous)
+        set_planes(decide=previous.decide)
 
 
 def test_decide_class_returns_none_in_scalar_mode():
     instance = build_instance(("triples", 8, 6, 0))
     plan = plan_for_instance(instance)
-    with using_decide("scalar"):
+    with using_planes(decide="scalar"):
         fixer = Rank3Fixer(instance)
         assert fixer.decide_class(plan.classes[0].cells) is None
 
@@ -243,7 +237,7 @@ def test_commit_class_without_pending_state_uses_scalar_commit():
     """Worker-produced choices commit through the full-fidelity path."""
     instance = build_instance(("triples", 8, 6, 0))
     plan = plan_for_instance(instance)
-    with using_decide("vector"):
+    with using_planes(decide="vector"):
         decider = Rank3Fixer(instance)
         cells = plan.classes[0].cells
         choices = decider.decide_class(cells)

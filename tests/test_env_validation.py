@@ -17,32 +17,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
+from repro.planes import PLANE_TABLE, planes, planes_from_env, set_planes
+
+
+def _env_plane(field):
+    return getattr(planes_from_env(), field)
 
 
 @pytest.mark.parametrize(
     "variable, parser, valid",
     [
-        (
-            "REPRO_ENGINE",
-            lambda: __import__(
-                "repro.probability.engine", fromlist=["_mode_from_env"]
-            )._mode_from_env(),
-            "compiled",
-        ),
-        (
-            "REPRO_DECIDE",
-            lambda: __import__(
-                "repro.core.vector", fromlist=["_mode_from_env"]
-            )._mode_from_env(),
-            "vector",
-        ),
-        (
-            "REPRO_ARTIFACTS",
-            lambda: __import__(
-                "repro.artifacts.store", fromlist=["_mode_from_env"]
-            )._mode_from_env(),
-            "on",
-        ),
+        ("REPRO_ENGINE", lambda: _env_plane("engine"), "compiled"),
+        ("REPRO_DECIDE", lambda: _env_plane("decide"), "vector"),
+        ("REPRO_ARTIFACTS", lambda: _env_plane("artifacts"), "on"),
+        ("REPRO_GRAPH", lambda: _env_plane("graph"), "vectorized"),
     ],
 )
 class TestModeEnvRejection:
@@ -55,6 +43,7 @@ class TestModeEnvRejection:
         message = str(excinfo.value)
         assert variable in message
         assert "bogus-mode" in message
+        assert repr(valid) in message
 
     def test_valid_value_accepted(self, monkeypatch, variable, parser, valid):
         monkeypatch.setenv(variable, valid)
@@ -67,16 +56,27 @@ class TestModeEnvRejection:
         assert parser() == valid
 
 
+@pytest.mark.parametrize("field, variable, fast, oracle", PLANE_TABLE)
+def test_setter_rejection_names_variable_value_and_allowed(
+    field, variable, fast, oracle
+):
+    """A setter rejects like the env parser, with the same message."""
+    before = planes()
+    with pytest.raises(ConfigurationError) as excinfo:
+        set_planes(**{field: "turbo"})
+    message = str(excinfo.value)
+    assert variable in message and "'turbo'" in message
+    assert repr(fast) in message and repr(oracle) in message
+    assert planes() == before
+
+
 class TestGraphBackendEnv:
     def test_invalid_backend_raises_named_configuration_error(
         self, monkeypatch
     ):
-        from repro.graph import backend as graph_backend
-
         monkeypatch.setenv("REPRO_GRAPH", "neo4j")
-        monkeypatch.setattr(graph_backend, "_override", None)
         with pytest.raises(ConfigurationError) as excinfo:
-            graph_backend.active_backend()
+            planes_from_env()
         message = str(excinfo.value)
         assert "REPRO_GRAPH" in message
         assert "neo4j" in message
@@ -125,22 +125,21 @@ class TestSetterRejection:
     """Programmatic setters reject like the env parsers, typed."""
 
     def test_set_engine_mode(self):
-        from repro.probability.engine import set_engine_mode
-
         with pytest.raises(ConfigurationError):
-            set_engine_mode("turbo")
+            set_planes(engine="turbo")
 
     def test_set_decide_mode(self):
-        from repro.core.vector import set_decide_mode
-
         with pytest.raises(ConfigurationError):
-            set_decide_mode("turbo")
+            set_planes(decide="turbo")
 
     def test_set_artifacts_mode(self):
-        from repro.artifacts.store import set_artifacts_mode
-
         with pytest.raises(ConfigurationError):
-            set_artifacts_mode("maybe")
+            set_planes(artifacts="maybe")
+
+    def test_unknown_plane_rejected(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            set_planes(ipc="shm")
+        assert "'ipc'" in str(excinfo.value)
 
     def test_configuration_error_is_a_repro_error(self):
         # Backward compatibility: existing ``except ReproError`` sites

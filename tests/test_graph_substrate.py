@@ -43,7 +43,6 @@ from repro.graph import (
     LinialArrayAlgorithm,
     line_graph_csr,
     square_csr,
-    use_backend,
 )
 from repro.local_model.algorithm import LocalAlgorithm
 from repro.local_model.network import (
@@ -52,6 +51,7 @@ from repro.local_model.network import (
     square_graph_network,
 )
 from repro.local_model.simulator import Simulator
+from repro.planes import using_planes
 from repro.runtime.plan import build_plan_rank2, build_plan_rank3
 
 
@@ -194,9 +194,9 @@ class TestColoringDifferential:
         if graph.number_of_nodes() == 0:
             return
         network = Network(graph)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = compute_vertex_coloring(network, reduction=reduction)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast = compute_vertex_coloring(network, reduction=reduction)
         assert ref.colors == fast.colors
         assert ref.palette == fast.palette
@@ -209,9 +209,9 @@ class TestColoringDifferential:
         if graph.number_of_edges() == 0:
             return
         network = Network(graph)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = compute_edge_coloring(network)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast = compute_edge_coloring(network)
         assert ref.colors == fast.colors
         assert (ref.palette, ref.host_rounds, ref.virtual_rounds) == (
@@ -226,9 +226,9 @@ class TestColoringDifferential:
         if graph.number_of_nodes() == 0:
             return
         network = Network(graph)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = compute_two_hop_coloring(network)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast = compute_two_hop_coloring(network)
         assert ref.colors == fast.colors
         assert (ref.palette, ref.host_rounds, ref.virtual_rounds) == (
@@ -242,9 +242,9 @@ class TestColoringDifferential:
     def test_cole_vishkin_bit_identical(self, tree_and_parents):
         tree, parents = tree_and_parents
         network = Network(tree)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = compute_cole_vishkin_coloring(network, parents)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast = compute_cole_vishkin_coloring(network, parents)
         assert ref == fast
 
@@ -253,16 +253,16 @@ class TestColoringDifferential:
     def test_cole_vishkin_cycles(self, n):
         network = Network(nx.cycle_graph(n))
         parents = cycle_parents(n)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = compute_cole_vishkin_coloring(network, parents)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast = compute_cole_vishkin_coloring(network, parents)
         assert ref == fast
 
     def test_csr_input_accepted_directly(self):
         csr = cycle_csr(12)
         result = compute_two_hop_coloring(csr)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = compute_two_hop_coloring(Network(nx.cycle_graph(12)))
         assert result.colors == ref.colors
 
@@ -347,10 +347,10 @@ class TestPlanAndSolveDifferential:
     @settings(max_examples=15, deadline=None)
     def test_plans_identical_across_backends(self, graph):
         instance = all_zero_edge_instance(graph, 3)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref2 = build_plan_rank2(instance)
             ref3 = build_plan_rank3(instance)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast2 = build_plan_rank2(instance)
             fast3 = build_plan_rank3(instance)
         assert ref2 == fast2
@@ -361,9 +361,9 @@ class TestPlanAndSolveDifferential:
     def test_solve_distributed_identical(self, n):
         # Regular degrees keep the instance below the p < 2^-d threshold.
         instance = all_zero_edge_instance(nx.cycle_graph(n), 3)
-        with use_backend("reference"):
+        with using_planes(graph="reference"):
             ref = solve_distributed(instance)
-        with use_backend("vectorized"):
+        with using_planes(graph="vectorized"):
             fast = solve_distributed(instance)
         assert (
             ref.fixing.assignment.as_dict() == fast.fixing.assignment.as_dict()

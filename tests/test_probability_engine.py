@@ -24,12 +24,9 @@ from repro.probability import (
     BadEvent,
     DiscreteVariable,
     PartialAssignment,
-    engine_mode,
-    set_engine_mode,
-    using_engine,
 )
+from repro.planes import planes, set_planes, using_planes
 from repro.probability.engine import (
-    ENGINE_ENV,
     EventKernel,
     checked_mass_sum,
     publish_stats,
@@ -120,9 +117,9 @@ class TestEngineParity:
     @given(random_events())
     def test_probability_agrees(self, case):
         make_event, _variables, assignment, _free = case
-        with using_engine("naive"):
+        with using_planes(engine="naive"):
             expected = make_event().probability(assignment)
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             event = make_event()
             actual = event.probability(assignment)
             assert event.kernel_compiled
@@ -136,11 +133,11 @@ class TestEngineParity:
             return
         variable = free[0]
         for value in variable.values:
-            with using_engine("naive"):
+            with using_planes(engine="naive"):
                 expected = make_event().conditional_increase(
                     assignment, variable, value
                 )
-            with using_engine("compiled"):
+            with using_planes(engine="compiled"):
                 actual = make_event().conditional_increase(
                     assignment, variable, value
                 )
@@ -153,11 +150,11 @@ class TestEngineParity:
         if not free:
             return
         variable = free[0]
-        with using_engine("naive"):
+        with using_planes(engine="naive"):
             naive_batch = make_event().conditional_increases(
                 assignment, variable
             )
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             compiled_batch = make_event().conditional_increases(
                 assignment, variable
             )
@@ -183,18 +180,18 @@ class TestEngineParity:
         full = PartialAssignment()
         for variable in variables:
             full.fix(variable, variable.values[0])
-        with using_engine("naive"):
+        with using_planes(engine="naive"):
             expected = make_event().occurs(full)
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             assert make_event().occurs(full) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(random_events())
     def test_bad_outcomes_identical(self, case):
         make_event, _variables, _assignment, _free = case
-        with using_engine("naive"):
+        with using_planes(engine="naive"):
             naive_outcomes = make_event().bad_outcomes()
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             compiled_outcomes = make_event().bad_outcomes()
         assert naive_outcomes == compiled_outcomes
 
@@ -204,32 +201,33 @@ class TestEngineParity:
 # ----------------------------------------------------------------------
 class TestEngineSwitch:
     @pytest.mark.skipif(
-        os.environ.get(ENGINE_ENV) not in (None, "compiled"),
+        os.environ.get("REPRO_ENGINE") not in (None, "compiled"),
         reason="suite was launched with a non-default engine override",
     )
     def test_default_mode_is_compiled(self):
-        assert engine_mode() == "compiled"
+        assert planes().engine == "compiled"
 
     def test_set_engine_mode_returns_previous(self):
-        previous = set_engine_mode("naive")
+        previous = set_planes(engine="naive")
         try:
-            assert engine_mode() == "naive"
+            assert planes().engine == "naive"
         finally:
-            set_engine_mode(previous)
-        assert engine_mode() == previous
+            set_planes(engine=previous.engine)
+        assert planes() == previous
 
     def test_using_engine_restores_mode(self):
-        with using_engine("naive"):
-            assert engine_mode() == "naive"
-        assert engine_mode() == "compiled"
+        before = planes()
+        with using_planes(engine="naive"):
+            assert planes().engine == "naive"
+        assert planes() == before
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ReproError):
-            set_engine_mode("quantum")
+            set_planes(engine="quantum")
 
     def test_naive_mode_never_compiles(self):
         variables = [DiscreteVariable.fair_coin("c")]
-        with using_engine("naive"):
+        with using_planes(engine="naive"):
             event = BadEvent("e", variables, lambda values: values["c"] == 1)
             event.probability()
             assert not event.kernel_compiled
@@ -319,10 +317,10 @@ class TestMassTolerance:
         # engines must surface the broken mass rather than clamp it.
         variable = DiscreteVariable("v", (0, 1), (0.5, 0.5))
         variable._probabilities = (0.9, 0.9)  # noqa: SLF001 - on purpose
-        with using_engine("naive"):
+        with using_planes(engine="naive"):
             with pytest.raises(ProbabilityMassError):
                 BadEvent("e1", [variable], lambda values: True).probability()
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             with pytest.raises(ProbabilityMassError):
                 BadEvent("e2", [variable], lambda values: True).probability()
 
@@ -387,7 +385,7 @@ class TestEngineStats:
     def test_counters_accumulate_and_reset(self):
         reset_stats()
         variables = [DiscreteVariable.fair_coin("c")]
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             event = BadEvent("e", variables, lambda values: values["c"] == 1)
             event.probability()
         snapshot = stats()
@@ -407,7 +405,7 @@ class TestEngineStats:
 
         reset_stats()
         variables = [DiscreteVariable.fair_coin("c")]
-        with using_engine("compiled"):
+        with using_planes(engine="compiled"):
             event = BadEvent("e", variables, lambda values: values["c"] == 1)
             event.probability()
         recorder = FakeRecorder()

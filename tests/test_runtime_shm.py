@@ -121,7 +121,15 @@ def specs():
 # ----------------------------------------------------------------------
 class TestDescribe:
     def test_serial_describe(self):
-        assert SerialScheduler().describe() == "serial"
+        from repro.planes import Planes, using_planes
+
+        with using_planes(**vars(Planes())):
+            assert SerialScheduler().describe() == "serial"
+            with using_planes(decide="scalar", artifacts="off"):
+                assert (
+                    SerialScheduler().describe()
+                    == "serial decide=scalar artifacts=off"
+                )
 
     def test_process_describe(self):
         scheduler = ProcessScheduler(max_workers=1)
@@ -406,9 +414,9 @@ class TestParentFallback:
         assert shm_entries() == []
 
     def test_scalar_mode_dispatches_nothing_and_matches_serial(self):
-        from repro.core.vector import using_decide
+        from repro.planes import using_planes
 
-        with using_decide("scalar"):
+        with using_planes(decide="scalar"):
             reference, _ = self._execute(
                 all_zero_edge_instance(cycle_graph(14), 3),
                 SerialScheduler(),

@@ -31,8 +31,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.artifacts.store import STORE, using_artifacts
+from repro.artifacts.store import STORE
+from repro.planes import using_planes
 from repro.core.sequential import solve
 from repro.generators import build_family_instance
 from repro.lll.io import _encode_name, instance_to_dict
@@ -93,6 +95,54 @@ def served():
     thread = ServerThread(scheduler="process", workers=2)
     yield thread
     thread.stop()
+
+
+@pytest.fixture(scope="module")
+def serial_served():
+    thread = ServerThread(scheduler="serial")
+    yield thread
+    thread.stop()
+
+
+#: Any JSON value, NaN and infinities included (Python's json module
+#: reads and writes them).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+#: Small family parameters: a large ``n`` is a valid, slow request, so
+#: integers reach them only from this range.
+_SMALL_INT = st.integers(min_value=-3, max_value=12)
+_NOT_INT = _JSON.filter(lambda value: not isinstance(value, int))
+
+#: Bodies that get past the first key checks, with any field malformed.
+_NEAR_VALID_BODIES = st.fixed_dictionaries(
+    {"family": st.sampled_from(["cycle", "regular", "torus", "triples"])},
+    optional={
+        "n": _SMALL_INT | _NOT_INT,
+        "alphabet": st.integers(min_value=-1, max_value=4) | _NOT_INT,
+        "degree": _SMALL_INT | _NOT_INT,
+        "seed": _SMALL_INT | _NOT_INT,
+        "deadline_s": st.floats() | _JSON,
+        "assignment": _JSON,
+        "include_assignment": _JSON,
+    },
+) | st.fixed_dictionaries(
+    {
+        "instance": st.fixed_dictionaries(
+            {
+                "format": st.just("repro-lll-instance"),
+                "version": st.just(1),
+                "variables": _JSON,
+                "events": _JSON,
+            }
+        ),
+        "assignment": _JSON,
+    }
+)
 
 
 def _reference_solve(family: str, n: int, alphabet: int):
@@ -167,7 +217,7 @@ class TestServeDifferential:
         client = served.client()
         payload = {"family": "cycle", "n": 30, "alphabet": 3}
         _, cached = client.solve(payload)
-        with using_artifacts("off"):
+        with using_planes(artifacts="off"):
             # The server thread shares this process-wide switch: with
             # the plane off the solutions tier is inert, so the request
             # recomputes from scratch — and must match bit-identically.
@@ -276,7 +326,36 @@ class TestAdmissionAndDeadlines:
         assert "instance" in body["error"]["message"]
         status, body = client.request("POST", "/v1/nonsense", {})
         assert status == 404
+        for body in (
+            [],
+            "str",
+            {"family": "cycle", "n": "x"},
+            {"family": "cycle", "n": 8, "deadline_s": "soon"},
+            {"family": "cycle", "n": 8, "deadline_s": None},
+            {"family": "cycle", "n": 8, "deadline_s": -1},
+            {"family": "cycle", "n": 8, "deadline_s": float("nan")},
+            {"family": "cycle", "n": 8, "deadline_s": 10 ** 400},
+        ):
+            status, reply = client.request("POST", "/v1/solve", body)
+            assert status == 400, (body, reply)
+            assert reply["error"]["type"] == "ReproError"
         client.close()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        path=st.sampled_from(["/v1/solve", "/v1/verify", "/v1/plan"]),
+        body=st.one_of(_JSON, _NEAR_VALID_BODIES),
+    )
+    def test_arbitrary_json_never_500s(self, serial_served, path, body):
+        client = serial_served.client()
+        try:
+            status, reply = client.request("POST", path, body)
+        finally:
+            client.close()
+        # Typed failures only: 400/422 for the request, 504 for a spent
+        # budget; 500 is reserved for bugs and uncertified answers.
+        assert status != 500, (path, body, reply)
+        assert (status == 200) == (reply["ok"] is not False)
 
     def test_stats_surface_latency_and_hit_rate(self, served):
         client = served.client()
@@ -329,7 +408,7 @@ class TestCertificate:
         thread = ServerThread(scheduler="serial")
         try:
             client = thread.client()
-            with using_artifacts("on"):
+            with using_planes(artifacts="on"):
                 STORE.clear()
                 monkeypatch.setattr(
                     sequential,
