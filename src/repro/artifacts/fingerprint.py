@@ -13,7 +13,7 @@ Two kinds of key exist, one per granularity:
   apply one local rule to every event, and the bundled generators emit
   one shape per scope size.
 * the **instance fingerprint** (:func:`instance_fingerprint`) is
-  content-exact, not rename-insensitive: the lean commit paths push
+  content-exact, not rename-insensitive: the fixers' class commit pushes
   template-held variable objects, event names and value labels straight
   into fixer state (assignments, step records, phi ledgers), and
   ``EventKernel.value_index`` is label-addressed.  It covers event

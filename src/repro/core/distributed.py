@@ -137,13 +137,10 @@ def solve_distributed(
 ) -> DistributedResult:
     """Dispatch to the rank-2 or rank-3 distributed algorithm by rank."""
     if instance.rank <= 2:
-        return solve_distributed_rank2(
-            instance,
-            require_criterion=require_criterion,
-            validate_invariant=validate_invariant,
-            scheduler=scheduler,
-        )
-    return solve_distributed_rank3(
+        algorithm = solve_distributed_rank2
+    else:
+        algorithm = solve_distributed_rank3
+    return algorithm(
         instance,
         require_criterion=require_criterion,
         validate_invariant=validate_invariant,

@@ -1,0 +1,441 @@
+"""The fixing step the rank-2, rank-3 and naive rank-r fixers share.
+
+Theorem 1.1, Theorem 1.3 and the naive rank-r baseline all take the
+same step: pick a value by a weighted ``Inc`` rule, write the new
+weights into a per-edge ledger, and certify ``p_v`` times the product of
+the event's weights.  :class:`Fixer` owns that step once — the state,
+``decide``/``commit``, the whole-class ``decide_class``/``commit_class``
+split the schedulers drive, and ``run`` — and each subclass supplies only
+what is its own:
+
+* its precondition check (in ``__init__``);
+* its selection rule (:meth:`Fixer._select`);
+* its ledger: ``_ledger_ref`` (the live entry an op writes, looked up
+  by key), ``_write`` (write one choice into that entry) and, where a
+  decision reads more than that entry's weights (rank 3's triangle
+  products), ``local_weights``;
+* ``certified_bounds`` and ``check_invariant``.
+
+Every commit, per-op or whole-class, runs through one loop
+(:meth:`Fixer._commit_ops`), with recorder events and invariant checks
+inside it, and every :class:`~repro.core.results.StepRecord` is built by
+:func:`step_record`.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+from repro.core import vector
+from repro.core.vector import TOP_APPLY, TOP_NAMES, TOP_VARIABLE
+from repro.core.results import FixingResult, StepRecord, make_step_record
+from repro.core.selection import (
+    Decision,
+    Rank1Choice,
+    Rank2Choice,
+    Rank3Choice,
+    RankRChoice,
+    select_rank1,
+    select_rank2,
+    select_rank3,
+)
+from repro.errors import PStarViolationError
+from repro.lll.instance import LLLInstance
+from repro.obs.recorder import active as _obs_active
+from repro.probability import PartialAssignment
+
+
+# ----------------------------------------------------------------------
+# Step records: one builder per choice type
+# ----------------------------------------------------------------------
+def _rank1_step(variable, names, choice: Rank1Choice) -> StepRecord:
+    return make_step_record(
+        variable.name,
+        choice.value,
+        names,
+        (choice.increase,),
+        choice.slack,
+        choice.num_good_values,
+        variable.num_values,
+    )
+
+
+def _weighted_step(variable, names, choice) -> StepRecord:
+    """Rank-2 pair rule and naive rank-r rule: slack is the budget left."""
+    return make_step_record(
+        variable.name,
+        choice.value,
+        names,
+        choice.increases,
+        choice.slack,
+        choice.num_good_values,
+        variable.num_values,
+    )
+
+
+def _rank3_step(variable, names, choice: Rank3Choice) -> StepRecord:
+    """Rank-3 ``S_rep`` rule: slack is the representability margin."""
+    return make_step_record(
+        variable.name,
+        choice.value,
+        names,
+        choice.increases,
+        max(choice.margin, 0.0),
+        choice.num_good_values,
+        variable.num_values,
+    )
+
+
+_STEP_BUILDERS = {
+    Rank1Choice: _rank1_step,
+    Rank2Choice: _weighted_step,
+    RankRChoice: _weighted_step,
+    Rank3Choice: _rank3_step,
+}
+
+
+def step_record(variable, names: Tuple[Hashable, ...], choice) -> StepRecord:
+    """The trace record of fixing ``variable`` by ``choice``.
+
+    ``names`` are the affected events' names in bookkeeping order.  The
+    fixers' commit loop and the LOCAL protocol both build their records
+    here.
+    """
+    return _STEP_BUILDERS[type(choice)](variable, names, choice)
+
+
+def select_by_rank(variable, events, weights, assignment: PartialAssignment):
+    """The paper's rule for the variable's rank.
+
+    ``Inc <= 1`` for rank 1, the weighted pair rule for rank 2 and the
+    ``S_rep`` rule of Lemma 3.2 for rank 3.  The rank-2 and rank-3
+    fixers and the LOCAL protocol all decide here.
+    """
+    if len(events) == 1:
+        return select_rank1(variable, events[0], assignment)
+    if len(events) == 2:
+        return select_rank2(variable, events, weights, assignment)
+    return select_rank3(variable, events, weights, assignment)
+
+
+def ledger_bounds(initial, ledger) -> Dict[Hashable, float]:
+    """``p_v`` times every weight event ``v`` holds in a weight ledger.
+
+    The certificate of the rank-2 edge ledger and the naive hyperedge
+    ledger (the rank-3 fixer certifies through P* instead).
+    """
+    bounds = dict(initial)
+    for weights in ledger.values():
+        for node, weight in weights.items():
+            bounds[node] *= weight
+    return bounds
+
+
+def check_ledger(fixer: "Fixer", ledger, kind: str) -> None:
+    """Assert a weight ledger's invariant.
+
+    Every entry's weights sum to at most its size (the budget the
+    averaging argument preserves), and every event's conditional
+    probability is at most its certified bound.
+
+    Raises
+    ------
+    PStarViolationError
+        If either condition fails beyond numerical tolerance.
+    """
+    for key, weights in ledger.items():
+        total = sum(weights.values())
+        if total > len(key) + 1e-7:
+            raise PStarViolationError(
+                f"{kind} {set(key)!r}: weights sum to {total} > {len(key)}"
+            )
+    bounds = fixer.certified_bounds()
+    for event in fixer.instance.events:
+        conditional = event.probability(fixer.assignment)
+        if conditional > bounds[event.name] + 1e-7:
+            raise PStarViolationError(
+                f"event {event.name!r}: conditional probability "
+                f"{conditional} exceeds certified bound {bounds[event.name]}"
+            )
+
+
+# ----------------------------------------------------------------------
+# The shared fixer core
+# ----------------------------------------------------------------------
+class Fixer:
+    """Base of the deterministic fixers: state, decide/commit and run.
+
+    Subclasses set :attr:`vector_kind` and :attr:`obs_component`, check
+    their preconditions before calling ``Fixer.__init__``, and implement
+    the ledger hooks listed in the module docstring.
+    """
+
+    #: Selection discipline on the vector decide plane.
+    vector_kind: str = ""
+    #: Recorder component of the ``fix`` / ``run_complete`` events.
+    obs_component: str = "fixer"
+
+    def __init__(
+        self, instance: LLLInstance, validate_invariant: bool = False
+    ) -> None:
+        self._instance = instance
+        self._validate = validate_invariant
+        self._assignment = PartialAssignment()
+        self._steps: List[StepRecord] = []
+        #: Run state of the vector decide plane (:mod:`repro.core.vector`);
+        #: ``None`` until a class is batch-decided.
+        self._vector_state = None
+
+    # ------------------------------------------------------------------
+    # Accessors
+    # ------------------------------------------------------------------
+    @property
+    def instance(self) -> LLLInstance:
+        """The instance being fixed."""
+        return self._instance
+
+    @property
+    def assignment(self) -> PartialAssignment:
+        """The (partial) assignment built so far."""
+        return self._assignment
+
+    @property
+    def steps(self) -> Tuple[StepRecord, ...]:
+        """Trace of the fixing steps performed so far."""
+        return tuple(self._steps)
+
+    def is_fixed(self, variable_name: Hashable) -> bool:
+        """Whether the named variable has already been fixed."""
+        return self._assignment.is_fixed(variable_name)
+
+    # ------------------------------------------------------------------
+    # Subclass hooks
+    # ------------------------------------------------------------------
+    @property
+    def vector_ledger(self):
+        """The live ledger the vector decide plane reads and commits to."""
+        raise NotImplementedError
+
+    def local_weights(self, events: Sequence) -> Tuple[float, ...]:
+        """The ledger values a decision on ``events`` reads.
+
+        Together with the events' conditional masses this is the entire
+        state a decision depends on, which is what makes the vector
+        plane's lane deduplication and class memo sound.  Here: the live
+        entry's weight per event (``()`` when the op has no entry), as
+        the rank-2 edge and naive hyperedge ledgers store them.
+        """
+        names = tuple(event.name for event in events)
+        weights = self._ledger_ref(names)
+        if weights is None:
+            return ()
+        return tuple(weights[name] for name in names)
+
+    def _ledger_ref(self, names: Tuple[Hashable, ...]):
+        """The live ledger entry an op on ``names`` writes (key lookup).
+
+        The same shape the vector plane resolves per op: ``None`` when
+        the op writes nothing, else what :meth:`_write` takes.
+        """
+        raise NotImplementedError
+
+    def _write(self, ref, names: Tuple[Hashable, ...], choice):
+        """Write ``choice``'s new weights into the live entry ``ref``.
+
+        Returns ``None``, or — when the values had to be clamped — the
+        written values in the op's apply-slot order, so the caller can
+        re-sync the vector plane's flat ledger.
+        """
+        raise NotImplementedError
+
+    def certified_bounds(self) -> Dict[Hashable, float]:
+        """Per-event bound ``p_v * product of the event's ledger weights``."""
+        raise NotImplementedError
+
+    def check_invariant(self) -> None:
+        """Raise :class:`PStarViolationError` if the bookkeeping is broken."""
+        raise NotImplementedError
+
+    def _select(self, variable, events, weights):
+        """The selection rule; the paper's rule for the variable's rank."""
+        return select_by_rank(variable, events, weights, self._assignment)
+
+    def _observe_step(self, recorder, record: StepRecord, ref) -> None:
+        """Per-step metrics beyond the shared span, counter and event."""
+        recorder.observe(self.obs_component, "step_slack", record.slack)
+
+    # ------------------------------------------------------------------
+    # Fixing
+    # ------------------------------------------------------------------
+    def decide(self, variable_name: Hashable) -> Decision:
+        """Compute (without committing) the fixing decision for a variable.
+
+        Pure with respect to the ledger: repeated calls return the same
+        decision until a :meth:`commit` changes the state.  Raises
+        :class:`NoGoodValueError` if no value stays within budget, which
+        the fixer's theorem rules out on instances meeting its criterion.
+        """
+        if self._assignment.is_fixed(variable_name):
+            raise PStarViolationError(
+                f"variable {variable_name!r} is already fixed"
+            )
+        variable = self._instance.variable(variable_name)
+        events = tuple(self._instance.events_of_variable(variable_name))
+        choice = self._select(variable, events, self.local_weights(events))
+        return Decision(variable=variable, events=events, choice=choice)
+
+    def commit(self, decision: Decision) -> StepRecord:
+        """Apply a decision: update the ledger, assignment and trace."""
+        choice = decision.choice
+        op = self._keyed_op(decision.variable, decision.events, choice)
+        self._commit_ops((op,), None)
+        return self._steps[-1]
+
+    def fix_variable(self, variable_name: Hashable) -> StepRecord:
+        """Fix one variable: ``commit(decide(variable_name))``."""
+        recorder = _obs_active()
+        start = time.perf_counter_ns() if recorder is not None else 0
+        record = self.commit(self.decide(variable_name))
+        if recorder is not None:
+            recorder.record_span(
+                self.obs_component, "fix", time.perf_counter_ns() - start
+            )
+        return record
+
+    def decide_class(self, cells) -> Optional[List[list]]:
+        """Batched pure decide for a whole color class.
+
+        Returns one choice list per cell (choices in op order), computed
+        on the vector plane (:mod:`repro.core.vector`) and bit-identical
+        to looping :meth:`decide`/:meth:`commit` over the class in plan
+        order.  ``None`` means the class is not vectorizable (scalar
+        decide mode, events without compiled kernels) and the caller
+        should keep its per-op loop.  Never mutates the ledger; the run
+        state it parks is confirmed or discarded by :meth:`commit_class`.
+        """
+        return vector.decide_class_choices(self, cells, self._instance)
+
+    def commit_class(self, cells, class_choices) -> None:
+        """Commit a class's worth of decided choices, in plan order.
+
+        Ledger entries come from the vector plane's pending refs when
+        this fixer just batch-decided ``cells``, and otherwise from a key
+        lookup (which also drops the run state, so the next batch
+        rebuilds it from the ledger).
+        """
+        state = vector.cached_commit(self, cells)
+        if state is None:
+            self._vector_state = None
+            instance = self._instance
+            ops = [
+                self._keyed_op(
+                    instance.variable(op.variable),
+                    instance.events_of_variable(op.variable),
+                    choice,
+                )
+                for cell, choices in zip(cells, class_choices)
+                for op, choice in zip(cell.ops, choices)
+            ]
+            self._commit_ops(ops, None)
+            return
+        _cells, records, refs = state.pending
+        ops = [
+            (op[TOP_VARIABLE], op[TOP_NAMES], ref, op[TOP_APPLY], choice)
+            for (_owner, cell_ops), cell_refs, choices in zip(
+                records, refs, class_choices
+            )
+            for op, ref, choice in zip(cell_ops, cell_refs, choices)
+        ]
+        self._commit_ops(ops, state.phi)
+        state.pending = None
+
+    def _keyed_op(self, variable, events, choice) -> tuple:
+        """A commit-loop op whose ledger entry comes from a key lookup."""
+        names = tuple(event.name for event in events)
+        return (variable, names, self._ledger_ref(names), None, choice)
+
+    def _commit_ops(self, ops: Iterable[tuple], phi) -> None:
+        """The one commit loop.
+
+        ``ops`` yields ``(variable, event names, live ledger entry, apply
+        slots, choice)`` per op, in plan order.  ``phi`` is the vector
+        plane's flat ledger (or ``None``); values the ledger write had to
+        clamp are copied back into it at the op's apply slots.
+        """
+        recorder = _obs_active()
+        validate = self._validate
+        write = self._write
+        fix = self._assignment.fix
+        steps = self._steps
+        start = 0
+        for variable, names, ref, slots, choice in ops:
+            if recorder is not None:
+                start = time.perf_counter_ns()
+            if ref is not None:
+                clamped = write(ref, names, choice)
+                if clamped is not None and phi is not None:
+                    for slot, value in zip(slots, clamped):
+                        phi[slot] = value
+            fix(variable, choice.value)
+            record = _STEP_BUILDERS[type(choice)](variable, names, choice)
+            steps.append(record)
+            if recorder is not None:
+                self._observe_commit(recorder, record, ref, start)
+            if validate:
+                self.check_invariant()
+
+    def _observe_commit(self, recorder, record, ref, start) -> None:
+        component = self.obs_component
+        rank = len(record.events)
+        recorder.record_span(
+            component, "commit", time.perf_counter_ns() - start
+        )
+        recorder.count(component, f"rank{rank}_fixes")
+        self._observe_step(recorder, record, ref)
+        recorder.event(
+            component,
+            "fix",
+            step=len(self._steps) - 1,
+            variable=record.variable,
+            value=record.value,
+            rank=rank,
+            slack=record.slack,
+            num_good_values=record.num_good_values,
+            num_values=record.num_values,
+        )
+
+    def run(self, order: Optional[Iterable[Hashable]] = None) -> FixingResult:
+        """Fix every variable (in ``order`` if given) and return the result.
+
+        Variables ``order`` leaves out are fixed afterwards in
+        construction order, so after a scheduler has fixed every
+        variable ``run(order=())`` only assembles the result.
+        """
+        variables = self._instance.variables
+        if order is None:
+            order = [variable.name for variable in variables]
+        for name in order:
+            self.fix_variable(name)
+        remaining = [
+            variable.name
+            for variable in variables
+            if not self._assignment.is_fixed(variable.name)
+        ]
+        for name in remaining:
+            self.fix_variable(name)
+        result = FixingResult(
+            assignment=self._assignment,
+            steps=tuple(self._steps),
+            certified_bounds=self.certified_bounds(),
+        )
+        recorder = _obs_active()
+        if recorder is not None:
+            recorder.event(
+                self.obs_component,
+                "run_complete",
+                steps=result.num_steps,
+                max_certified_bound=result.max_certified_bound,
+                min_slack=result.min_slack,
+            )
+        return result

@@ -32,14 +32,14 @@ color classes of a 2-hop coloring yields a legal sequential order.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.errors import SimulationError
 from repro.coloring import compute_two_hop_coloring, require_two_hop_coloring
 from repro.core.distributed import DistributedResult
 from repro.core.indexing import indexed_dependency_network
+from repro.core.fixer import select_by_rank, step_record
 from repro.core.results import FixingResult, StepRecord
-from repro.core.selection import select_rank1, select_rank2, select_rank3
 from repro.lll.instance import LLLInstance
 from repro.local_model.algorithm import LocalAlgorithm, NodeState
 from repro.local_model.simulator import Simulator
@@ -53,6 +53,26 @@ PhiEntry = Tuple[int, float]
 
 def _edge_key(i: int, j: int) -> Tuple[int, int]:
     return (i, j) if i < j else (j, i)
+
+
+def _ledger_sides(indices: Tuple[int, ...]) -> Tuple[PhiKey, ...]:
+    """The phi keys an op on ``indices`` reads and writes, in the rank-3
+    fixer's apply-slot order: ``()``, ``phi_ij^i, phi_ij^j`` or those
+    followed by ``phi_ik^i, phi_ik^k, phi_jk^j, phi_jk^k``."""
+    if len(indices) == 1:
+        return ()
+    if len(indices) == 2:
+        i, j = indices
+        edge = _edge_key(i, j)
+        return ((edge, i), (edge, j))
+    i, j, k = indices
+    edge_ij, edge_ik = _edge_key(i, j), _edge_key(i, k)
+    edge_jk = _edge_key(j, k)
+    return (
+        (edge_ij, i), (edge_ij, j),
+        (edge_ik, i), (edge_ik, k),
+        (edge_jk, j), (edge_jk, k),
+    )
 
 
 class LocalFixingProtocol(LocalAlgorithm):
@@ -74,8 +94,9 @@ class LocalFixingProtocol(LocalAlgorithm):
         if palette < 1:
             raise SimulationError("palette must be at least 1")
         self._palette = palette
-        #: StepRecords from every commit, in global execution order
-        #: (collected for reporting; not visible to the nodes).
+        #: StepRecords from every commit, in simulator order (collected
+        #: for reporting; not visible to the nodes).
+        #: :func:`solve_distributed_local` reports them in plan order.
         self.records: List[StepRecord] = []
 
     @property
@@ -148,71 +169,25 @@ class LocalFixingProtocol(LocalAlgorithm):
         for variable, indices in node.input["owned"]:
             if variable.name in node.memory["fixed"]:
                 continue
-            events = [events_by_index[index] for index in indices]
-            if len(indices) == 1:
-                choice = select_rank1(variable, events[0], assignment)
-                record = StepRecord(
-                    variable=variable.name,
-                    value=choice.value,
-                    events=tuple(event.name for event in events),
-                    increases=(choice.increase,),
-                    slack=choice.slack,
-                    num_good_values=choice.num_good_values,
-                    num_values=variable.num_values,
-                )
-            elif len(indices) == 2:
-                i, j = indices
-                edge = _edge_key(i, j)
-                weights = (
-                    self._phi_value(node, edge, i),
-                    self._phi_value(node, edge, j),
-                )
-                choice = select_rank2(variable, events, weights, assignment)
-                self._stage_phi(node, new_phi, edge, i, choice.new_weights[0])
-                self._stage_phi(node, new_phi, edge, j, choice.new_weights[1])
-                record = StepRecord(
-                    variable=variable.name,
-                    value=choice.value,
-                    events=tuple(event.name for event in events),
-                    increases=choice.increases,
-                    slack=choice.slack,
-                    num_good_values=choice.num_good_values,
-                    num_values=variable.num_values,
-                )
+            events = tuple(events_by_index[index] for index in indices)
+            sides = _ledger_sides(indices)
+            phi = [self._phi_value(node, edge, side) for edge, side in sides]
+            if len(indices) < 3:
+                weights = tuple(phi)
             else:
-                i, j, k = indices
-                edge_ij = _edge_key(i, j)
-                edge_ik = _edge_key(i, k)
-                edge_jk = _edge_key(j, k)
-                triple = (
-                    self._phi_value(node, edge_ij, i)
-                    * self._phi_value(node, edge_ik, i),
-                    self._phi_value(node, edge_ij, j)
-                    * self._phi_value(node, edge_jk, j),
-                    self._phi_value(node, edge_ik, k)
-                    * self._phi_value(node, edge_jk, k),
-                )
-                choice = select_rank3(variable, events, triple, assignment)
-                decomposition = choice.decomposition
-                self._stage_phi(node, new_phi, edge_ij, i, decomposition.a1)
-                self._stage_phi(node, new_phi, edge_ij, j, decomposition.b1)
-                self._stage_phi(node, new_phi, edge_ik, i, decomposition.a2)
-                self._stage_phi(node, new_phi, edge_ik, k, decomposition.c2)
-                self._stage_phi(node, new_phi, edge_jk, j, decomposition.b3)
-                self._stage_phi(node, new_phi, edge_jk, k, decomposition.c3)
-                record = StepRecord(
-                    variable=variable.name,
-                    value=choice.value,
-                    events=tuple(event.name for event in events),
-                    increases=choice.increases,
-                    slack=max(choice.margin, 0.0),
-                    num_good_values=choice.num_good_values,
-                    num_values=variable.num_values,
-                )
+                weights = (phi[0] * phi[2], phi[1] * phi[4], phi[3] * phi[5])
+            choice = select_by_rank(variable, events, weights, assignment)
+            if sides:
+                for (edge, side), value in zip(sides, choice.new_weights):
+                    self._stage_phi(node, new_phi, edge, side, value)
             node.memory["fixed"][variable.name] = choice.value
             new_fixed[variable.name] = choice.value
             assignment.fix(variable, choice.value)
-            self.records.append(record)
+            self.records.append(
+                step_record(
+                    variable, tuple(event.name for event in events), choice
+                )
+            )
         return {"fixed": new_fixed, "phi": new_phi}
 
     def _phi_value(self, node: NodeState, edge, side: int) -> float:
@@ -328,7 +303,7 @@ def solve_distributed_local(
             owned[to_index[cell.owner]] = [
                 (
                     instance.variable(op.variable),
-                    tuple(sorted(to_index[name] for name in op.events)),
+                    tuple(to_index[name] for name in op.events),
                 )
                 for op in cell.ops
             ]
@@ -395,9 +370,17 @@ def solve_distributed_local(
             bound *= entry[1]
         certified[event.name] = bound
 
+    # Nodes of one color commit in simulator order; the trace lists
+    # them in plan order, as the schedulers do.
+    records = {record.variable: record for record in protocol.records}
     fixing = FixingResult(
         assignment=assignment,
-        steps=tuple(protocol.records),
+        steps=tuple(
+            records[op.variable]
+            for color_class in plan.classes
+            for cell in color_class.cells
+            for op in cell.ops
+        ),
         certified_bounds=certified,
     )
     return DistributedResult(

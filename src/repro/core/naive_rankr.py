@@ -39,20 +39,14 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
-    List,
     Optional,
-    Sequence,
-    Tuple,
 )
 
-from repro.errors import CriterionViolationError, NoGoodValueError, PStarViolationError
+from repro.errors import CriterionViolationError
 from repro.lll.instance import LLLInstance
-from repro.core.results import FixingResult, StepRecord, make_step_record
-from repro.core.selection import Decision, select_rankr
-from repro.probability import DiscreteVariable, PartialAssignment
-
-#: Slack below which a chosen value counts as violating the budget.
-CONSTRAINT_TOLERANCE = 1e-9
+from repro.core.fixer import Fixer, check_ledger, ledger_bounds
+from repro.core.results import FixingResult
+from repro.core.selection import select_rankr
 
 
 def naive_threshold(rank: int, hyperedges_at_event: int) -> float:
@@ -93,7 +87,7 @@ def check_naive_criterion(instance: LLLInstance) -> None:
             )
 
 
-class NaiveRankRFixer:
+class NaiveRankRFixer(Fixer):
     """Deterministic fixer for arbitrary rank under the naive criterion.
 
     Parameters
@@ -105,14 +99,15 @@ class NaiveRankRFixer:
         criterion ``p_v < r^-H_v`` up front.
     """
 
+    vector_kind = "naive"
+    obs_component = "fixer.naive"
+
     def __init__(
         self, instance: LLLInstance, require_criterion: bool = True
     ) -> None:
-        self._instance = instance
-        self._rank = max(instance.rank, 1)
         if require_criterion:
             check_naive_criterion(instance)
-        self._assignment = PartialAssignment()
+        super().__init__(instance)
         # One weight vector per hyperedge (= per distinct affected-event
         # set); variables with the same event set share it, exactly like
         # multiple rank-2 variables sharing a dependency edge.
@@ -120,208 +115,41 @@ class NaiveRankRFixer:
         # Via the instance (and hence the artifact store's parameters
         # tier): same-shape instances share one probability enumeration.
         self._initial_probabilities = instance.event_probabilities()
-        self._steps: List[StepRecord] = []
 
     # ------------------------------------------------------------------
-    # Accessors
+    # Selection and ledger
     # ------------------------------------------------------------------
-    @property
-    def assignment(self) -> PartialAssignment:
-        """The (partial) assignment built so far."""
-        return self._assignment
-
-    @property
-    def steps(self) -> Tuple[StepRecord, ...]:
-        """Trace of the fixing steps performed so far."""
-        return tuple(self._steps)
-
-    def is_fixed(self, variable_name: Hashable) -> bool:
-        """Whether the named variable has already been fixed."""
-        return self._assignment.is_fixed(variable_name)
-
-    # ------------------------------------------------------------------
-    # Fixing
-    # ------------------------------------------------------------------
-    def local_weights(self, events: Sequence) -> Tuple[float, ...]:
-        """The hyperedge weight vector a decision on ``events`` reads."""
-        key = frozenset(event.name for event in events)
-        weights = self._weights.setdefault(
-            key, {event.name: 1.0 for event in events}
-        )
-        return tuple(weights[event.name] for event in events)
-
-    def decide(self, variable_name: Hashable) -> Decision:
-        """Compute (without committing) the weighted-average decision."""
-        if self._assignment.is_fixed(variable_name):
-            raise PStarViolationError(
-                f"variable {variable_name!r} is already fixed"
-            )
-        variable = self._instance.variable(variable_name)
-        events = self._instance.events_of_variable(variable_name)
-        choice = select_rankr(
-            variable, events, self.local_weights(events), self._assignment
-        )
-        return Decision(
-            variable=variable, events=tuple(events), choice=choice
-        )
-
-    def commit(self, decision: Decision) -> StepRecord:
-        """Apply a decision: update the weights, assignment and trace."""
-        variable = decision.variable
-        events = decision.events
-        choice = decision.choice
-        weights = self._weights[
-            frozenset(event.name for event in events)
-        ]
-        for event, new_weight in zip(events, choice.new_weights):
-            weights[event.name] = new_weight
-        self._assignment.fix(variable, choice.value)
-        record = StepRecord(
-            variable=variable.name,
-            value=choice.value,
-            events=tuple(event.name for event in events),
-            increases=choice.increases,
-            slack=choice.slack,
-            num_good_values=choice.num_good_values,
-            num_values=variable.num_values,
-        )
-        self._steps.append(record)
-        return record
-
-    def fix_variable(self, variable_name: Hashable) -> StepRecord:
-        """Fix one variable by weighted-average value selection."""
-        return self.commit(self.decide(variable_name))
-
-    # ------------------------------------------------------------------
-    # Whole-class batch decisions (the vector decide plane)
-    # ------------------------------------------------------------------
-    #: Selection discipline on the vector decide plane.
-    vector_kind = "naive"
+    def _select(self, variable, events, weights):
+        """The weighted-budget rule, whatever the rank."""
+        return select_rankr(variable, events, weights, self._assignment)
 
     @property
     def vector_ledger(self):
-        """The live ledger the vector decide plane reads and commits to."""
         return self._weights
 
-    def decide_class(self, cells) -> Optional[List[list]]:
-        """Batched pure decide for a whole color class.
+    def _ledger_ref(self, names):
+        key = frozenset(names)
+        weights = self._weights.get(key)
+        if weights is None:
+            weights = self._weights[key] = dict.fromkeys(names, 1.0)
+        return weights
 
-        Returns one choice list per cell (choices in op order), computed
-        on the vector plane (:mod:`repro.core.vector`) and bit-identical
-        to looping :meth:`decide`/:meth:`commit` over the class in plan
-        order.  ``None`` means the class is not vectorizable (scalar
-        decide mode, events without compiled kernels) and the caller
-        should keep its per-op loop.  Never mutates the fixer's
-        bookkeeping state; the speculative run state it parks is
-        confirmed or discarded by :meth:`commit_class`.
-        """
-        from repro.core import vector
-
-        return vector.decide_class_choices(self, cells, self._instance)
-
-    def commit_class(self, cells, class_choices) -> None:
-        """Commit a class's worth of decided choices, in plan order.
-
-        With no pending run state for this class, defers to the
-        full-fidelity :meth:`commit` per op; otherwise applies the same
-        mutations through a lean loop over the template's resolved op
-        records and the live weight vectors the decide resolved.
-        """
-        from repro.core import vector
-
-        state = vector.cached_commit(self, cells)
-        if state is None:
-            self._vector_state = None
-            for cell, choices in zip(cells, class_choices):
-                for op, choice in zip(cell.ops, choices):
-                    variable = self._instance.variable(op.variable)
-                    events = self._instance.events_of_variable(op.variable)
-                    self.commit(
-                        Decision(
-                            variable=variable,
-                            events=tuple(events),
-                            choice=choice,
-                        )
-                    )
-            return
-        assignment = self._assignment
-        steps = self._steps
-        records = state.pending[1]
-        refs = state.pending[2]
-        for (_owner, ops), cell_refs, choices in zip(
-            records, refs, class_choices
-        ):
-            for op, ref, choice in zip(ops, cell_refs, choices):
-                variable = op[vector.TOP_VARIABLE]
-                names = op[vector.TOP_NAMES]
-                for name, weight in zip(names, choice.new_weights):
-                    ref[name] = weight
-                assignment.fix(variable, choice.value)
-                steps.append(
-                    make_step_record(
-                        variable=variable.name,
-                        value=choice.value,
-                        events=names,
-                        increases=choice.increases,
-                        slack=choice.slack,
-                        num_good_values=choice.num_good_values,
-                        num_values=variable.num_values,
-                    )
-                )
-        state.pending = None
-
-    def run(self, order: Optional[Iterable[Hashable]] = None) -> FixingResult:
-        """Fix every variable (in ``order`` if given) and return the result."""
-        if order is None:
-            order = [variable.name for variable in self._instance.variables]
-        for name in order:
-            self.fix_variable(name)
-        remaining = [
-            variable.name
-            for variable in self._instance.variables
-            if not self._assignment.is_fixed(variable.name)
-        ]
-        for name in remaining:
-            self.fix_variable(name)
-        return FixingResult(
-            assignment=self._assignment,
-            steps=tuple(self._steps),
-            certified_bounds=self.certified_bounds(),
-        )
+    def _write(self, ref, names, choice):
+        for name, weight in zip(names, choice.new_weights):
+            ref[name] = weight
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     def certified_bounds(self) -> Dict[Hashable, float]:
         """Per-event bound ``p_v * product of absorbed hyperedge weights``."""
-        bounds = dict(self._initial_probabilities)
-        for weights in self._weights.values():
-            for node, weight in weights.items():
-                bounds[node] *= weight
-        return bounds
+        return ledger_bounds(self._initial_probabilities, self._weights)
 
     def check_invariant(self) -> None:
-        """Assert the weighted-budget bookkeeping invariant.
-
-        Every hyperedge's weights sum to at most its cardinality (the
-        budget the averaging argument preserves), and every event's
-        conditional probability is at most its certified bound.
-        """
-        for key, weights in self._weights.items():
-            if sum(weights.values()) > len(key) + 1e-7:
-                raise PStarViolationError(
-                    f"hyperedge {set(key)!r}: weights sum to "
-                    f"{sum(weights.values())} > {len(key)}"
-                )
-        bounds = self.certified_bounds()
-        for event in self._instance.events:
-            conditional = event.probability(self._assignment)
-            if conditional > bounds[event.name] + 1e-7:
-                raise PStarViolationError(
-                    f"event {event.name!r}: conditional probability "
-                    f"{conditional} exceeds certified bound "
-                    f"{bounds[event.name]}"
-                )
+        """Assert the weighted-budget bookkeeping invariant: every
+        hyperedge's weights sum to at most its cardinality, and every
+        event's conditional probability is at most its certified bound."""
+        check_ledger(self, self._weights, "hyperedge")
 
 
 def solve_naive(

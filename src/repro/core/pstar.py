@@ -16,7 +16,7 @@ gives tighter certified bounds (``p_v * 2^deg(v)`` instead of
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Mapping, Tuple
+from typing import Dict, FrozenSet, Hashable, Tuple
 
 from repro.errors import PStarViolationError
 from repro.lll.instance import LLLInstance
@@ -39,9 +39,9 @@ def checked_edge_write(
     """Validate, clamp and write one edge's phi pair through a live entry.
 
     This is :meth:`PStarState.set_edge` minus the key lookup and
-    recorder hooks; the vector decide plane's lean commit path calls it
-    directly on edge entries resolved once per class, and ``set_edge``
-    delegates here so the two paths cannot drift.
+    recorder hooks; :class:`~repro.core.rank3.Rank3Fixer` calls it on
+    live edge entries for any value outside the certain range, and
+    ``set_edge`` delegates here so the two cannot drift.
 
     Raises
     ------
@@ -72,6 +72,14 @@ def checked_edge_write(
     entry[v] = value_v
 
 
+def observe_edge_write(recorder, entry: Dict[Hashable, float]) -> None:
+    """Count one phi edge write and observe its pair sum."""
+    recorder.count("pstar", "edge_updates")
+    recorder.observe(
+        "pstar", "edge_phi_sum", sum(entry.values()), bounds=PHI_BUCKETS
+    )
+
+
 class PStarState:
     """The ``phi`` function of Definition 3.1, with validation helpers."""
 
@@ -98,7 +106,7 @@ class PStarState:
 
         Exposed for the batch decide plane, which snapshots whole color
         classes of edges at once; mutate through :meth:`set_edge` (or the
-        fixers' equivalent validated commit paths), never directly.
+        rank-3 fixer's equivalent validated ledger write), never directly.
         """
         return self._phi
 
@@ -159,13 +167,7 @@ class PStarState:
         checked_edge_write(entry, u, v, value_u, value_v)
         recorder = _obs_active()
         if recorder is not None:
-            recorder.count("pstar", "edge_updates")
-            recorder.observe(
-                "pstar",
-                "edge_phi_sum",
-                entry[u] + entry[v],
-                bounds=PHI_BUCKETS,
-            )
+            observe_edge_write(recorder, entry)
 
     # ------------------------------------------------------------------
     # Validation

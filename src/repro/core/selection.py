@@ -96,6 +96,13 @@ class Rank3Choice:
     margin: float
     num_good_values: int
 
+    @property
+    def new_weights(self) -> Tuple[float, ...]:
+        """The six phi values the decomposition writes:
+        ``phi_uv^u, phi_uv^v, phi_uw^u, phi_uw^w, phi_vw^v, phi_vw^w``."""
+        parts = self.decomposition
+        return (parts.a1, parts.b1, parts.a2, parts.c2, parts.b3, parts.c3)
+
 
 def select_rank1(
     variable: DiscreteVariable,

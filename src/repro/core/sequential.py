@@ -10,16 +10,16 @@ fixer by instance rank.
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence
 
 from repro.errors import RankViolationError
 from repro.lll.instance import LLLInstance
 from repro.obs.recorder import active as _obs_active, span as _obs_span
+from repro.core.fixer import Fixer
 from repro.core.rank2 import Rank2Fixer
 from repro.core.rank3 import Rank3Fixer
 from repro.core.results import FixingResult
 
-Fixer = Union[Rank2Fixer, Rank3Fixer]
 #: An adaptive adversary: given the live fixer and the unfixed variable
 #: names, return the name to fix next.
 Chooser = Callable[[Fixer, Sequence[Hashable]], Hashable]
@@ -57,34 +57,30 @@ def interleaved_order(instance: LLLInstance, stride: int = 2) -> List[Hashable]:
 # ----------------------------------------------------------------------
 # Adaptive adversaries
 # ----------------------------------------------------------------------
+def _pressure_key(fixer: Fixer):
+    """Sort key: summed certified bounds of a variable's events, then name."""
+    bounds = fixer.certified_bounds()
+    events_of = fixer.instance.events_of_variable
+
+    def key(name: Hashable):
+        pressure = sum(bounds[event.name] for event in events_of(name))
+        return (pressure, repr(name))
+
+    return key
+
+
 def max_pressure_chooser(fixer: Fixer, unfixed: Sequence[Hashable]) -> Hashable:
     """Pick the variable whose events carry the largest certified bounds.
 
     This adversary always pokes the most-stressed part of the bookkeeping,
     trying to drive some event's certified bound toward 1.
     """
-    bounds = _current_bounds(fixer)
-    instance = _instance_of(fixer)
-
-    def pressure(name: Hashable) -> float:
-        return sum(
-            bounds[event.name] for event in instance.events_of_variable(name)
-        )
-
-    return max(unfixed, key=lambda name: (pressure(name), repr(name)))
+    return max(unfixed, key=_pressure_key(fixer))
 
 
 def min_pressure_chooser(fixer: Fixer, unfixed: Sequence[Hashable]) -> Hashable:
     """Pick the variable whose events carry the smallest certified bounds."""
-    bounds = _current_bounds(fixer)
-    instance = _instance_of(fixer)
-
-    def pressure(name: Hashable) -> float:
-        return sum(
-            bounds[event.name] for event in instance.events_of_variable(name)
-        )
-
-    return min(unfixed, key=lambda name: (pressure(name), repr(name)))
+    return min(unfixed, key=_pressure_key(fixer))
 
 
 def lexicographic_chooser(fixer: Fixer, unfixed: Sequence[Hashable]) -> Hashable:
@@ -107,7 +103,7 @@ def run_with_adversary(fixer: Fixer, chooser: Chooser) -> FixingResult:
     The adversary sees the live fixer (including its bookkeeping state)
     before every step — the strongest setting the theorems cover.
     """
-    instance = _instance_of(fixer)
+    instance = fixer.instance
     unfixed = [
         variable.name
         for variable in instance.variables
@@ -157,23 +153,17 @@ def solve(
     if scheduler is not None and chooser is not None:
         raise ValueError("a scheduler cannot execute an adaptive chooser")
     rank = instance.rank
-    if rank <= 2:
-        fixer: Fixer = Rank2Fixer(
-            instance,
-            require_criterion=require_criterion,
-            validate_invariant=validate_invariant,
-        )
-    elif rank == 3:
-        fixer = Rank3Fixer(
-            instance,
-            require_criterion=require_criterion,
-            validate_invariant=validate_invariant,
-        )
-    else:
+    if rank > 3:
         raise RankViolationError(
             f"instance has rank {rank}; the paper's fixers support rank <= 3 "
             f"(Conjecture 1.5 covers larger ranks)"
         )
+    fixer_class = Rank2Fixer if rank <= 2 else Rank3Fixer
+    fixer = fixer_class(
+        instance,
+        require_criterion=require_criterion,
+        validate_invariant=validate_invariant,
+    )
     recorder = _obs_active()
     if recorder is not None:
         recorder.event(
@@ -207,18 +197,3 @@ def solve(
             max_certified_bound=result.max_certified_bound,
         )
     return result
-
-
-# ----------------------------------------------------------------------
-# Internals
-# ----------------------------------------------------------------------
-def _instance_of(fixer: Fixer) -> LLLInstance:
-    """The instance a fixer operates on (both fixers store it privately)."""
-    return fixer._instance  # noqa: SLF001 - friend access within the package
-
-
-def _current_bounds(fixer: Fixer):
-    """Current certified bounds, regardless of fixer flavour."""
-    if isinstance(fixer, Rank3Fixer):
-        return fixer.pstar.certified_bounds()
-    return fixer.certified_bounds()

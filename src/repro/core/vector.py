@@ -698,7 +698,7 @@ def _build_state(fixer, template: _Template, edges) -> _RunState:
 
 
 def _resolve_refs(section: _Section, edges, kind: str) -> List[list]:
-    """Live ledger entries per op, for the lean commit path.
+    """Live ledger entries per op, for the fixer's ``commit_class``.
 
     For the rank-2 and naive fixers a first touch installs the same
     all-ones default their ``local_weights`` would; for the rank-3
@@ -964,7 +964,7 @@ def _live_state(fixer, template: _Template, edges) -> _RunState:
     Current means: lowered against this template, no unconfirmed
     pending class, and no fixer progress outside the vector path.
     """
-    state = getattr(fixer, "_vector_state", None)
+    state = fixer._vector_state
     if (
         state is None
         or state.template is not template
@@ -1001,7 +1001,7 @@ def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
     """Batched pure decide for a whole color class.
 
     Returns the per-cell choice lists (and parks the run state as
-    pending for :func:`cached_commit` / the lean commit path), or
+    pending for :func:`cached_commit` / the fixer's ``commit_class``), or
     ``None`` when the class should take the scalar per-op path instead
     — scalar decide mode, or a counted fallback (see the module
     docstring); the scalar loop then reproduces the exact scalar-path
@@ -1076,7 +1076,7 @@ def open_worker_class(fixer, template: _Template, sections):
 
 
 def park_worker_class(fixer, state: _RunState, cells, sections) -> None:
-    """Park a worker-decided class for the fixer's lean ``commit_class``.
+    """Park a worker-decided class for the fixer's ``commit_class``.
 
     The caller has already copied the workers' post-decision pins rows
     and ledger slots into ``state``, so after the commit the run state
@@ -1098,7 +1098,7 @@ def cached_commit(fixer, cells) -> Optional[_RunState]:
     class it is committing; the caller must clear ``pending`` (or drop
     the state entirely) once the fixer has been mutated.
     """
-    state = getattr(fixer, "_vector_state", None)
+    state = fixer._vector_state
     if (
         state is not None
         and state.pending is not None

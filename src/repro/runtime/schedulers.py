@@ -64,7 +64,6 @@ from repro.obs.recorder import active as _obs_active
 from repro.obs.shard import TraceContext, collect_shard_fallback
 from repro.planes import planes
 from repro.core import vector
-from repro.core.selection import Decision
 from repro.lll.instance import LLLInstance
 from repro.runtime.plan import ColorClass, FixPlan
 from repro.runtime.shm import (
@@ -108,36 +107,17 @@ def _classify_failure(error: BaseException) -> str:
     return "ipc-failure"
 
 
-def _dispatch_class(fixer, color_class: ColorClass, recorder) -> bool:
-    """Try the whole-class batch path; ``True`` if the class was fixed.
-
-    ``decide_class`` is a pure batched decide — it parks speculative run
-    state but mutates nothing — so a ``None`` (scalar mode, missing
-    kernels, internal fallback) leaves the fixer exactly where the
-    caller's per-op loop expects it.
-    """
-    decide_class = getattr(fixer, "decide_class", None)
-    if decide_class is None:
-        return False
-    choices = decide_class(color_class.cells)
-    if choices is None:
-        return False
-    fixer.commit_class(color_class.cells, choices)
-    if recorder is not None:
-        recorder.count("runtime", "class_batches")
-    return True
-
-
 class Scheduler(ABC):
     """Executes a :class:`FixPlan` against a fixer.
 
-    The fixer contract is the ``decide``/``commit`` split shared by
-    :class:`~repro.core.rank2.Rank2Fixer`,
-    :class:`~repro.core.rank3.Rank3Fixer` and
-    :class:`~repro.core.naive_rankr.NaiveRankRFixer`: ``decide(name)``
-    computes a :class:`~repro.core.selection.Decision` without side
-    effects, ``commit(decision)`` applies it, and ``fix_variable`` is
-    their composition.
+    The fixer is a :class:`~repro.core.fixer.Fixer` (the rank-2, rank-3
+    and naive fixers all are): ``fix_variable(name)`` decides and
+    commits one op, ``decide_class(cells)`` batch-decides a class
+    without touching the ledger (``None`` when the vector plane declines
+    it), and ``commit_class(cells, choices)`` commits decided choices in
+    plan order.  Every commit runs through the fixer's one commit loop,
+    so the trace, the ledger and the recorder's ``fix`` events do not
+    depend on which of these a scheduler calls.
     """
 
     #: Short name used by the CLI and the metrics.
@@ -222,9 +202,18 @@ class SerialScheduler(Scheduler):
     def _run_class(
         self, fixer, color_class: ColorClass, instance: LLLInstance
     ) -> None:
-        if _dispatch_class(fixer, color_class, _obs_active()):
+        # ``decide_class`` mutates nothing, so a ``None`` (scalar mode,
+        # missing kernels, a counted fallback) leaves the fixer exactly
+        # where the per-op loop expects it.
+        cells = color_class.cells
+        choices = fixer.decide_class(cells)
+        if choices is not None:
+            fixer.commit_class(cells, choices)
+            recorder = _obs_active()
+            if recorder is not None:
+                recorder.count("runtime", "class_batches")
             return
-        for cell in color_class.cells:
+        for cell in cells:
             for op in cell.ops:
                 fixer.fix_variable(op.variable)
 
@@ -560,23 +549,14 @@ class ProcessScheduler(Scheduler):
                 choices = choices_by_cell.get(index)
                 if choices is None:
                     for op in cell.ops:
-                        fixer.commit(fixer.decide(op.variable))
+                        fixer.fix_variable(op.variable)
                     continue
                 if len(choices) != len(cell.ops):
                     raise SchedulerProtocolError(
                         f"cell {cell.owner!r}: merge received "
                         f"{len(choices)} choices for {len(cell.ops)} ops"
                     )
-                for op, choice in zip(cell.ops, choices):
-                    variable = instance.variable(op.variable)
-                    events = instance.events_of_variable(op.variable)
-                    fixer.commit(
-                        Decision(
-                            variable=variable,
-                            events=tuple(events),
-                            choice=choice,
-                        )
-                    )
+                fixer.commit_class((cell,), (choices,))
         if recorder is not None:
             recorder.record_span(
                 "runtime", "merge",

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CriterionViolationError, SimulationError
 from repro.core import (
     LocalFixingProtocol,
+    solve,
     solve_distributed,
     solve_distributed_local,
 )
@@ -23,6 +24,7 @@ from repro.generators import (
     random_regular_graph,
 )
 from repro.lll import verify_solution
+from repro.runtime import SerialScheduler
 
 
 class TestProtocolSolves:
@@ -122,3 +124,32 @@ class TestConsistencyWithScheduler:
         for step in result.fixing.steps:
             assert step.slack >= -1e-9
             assert step.num_good_values >= 1
+
+
+class TestTranscriptEqualsOracle:
+    """The protocol's rank-3 trace is the serial oracle's, record for
+    record: events in bookkeeping order, steps in plan order."""
+
+    @pytest.mark.parametrize(
+        "make_instance",
+        [
+            pytest.param(
+                lambda: all_zero_triple_instance(30, cyclic_triples(30), 4),
+                id="cyclic",
+            ),
+            pytest.param(
+                lambda: all_zero_triple_instance(
+                    18, partition_rounds_triples(18, 2, seed=3), 5
+                ),
+                id="partition",
+            ),
+        ],
+    )
+    def test_rank3_steps_equal_serial_oracle(self, make_instance):
+        local = solve_distributed_local(make_instance())
+        oracle = solve(make_instance(), scheduler=SerialScheduler())
+        assert local.fixing.steps == oracle.steps
+        assert local.fixing.certified_bounds == oracle.certified_bounds
+        assert dict(local.assignment.items()) == dict(
+            oracle.assignment.items()
+        )

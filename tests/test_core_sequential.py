@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import RankViolationError
 from repro.core import (
+    NaiveRankRFixer,
     Rank2Fixer,
     Rank3Fixer,
     construction_order,
@@ -107,32 +108,37 @@ class TestDispatch:
             )
 
 
+CHOOSERS = (max_pressure_chooser, min_pressure_chooser, lexicographic_chooser)
+
+
+def _adversary_cases(fixer_class):
+    """Every chooser against ``fixer_class``, then against the naive fixer
+    (the same adversaries drive any :class:`repro.core.fixer.Fixer`)."""
+    return [
+        pytest.param(fixer_class, chooser, id=chooser.__name__)
+        for chooser in CHOOSERS
+    ] + [
+        pytest.param(NaiveRankRFixer, chooser, id=f"naive-{chooser.__name__}")
+        for chooser in CHOOSERS
+    ]
+
+
 class TestAdversaries:
     @pytest.mark.parametrize(
-        "chooser",
-        [
-            max_pressure_chooser,
-            min_pressure_chooser,
-            lexicographic_chooser,
-        ],
+        "fixer_class, chooser", _adversary_cases(Rank2Fixer)
     )
-    def test_rank2_survives_adversary(self, chooser):
+    def test_rank2_survives_adversary(self, fixer_class, chooser):
         instance = _fresh_rank2()
-        fixer = Rank2Fixer(instance)
+        fixer = fixer_class(instance)
         result = run_with_adversary(fixer, chooser)
         assert verify_solution(instance, result.assignment).ok
 
     @pytest.mark.parametrize(
-        "chooser",
-        [
-            max_pressure_chooser,
-            min_pressure_chooser,
-            lexicographic_chooser,
-        ],
+        "fixer_class, chooser", _adversary_cases(Rank3Fixer)
     )
-    def test_rank3_survives_adversary(self, chooser):
+    def test_rank3_survives_adversary(self, fixer_class, chooser):
         instance = _fresh_rank3()
-        fixer = Rank3Fixer(instance)
+        fixer = fixer_class(instance)
         result = run_with_adversary(fixer, chooser)
         assert verify_solution(instance, result.assignment).ok
 

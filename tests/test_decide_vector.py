@@ -11,8 +11,10 @@ workload once per decide mode and compares transcripts.
 Coverage axes: the three fixer disciplines (rank 2, rank 3, naive
 rank-r), both scheduler backends, the naive (uncompiled) engine —
 where the vector plane must *fall back* without perturbing anything —
-and an ambient ``REPRO_FAULTS`` crash schedule on the process backend,
-where recovery and batching compose.
+an ambient ``REPRO_FAULTS`` crash schedule on the process backend,
+where recovery and batching compose, and an attached recorder with
+invariant validation, which must see the same events and counters on
+the batch commit as on the per-op path.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.core.naive_rankr import NaiveRankRFixer
 from repro.core.rank2 import Rank2Fixer
 from repro.core.rank3 import Rank3Fixer
 from repro.errors import ReproError
+from repro.obs import recording
 from repro.generators import (
     all_zero_edge_instance,
     all_zero_triple_instance,
@@ -151,6 +154,65 @@ def test_vector_identical_naive_rankr(spec):
             transcript(spec, "naive", name, "vector"),
             f"naive/{name}",
         )
+
+
+def recorded_transcript(spec, kind, mode):
+    """A serial run under a recorder, with the invariant checked per step
+    (``validate_invariant=True`` where the fixer takes it).
+
+    Returns the transcript, the ``fix`` events, the ``fixer.*`` and
+    ``pstar`` counter totals, and how many classes took the batch path.
+    """
+    instance = build_instance(spec)
+    plan = plan_for_instance(instance)
+    with using_planes(decide=mode), recording() as recorder:
+        if kind == "naive":
+            fixer = NaiveRankRFixer(instance)
+        else:
+            fixer_class = Rank2Fixer if kind == "rank2" else Rank3Fixer
+            fixer = fixer_class(instance, validate_invariant=True)
+        make_scheduler("serial").execute(fixer, plan, instance)
+    values = {
+        variable.name: fixer.assignment.value_of(variable.name)
+        for variable in instance.variables
+    }
+    fixes = [
+        (event["component"], event["payload"])
+        for event in recorder.memory.events
+        if event["event"] == "fix"
+    ]
+    counters = {
+        key: value
+        for key, value in recorder.counters.items()
+        if key[0].startswith("fixer.") or key[0] == "pstar"
+    }
+    batches = recorder.counter_value("runtime", "class_batches")
+    return (values, fixer.steps, bounds_of(fixer)), fixes, counters, batches
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("rank2", ("regular", 10, 5, 1)),
+        ("rank3", ("triples", 12, 6, 0)),
+        ("naive", ("triples", 12, 6, 0)),
+    ],
+)
+def test_vector_identical_under_recorder(kind, spec):
+    """A recorder and invariant validation leave the batch commit on and
+    see exactly what they see on the per-op scalar path."""
+    reference, ref_fixes, ref_counters, ref_batches = recorded_transcript(
+        spec, kind, "scalar"
+    )
+    candidate, fixes, counters, batches = recorded_transcript(
+        spec, kind, "vector"
+    )
+    assert ref_batches == 0
+    assert batches > 0
+    assert_identical(reference, candidate, f"recorded/{kind}")
+    assert len(ref_fixes) == len(reference[1])
+    assert fixes == ref_fixes
+    assert counters == ref_counters
 
 
 def test_vector_path_actually_engages():
