@@ -1,12 +1,12 @@
 """Running the fixing phase as actual message passing.
 
-`solve_distributed` schedules the sequential fixer along a 2-hop coloring
-and *accounts* LOCAL rounds; `solve_distributed_local` goes all the way
-down: every node holds only its own state, exchanges state/commit
-messages through the simulator, and fixes its owned variables using the
-merged 1-hop view — two real communication rounds per color class.  Both
-must (and do) produce valid solutions; this demo runs them side by side
-and shows the protocol's message traffic.
+`solve_distributed` runs the fixer along the instance's fix plan (a 2-hop
+coloring at rank 3) and *accounts* LOCAL rounds; `solve_distributed_local`
+runs the same plan all the way down: every node holds only its own
+state, exchanges state/commit messages through the simulator, and fixes
+its owned variables using the merged 1-hop view — two real
+communication rounds per color class.  Same plan, same answer: this demo
+runs them side by side and shows the protocol's message traffic.
 
 Run:  python examples/message_protocol_demo.py
 """
@@ -51,7 +51,7 @@ def main() -> None:
         == protocol.assignment.get(variable.name)
     )
     print(f"\nassignments agree on {agreements}/{len(protocol_instance.variables)} "
-          f"variables (they may legitimately differ — both are valid)")
+          f"variables (one plan, one answer)")
 
 
 if __name__ == "__main__":

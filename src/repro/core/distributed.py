@@ -16,10 +16,13 @@ Both algorithms have the same two-phase shape:
    parallel execution is equivalent to *some* sequential order — and
    Theorems 1.1/1.3 hold for every order.
 
-The fixing decisions themselves are purely local (they read the 1-hop
-bookkeeping and the fixed values in the events' scopes), so the simulator
-executes them through the sequential fixers in schedule order and asserts
-the disjointness that makes this faithful.
+Both phases are one data structure, the fix plan of
+:func:`repro.runtime.plan.plan_for_instance` (edge classes at rank 2,
+2-hop classes at rank 3), whose every class checks the disjointness
+when it is built.  This module executes the plan through a scheduler
+backend and accounts one round per class;
+:func:`repro.core.local_protocol.solve_distributed_local` runs the same
+plan as message passing.
 """
 
 from __future__ import annotations
@@ -64,16 +67,24 @@ class DistributedResult:
         return self.fixing.assignment
 
 
-def _execute_plan(fixer, plan, instance, scheduler) -> DistributedResult:
-    """Run a plan through a scheduler and close out the fixing result."""
+def _solve_planned(
+    fixer_class, instance, require_criterion, validate_invariant, scheduler
+) -> DistributedResult:
+    """Run ``instance``'s fix plan through a scheduler with a fresh fixer."""
+    from repro.runtime.plan import plan_for_instance
     from repro.runtime.schedulers import SerialScheduler
 
+    fixer = fixer_class(
+        instance,
+        require_criterion=require_criterion,
+        validate_invariant=validate_invariant,
+    )
+    plan = plan_for_instance(instance)
     if scheduler is None:
         scheduler = SerialScheduler()
     scheduler.execute(fixer, plan, instance)
-    result = fixer.run(order=())
     return DistributedResult(
-        fixing=result,
+        fixing=fixer.run(order=()),
         coloring_rounds=plan.coloring_rounds,
         schedule_rounds=plan.num_classes,
         palette=plan.palette,
@@ -94,15 +105,9 @@ def solve_distributed_rank2(
     and executes it through ``scheduler`` (default:
     :class:`~repro.runtime.schedulers.SerialScheduler`).
     """
-    from repro.runtime.plan import build_plan_rank2
-
-    fixer = Rank2Fixer(
-        instance,
-        require_criterion=require_criterion,
-        validate_invariant=validate_invariant,
+    return _solve_planned(
+        Rank2Fixer, instance, require_criterion, validate_invariant, scheduler
     )
-    plan = build_plan_rank2(instance)
-    return _execute_plan(fixer, plan, instance, scheduler)
 
 
 def solve_distributed_rank3(
@@ -116,17 +121,12 @@ def solve_distributed_rank3(
     Computes a 2-hop coloring of the dependency graph with ``d^2 + 1``
     colors, builds the color-class plan (each active node's cell fixes
     all its still-unclaimed variables) and executes it through
-    ``scheduler`` (default serial).
+    ``scheduler`` (default serial).  A rank-2 instance runs on its
+    Corollary 1.2 edge schedule, like every other executor.
     """
-    from repro.runtime.plan import build_plan_rank3
-
-    fixer = Rank3Fixer(
-        instance,
-        require_criterion=require_criterion,
-        validate_invariant=validate_invariant,
+    return _solve_planned(
+        Rank3Fixer, instance, require_criterion, validate_invariant, scheduler
     )
-    plan = build_plan_rank3(instance)
-    return _execute_plan(fixer, plan, instance, scheduler)
 
 
 def solve_distributed(
@@ -136,13 +136,10 @@ def solve_distributed(
     scheduler=None,
 ) -> DistributedResult:
     """Dispatch to the rank-2 or rank-3 distributed algorithm by rank."""
-    if instance.rank <= 2:
-        algorithm = solve_distributed_rank2
-    else:
-        algorithm = solve_distributed_rank3
-    return algorithm(
+    return _solve_planned(
+        Rank2Fixer if instance.rank <= 2 else Rank3Fixer,
         instance,
-        require_criterion=require_criterion,
-        validate_invariant=validate_invariant,
-        scheduler=scheduler,
+        require_criterion,
+        validate_invariant,
+        scheduler,
     )

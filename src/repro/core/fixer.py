@@ -232,11 +232,13 @@ class Fixer:
             return ()
         return tuple(weights[name] for name in names)
 
-    def _ledger_ref(self, names: Tuple[Hashable, ...]):
+    def _ledger_ref(self, names: Tuple[Hashable, ...], keys=None):
         """The live ledger entry an op on ``names`` writes (key lookup).
 
-        The same shape the vector plane resolves per op: ``None`` when
-        the op writes nothing, else what :meth:`_write` takes.
+        ``None`` when the op writes nothing, else what :meth:`_write`
+        takes.  ``keys`` are the entries' ledger keys when the caller
+        already holds them (the vector plane's template does); without
+        them the hook derives them from ``names``.
         """
         raise NotImplementedError
 

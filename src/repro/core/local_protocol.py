@@ -1,33 +1,36 @@
 """A message-level LOCAL implementation of the distributed fixing phase.
 
-:mod:`repro.core.distributed` schedules the sequential fixers along a
-coloring and *accounts* rounds; this module goes one level deeper and
-runs the fixing phase as an actual message-passing protocol on the
+:mod:`repro.core.distributed` executes a fix plan through the scheduler
+backends and *accounts* rounds; this module goes one level deeper and
+runs the same plan as an actual message-passing protocol on the
 simulator — every node holds only its own state, and every piece of
 information it uses provably arrived in a message.
 
-**Protocol.**  Nodes are the events of the instance (2-hop colored with
-palette ``P``); each variable is *owned* by its smallest affected event.
-The schedule takes two rounds per color class ``c``:
+**Protocol.**  Nodes are the events of the instance.  The schedule is
+the runtime's :func:`repro.runtime.plan.plan_for_instance` — Corollary
+1.2's edge color classes at rank 2, Corollary 1.4's 2-hop color classes
+at rank 3 — and each cell of a class is committed by one node: its
+owner event, or, for an edge cell, the edge's smaller endpoint.  The
+schedule takes two rounds per class ``k``:
 
-* **state round (2c+1):** every node broadcasts everything it knows —
+* **state round (2k+1):** every node broadcasts everything it knows —
   the fixed values of variables in its 1-hop view and its versioned
   ``phi`` ledger entries; receivers merge (higher version wins).
-* **commit round (2c+2):** nodes of color ``c`` fix all their owned,
-  still-unfixed variables *locally* (the selection rules of
+* **commit round (2k+2):** nodes owning a cell of class ``k`` fix its
+  variables *locally* (the selection rules of
   :mod:`repro.core.selection` read only the merged 1-hop state), bump
   the versions of the ``phi`` entries they rewrite, and broadcast the
   updates; receivers merge.
 
-Why two rounds per class suffice: a value fixed by owner ``o`` in class
-``c`` reaches ``o``'s neighbors in the same commit round and, through
+Why two rounds per class suffice: a cell's ops read only the events
+they affect and those events' shared ``phi`` entries, and the cells of
+one class read disjoint events (:class:`~repro.runtime.plan.ColorClass`
+checks this when it is built).  A value fixed in class ``k`` reaches
+the committing node's neighbors in the same commit round and, through
 their next state broadcast, every node at distance two by the start of
-class ``c + 1``'s commit — and the 2-hop coloring guarantees that no
-node closer than that decides before then.
-
-This mirrors the proof of Corollary 1.4: the fixing decision of
-Theorem 1.3 depends only on the 1-hop neighborhood, so iterating the
-color classes of a 2-hop coloring yields a legal sequential order.
+class ``k + 1``'s commit — which covers everything a later committer
+reads about the events its cell affects.  So the protocol's run is the
+plan's serial order, and its transcript equals the serial oracle's.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.errors import SimulationError
-from repro.coloring import compute_two_hop_coloring, require_two_hop_coloring
 from repro.core.distributed import DistributedResult
 from repro.core.indexing import indexed_dependency_network
 from repro.core.fixer import select_by_rank, step_record
@@ -80,20 +82,18 @@ class LocalFixingProtocol(LocalAlgorithm):
 
     Node input (a dict):
 
-    * ``"color"`` / ``"palette"`` — the node's 2-hop color and the
-      global palette size;
-    * ``"owned"`` — list of ``(variable, event_indices)`` this node
-      coordinates (it is the minimum index in each tuple);
+    * ``"owned"`` — ``{class index: [(variable, event_indices), ...]}``,
+      the ops of the cells this node commits, in plan order;
     * ``"events_by_index"`` — the :class:`BadEvent` objects of the node
       itself and its neighbors (1-hop knowledge, exchanged in one
       pre-round that the wrapper accounts for);
     * ``"incident_edges"`` — dependency edges (index pairs) at the node.
     """
 
-    def __init__(self, palette: int) -> None:
-        if palette < 1:
-            raise SimulationError("palette must be at least 1")
-        self._palette = palette
+    def __init__(self, num_classes: int) -> None:
+        if num_classes < 1:
+            raise SimulationError("num_classes must be at least 1")
+        self._num_classes = num_classes
         #: StepRecords from every commit, in simulator order (collected
         #: for reporting; not visible to the nodes).
         #: :func:`solve_distributed_local` reports them in plan order.
@@ -101,8 +101,8 @@ class LocalFixingProtocol(LocalAlgorithm):
 
     @property
     def rounds_needed(self) -> int:
-        """Two rounds per color class."""
-        return 2 * self._palette
+        """Two rounds per class."""
+        return 2 * self._num_classes
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -124,14 +124,11 @@ class LocalFixingProtocol(LocalAlgorithm):
                 "phi": dict(node.memory["phi"]),
             }
             return {neighbor: payload for neighbor in node.neighbors}
-        # Commit round for color class (round_number // 2) - 1.
-        color = round_number // 2 - 1
-        if node.input["color"] != color:
+        # Commit round for class (round_number // 2) - 1.
+        ops = node.input["owned"].get(round_number // 2 - 1)
+        if not ops:
             return {}
-        updates = self._commit(node)
-        if not updates["fixed"] and not updates["phi"]:
-            return {}
-        payload = {"kind": "commit", **updates}
+        payload = {"kind": "commit", **self._commit(node, ops)}
         return {neighbor: payload for neighbor in node.neighbors}
 
     def receive(self, node: NodeState, messages, round_number: int) -> None:
@@ -151,8 +148,8 @@ class LocalFixingProtocol(LocalAlgorithm):
     # ------------------------------------------------------------------
     # Local fixing
     # ------------------------------------------------------------------
-    def _commit(self, node: NodeState) -> Dict[str, Dict]:
-        """Fix all owned unfixed variables using only local state.
+    def _commit(self, node: NodeState, ops: List) -> Dict[str, Dict]:
+        """Fix the ops of one owned cell using only local state.
 
         The selection rules answer each decision with one batch ``Inc``
         query per affected event (see :mod:`repro.core.selection`), so a
@@ -166,9 +163,7 @@ class LocalFixingProtocol(LocalAlgorithm):
         new_phi: Dict[PhiKey, PhiEntry] = {}
         events_by_index = node.input["events_by_index"]
         assignment = PartialAssignment(node.memory["fixed"])
-        for variable, indices in node.input["owned"]:
-            if variable.name in node.memory["fixed"]:
-                continue
+        for variable, indices in ops:
             events = tuple(events_by_index[index] for index in indices)
             sides = _ledger_sides(indices)
             phi = [self._phi_value(node, edge, side) for edge, side in sides]
@@ -242,11 +237,7 @@ class LocalFixingProtocol(LocalAlgorithm):
                 )
 
 
-class _Missing:
-    __slots__ = ()
-
-
-_MISSING = _Missing()
+_MISSING = object()
 
 
 def solve_distributed_local(
@@ -256,10 +247,11 @@ def solve_distributed_local(
 ) -> DistributedResult:
     """Run the full message-level distributed algorithm (rank <= 3).
 
-    Computes a 2-hop coloring (simulated, rounds accounted), runs
-    :class:`LocalFixingProtocol`, merges the per-node outputs into a
-    global assignment, and cross-checks consistency.  One extra round is
-    charged for the initial 1-hop exchange of event descriptions.
+    Runs :class:`LocalFixingProtocol` on the runtime's schedule
+    (:func:`repro.runtime.plan.plan_for_instance`), merges the per-node
+    outputs into a global assignment, and cross-checks consistency.  One
+    extra round is charged on top of the plan's coloring rounds for the
+    initial 1-hop exchange of event descriptions.
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) injects message
     drops/duplications into the protocol simulation; the simulator's
@@ -267,54 +259,40 @@ def solve_distributed_local(
     identical to the fault-free run.
     """
     from repro.lll.verify import check_preconditions
+    from repro.runtime.plan import plan_for_instance
 
     check_preconditions(
         instance, max_rank=3, require_criterion=require_criterion
     )
     network, to_index, from_index = indexed_dependency_network(instance)
-
-    if network.graph.number_of_edges() > 0:
-        coloring = compute_two_hop_coloring(network)
-        require_two_hop_coloring(network.graph, coloring.colors)
-        colors = coloring.colors
-        palette = coloring.palette
-        coloring_rounds = coloring.host_rounds
-    else:
-        colors = {index: 0 for index in from_index}
-        palette = 1
-        coloring_rounds = 0
+    plan = plan_for_instance(instance)
 
     # Assemble per-node inputs (the 1-hop knowledge a real execution
-    # would gather in one pre-round, charged below).  Ownership comes
-    # from the execution plane: the fix plan's cells for this coloring
-    # say which node commits which variables in which class, so the
-    # protocol and the scheduler backends execute the same schedule.
-    from repro.runtime.plan import plan_from_two_hop_coloring
-
-    plan = plan_from_two_hop_coloring(
-        instance, from_index, colors, palette, coloring_rounds
-    )
-    events_by_index = {
-        to_index[event.name]: event for event in instance.events
-    }
-    owned: Dict[int, List] = {index: [] for index in from_index}
-    for color_class in plan.classes:
+    # would gather in one pre-round, charged below).  A cell is
+    # committed by its owner event or, for an edge cell, by the edge's
+    # smaller endpoint, in the commit round of its class.
+    edge_cells = plan.kind == "edge-coloring"
+    owned: Dict[int, Dict[int, List]] = {index: {} for index in from_index}
+    for class_index, color_class in enumerate(plan.classes):
         for cell in color_class.cells:
-            owned[to_index[cell.owner]] = [
+            ops = [
                 (
                     instance.variable(op.variable),
                     tuple(to_index[name] for name in op.events),
                 )
                 for op in cell.ops
             ]
+            node = min(ops[0][1]) if edge_cells else to_index[cell.owner]
+            owned[node][class_index] = ops
 
+    events_by_index = {
+        to_index[event.name]: event for event in instance.events
+    }
     inputs = {}
     for index in from_index:
         neighbor_indices = set(network.neighbors(index))
         neighbor_indices.add(index)
         inputs[index] = {
-            "color": colors[index],
-            "palette": palette,
             "owned": owned[index],
             "events_by_index": {
                 i: events_by_index[i] for i in neighbor_indices
@@ -325,7 +303,7 @@ def solve_distributed_local(
             ],
         }
 
-    protocol = LocalFixingProtocol(palette)
+    protocol = LocalFixingProtocol(plan.num_classes)
     # The bandwidth profile (round_payload_chars) is part of this
     # entry point's reported result, so payload sizing is opted in.
     simulator = Simulator(
@@ -370,24 +348,19 @@ def solve_distributed_local(
             bound *= entry[1]
         certified[event.name] = bound
 
-    # Nodes of one color commit in simulator order; the trace lists
+    # Nodes of one class commit in simulator order; the trace lists
     # them in plan order, as the schedulers do.
     records = {record.variable: record for record in protocol.records}
     fixing = FixingResult(
         assignment=assignment,
-        steps=tuple(
-            records[op.variable]
-            for color_class in plan.classes
-            for cell in color_class.cells
-            for op in cell.ops
-        ),
+        steps=tuple(records[name] for name in plan.variables()),
         certified_bounds=certified,
     )
     return DistributedResult(
         fixing=fixing,
-        coloring_rounds=coloring_rounds + 1,  # +1: the 1-hop pre-exchange
+        coloring_rounds=plan.coloring_rounds + 1,  # +1: 1-hop pre-exchange
         schedule_rounds=result.rounds,
-        palette=palette,
+        palette=plan.palette,
         round_messages=result.round_messages,
         round_payload_chars=result.round_payload_chars,
     )

@@ -127,8 +127,8 @@ class NaiveRankRFixer(Fixer):
     def vector_ledger(self):
         return self._weights
 
-    def _ledger_ref(self, names):
-        key = frozenset(names)
+    def _ledger_ref(self, names, keys=None):
+        key = frozenset(names) if keys is None else keys[0]
         weights = self._weights.get(key)
         if weights is None:
             weights = self._weights[key] = dict.fromkeys(names, 1.0)

@@ -74,10 +74,10 @@ class Rank2Fixer(Fixer):
     def vector_ledger(self):
         return self._edge_weights
 
-    def _ledger_ref(self, names):
+    def _ledger_ref(self, names, keys=None):
         if len(names) < 2:
             return None
-        key = frozenset(names)
+        key = frozenset(names) if keys is None else keys[0]
         weights = self._edge_weights.get(key)
         if weights is None:
             weights = self._edge_weights[key] = {names[0]: 1.0, names[1]: 1.0}

@@ -105,20 +105,26 @@ class Rank3Fixer(Fixer):
             entry_uw[w] * entry_vw[w],
         )
 
-    def _ledger_ref(self, names):
-        """``None``, the edge's phi entry, or the triangle's three entries."""
+    def _ledger_ref(self, names, keys=None):
+        """``None``, the edge's phi entry, or the triangle's three entries.
+
+        Keys derived here are checked against the dependency graph
+        (:meth:`PStarState.edge_key`); a given key with no entry raises
+        ``KeyError``.
+        """
         if len(names) == 1:
             return None
+        if keys is None:
+            edge_key = self._pstar.edge_key
+            if len(names) == 2:
+                keys = (edge_key(*names),)
+            else:
+                u, v, w = names
+                keys = (edge_key(u, v), edge_key(u, w), edge_key(v, w))
         entries = self._pstar.entries
-        edge_key = self._pstar.edge_key
-        if len(names) == 2:
-            return entries[edge_key(*names)]
-        u, v, w = names
-        return (
-            entries[edge_key(u, v)],
-            entries[edge_key(u, w)],
-            entries[edge_key(v, w)],
-        )
+        if len(keys) == 1:
+            return entries[keys[0]]
+        return (entries[keys[0]], entries[keys[1]], entries[keys[2]])
 
     def _write(self, ref, names, choice):
         """Write phi values, validated like :meth:`PStarState.set_edge`.

@@ -83,27 +83,6 @@ from repro.core.selection import (
 
 _MISSING = object()
 
-#: Cache of per-variable support structure, keyed by the (values,
-#: probabilities) tuples that define it.
-_SUPPORT_CACHE: Dict[tuple, Tuple[tuple, tuple]] = {}
-
-
-def _support_info(variable) -> Tuple[tuple, tuple]:
-    """``(support value labels, support value indices)``, cached by shape."""
-    key = (variable.values, variable.probabilities)
-    cached = _SUPPORT_CACHE.get(key)
-    if cached is None:
-        values = []
-        indices = []
-        for index, probability in enumerate(variable.probabilities):
-            if probability > 0.0:
-                values.append(variable.values[index])
-                indices.append(index)
-        cached = (tuple(values), tuple(indices))
-        _SUPPORT_CACHE[key] = cached
-    return cached
-
-
 class _NotVectorizable(Exception):
     """Internal: the class cannot take the vector path."""
 
@@ -222,6 +201,7 @@ class _Template:
         "stack",
         "stack_size",
         "values_ids",  # support label tuple -> small int
+        "supports",  # (values, probabilities) -> (support labels, indices)
         "ledger_slots",  # ledger key -> {event name: phi slot}
         "ledger_size",
         "sections",  # (id(cells), start, stop) -> (cells, _Section)
@@ -240,6 +220,7 @@ class _Template:
         self.stack: Optional[KernelStack] = None
         self.stack_size = 0
         self.values_ids: Dict[tuple, int] = {}
+        self.supports: Dict[tuple, Tuple[tuple, tuple]] = {}
         self.ledger_slots: Dict[frozenset, Dict[Hashable, int]] = {}
         self.ledger_size = 0
         self.sections: Dict[tuple, tuple] = {}
@@ -280,6 +261,21 @@ class _Template:
             self.stack = stack
             self.stack_size = len(self.kernels)
         return self.stack
+
+    def support_of(self, variable) -> Tuple[tuple, tuple]:
+        """``(support value labels, support value indices)``, by shape."""
+        key = (variable.values, variable.probabilities)
+        cached = self.supports.get(key)
+        if cached is None:
+            values = []
+            indices = []
+            for index, probability in enumerate(variable.probabilities):
+                if probability > 0.0:
+                    values.append(variable.values[index])
+                    indices.append(index)
+            cached = (tuple(values), tuple(indices))
+            self.supports[key] = cached
+        return cached
 
     # -- ledger slots --------------------------------------------------
     def _slots_for(
@@ -370,7 +366,7 @@ class _Template:
                 names = tuple(event.name for event in events)
                 rank = len(names)
                 indices = [self.ensure_event(event) for event in events]
-                values, support = _support_info(variable)
+                values, support = self.support_of(variable)
                 if variable.num_values > self.max_values:
                     self.max_values = variable.num_values
                 values_id = self.values_ids.setdefault(
@@ -663,7 +659,7 @@ class _RunState:
             )
 
 
-def _build_state(fixer, template: _Template, edges) -> _RunState:
+def _build_state(fixer, template: _Template) -> _RunState:
     """Specialise fresh run state from live fixer state (ground truth)."""
     np = _numpy()
     template.ensure_stack()
@@ -689,49 +685,34 @@ def _build_state(fixer, template: _Template, edges) -> _RunState:
                     pins[index, position] = pin
     if state.steps_seen or values_map:
         phi = state.phi
+        ledger = fixer.vector_ledger
         for key, slot_map in template.ledger_slots.items():
-            live = edges.get(key)
+            live = ledger.get(key)
             if live is not None:
                 for name, slot in slot_map.items():
                     phi[slot] = live[name]
     return state
 
 
-def _resolve_refs(section: _Section, edges, kind: str) -> List[list]:
+def _resolve_refs(section: _Section, fixer) -> List[list]:
     """Live ledger entries per op, for the fixer's ``commit_class``.
 
-    For the rank-2 and naive fixers a first touch installs the same
-    all-ones default their ``local_weights`` would; for the rank-3
-    fixer every edge must already exist in the phi mapping (a miss
-    means no dependency edge — the scalar path raises the proper
-    error).
+    The fixer's own ``_ledger_ref`` hook resolves each op on the
+    template's precomputed keys.  A key the fixer's ledger lacks (a
+    rank-3 op with no dependency edge) sends the class to the scalar
+    path, which raises the proper error.
     """
+    ledger_ref = fixer._ledger_ref
     refs: List[list] = []
     for _owner, ops in section.cells:
         cell_refs = []
         for op in ops:
-            keys = op[TOP_KEYS]
-            if keys is None:
-                cell_refs.append(None)
-            elif kind == "rank3":
-                missing = [key for key in keys if key not in edges]
-                if missing:
-                    raise _NotVectorizable(
-                        f"no dependency edge {sorted(map(repr, missing[0]))}"
-                    )
-                if len(keys) == 1:
-                    cell_refs.append(edges[keys[0]])
-                else:
-                    cell_refs.append(
-                        (edges[keys[0]], edges[keys[1]], edges[keys[2]])
-                    )
-            else:
-                key = keys[0]
-                live = edges.get(key)
-                if live is None:
-                    live = {name: 1.0 for name in op[TOP_NAMES]}
-                    edges[key] = live
-                cell_refs.append(live)
+            try:
+                cell_refs.append(ledger_ref(op[TOP_NAMES], op[TOP_KEYS]))
+            except KeyError as error:
+                raise _NotVectorizable(
+                    f"no dependency edge {sorted(map(repr, error.args[0]))}"
+                ) from None
         refs.append(cell_refs)
     return refs
 
@@ -958,7 +939,7 @@ def _fallback(fixer, error: Exception) -> None:
         )
 
 
-def _live_state(fixer, template: _Template, edges) -> _RunState:
+def _live_state(fixer, template: _Template) -> _RunState:
     """The fixer's run state, rebuilt unless it is current.
 
     Current means: lowered against this template, no unconfirmed
@@ -971,15 +952,15 @@ def _live_state(fixer, template: _Template, edges) -> _RunState:
         or state.pending is not None
         or state.steps_seen != len(fixer._steps)
     ):
-        state = _build_state(fixer, template, edges)
+        state = _build_state(fixer, template)
     state.ensure_capacity(_numpy())
     return state
 
 
-def _section_refs(state: _RunState, section: _Section, edges, kind):
+def _section_refs(state: _RunState, section: _Section, fixer):
     refs = state.refs_cache.get(id(section))
     if refs is None:
-        refs = _resolve_refs(section, edges, kind)
+        refs = _resolve_refs(section, fixer)
         state.refs_cache[id(section)] = refs
     return refs
 
@@ -1011,13 +992,11 @@ def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
     """
     if planes().decide == "scalar":
         return None
-    kind = fixer.vector_kind
-    edges = fixer.vector_ledger
     try:
-        template = _template_for(instance, kind)
+        template = _template_for(instance, fixer.vector_kind)
         section = template.section_for(instance, cells)
-        state = _live_state(fixer, template, edges)
-        refs = _section_refs(state, section, edges, kind)
+        state = _live_state(fixer, template)
+        refs = _section_refs(state, section, fixer)
         choices = _run_section(state, section)
     except (_NotVectorizable, ReproError) as error:
         _fallback(fixer, error)
@@ -1063,11 +1042,10 @@ def open_worker_class(fixer, template: _Template, sections):
     the shared segment), or ``None`` after a counted fallback — the
     class then runs through the scalar per-op loop in the parent.
     """
-    edges = fixer.vector_ledger
     try:
-        state = _live_state(fixer, template, edges)
+        state = _live_state(fixer, template)
         for section in sections:
-            _section_refs(state, section, edges, fixer.vector_kind)
+            _section_refs(state, section, fixer)
     except (_NotVectorizable, ReproError) as error:
         _fallback(fixer, error)
         return None

@@ -245,16 +245,6 @@ class BadEvent:
         """
         return self._acquire_kernel()
 
-    def scope_pins(self, assignment: PartialAssignment) -> Optional[List[int]]:
-        """Pinned value indices per scope position (``-1`` = free).
-
-        ``None`` when no kernel is available or a fixed value lies
-        outside its variable's support; see :meth:`compiled_kernel`.
-        """
-        if self._acquire_kernel() is None:
-            return None
-        return self._pins(assignment)
-
     def _pins(self, assignment: PartialAssignment) -> Optional[List[int]]:
         """Pinned value indices per scope position (``-1`` = free).
 

@@ -27,7 +27,6 @@ from repro.runtime.plan import (
     build_resampling_round,
     build_serial_plan,
     plan_for_instance,
-    plan_from_two_hop_coloring,
 )
 from repro.runtime.schedulers import (
     ProcessScheduler,
@@ -47,7 +46,6 @@ __all__ = [
     "build_resampling_round",
     "build_serial_plan",
     "plan_for_instance",
-    "plan_from_two_hop_coloring",
     "ProcessScheduler",
     "Scheduler",
     "SerialScheduler",

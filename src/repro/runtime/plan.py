@@ -13,11 +13,10 @@ its op's read set, so decisions in different cells of one class read and
 write disjoint state and commute.  Every :class:`ColorClass` asserts this
 when it is constructed instead of trusting the coloring.
 
-The builders replicate the exact scheduling of
-:func:`repro.core.distributed.solve_distributed_rank2` /
-``solve_distributed_rank3``: same classes, same cell order, same op
-order within a cell, so a serial traversal of the plan is the same
-fixing sequence those functions used to perform inline.
+:func:`plan_for_instance` is the one schedule of the fixing phase:
+the serial oracle, the process backend, :mod:`repro.core.distributed`
+and the message-level protocol of :mod:`repro.core.local_protocol` all
+execute the plan it returns.
 """
 
 from __future__ import annotations
@@ -202,14 +201,13 @@ def _op_for(instance: LLLInstance, variable_name: Hashable) -> FixOp:
 
 
 def _rank2_coloring(instance: LLLInstance):
-    """Indexing plus a thunk computing the validated edge coloring.
+    """Indexing plus the validated edge coloring.
 
     On the vectorized backend the dependency graph never leaves CSR
     form: the coloring runs on the CSR line graph and properness is
     re-checked with one array comparison.  The reference branch keeps
-    the original networkx pipeline.  Returns ``(to_index, num_edges,
-    thunk)`` where the thunk yields ``(palette, coloring_rounds,
-    colors)``.
+    the original networkx pipeline.  Returns ``(to_index, palette,
+    coloring_rounds, colors)``; an edgeless graph has an empty palette.
     """
     if planes().graph == "vectorized":
         from repro.core.indexing import indexed_csr
@@ -219,36 +217,32 @@ def _rank2_coloring(instance: LLLInstance):
         )
 
         csr, to_index, _from_index = indexed_csr(instance)
-
-        def coloring_thunk():
-            derived, colors_array, line, _eu, _ev = (
-                edge_coloring_with_arrays(csr)
-            )
-            # Defense-in-depth recheck, as on the reference branch:
-            # adjacent line-graph nodes are exactly edges sharing an
-            # endpoint.
-            validate_proper_vertex_arrays(line, colors_array)
-            return derived.palette, derived.host_rounds, derived.colors
-
-        return to_index, csr.num_edges, coloring_thunk
+        if csr.num_edges == 0:
+            return to_index, 0, 0, {}
+        derived, colors_array, line, _eu, _ev = edge_coloring_with_arrays(
+            csr
+        )
+        # Defense-in-depth recheck, as on the reference branch: adjacent
+        # line-graph nodes are exactly edges sharing an endpoint.
+        validate_proper_vertex_arrays(line, colors_array)
+        return to_index, derived.palette, derived.host_rounds, derived.colors
 
     network, to_index, _from_index = indexed_dependency_network(instance)
-
-    def coloring_thunk():
-        coloring = compute_edge_coloring(network)
-        require_proper_edge_coloring(network.graph, coloring.colors)
-        return coloring.palette, coloring.host_rounds, coloring.colors
-
-    return to_index, network.graph.number_of_edges(), coloring_thunk
+    if network.graph.number_of_edges() == 0:
+        return to_index, 0, 0, {}
+    coloring = compute_edge_coloring(network)
+    require_proper_edge_coloring(network.graph, coloring.colors)
+    return to_index, coloring.palette, coloring.host_rounds, coloring.colors
 
 
 def _rank3_coloring(instance: LLLInstance):
-    """Indexing plus a thunk computing the validated 2-hop coloring.
+    """Indexing plus the validated 2-hop coloring.
 
     Same shape as :func:`_rank2_coloring`; the vectorized branch
     validates by checking properness on the CSR square graph (adjacency
     in ``G^2`` is exactly "within distance two").  Returns
-    ``(from_index, num_edges, thunk)``.
+    ``(from_index, palette, coloring_rounds, colors)``; an edgeless
+    graph is one class of every node.
     """
     if planes().graph == "vectorized":
         from repro.core.indexing import indexed_csr
@@ -258,22 +252,18 @@ def _rank3_coloring(instance: LLLInstance):
         )
 
         csr, _to_index, from_index = indexed_csr(instance)
-
-        def coloring_thunk():
-            derived, colors_array, square = two_hop_coloring_with_arrays(csr)
-            validate_proper_vertex_arrays(square, colors_array)
-            return derived.palette, derived.host_rounds, derived.colors
-
-        return from_index, csr.num_edges, coloring_thunk
+        if csr.num_edges == 0:
+            return from_index, 1, 0, dict.fromkeys(from_index, 0)
+        derived, colors_array, square = two_hop_coloring_with_arrays(csr)
+        validate_proper_vertex_arrays(square, colors_array)
+        return from_index, derived.palette, derived.host_rounds, derived.colors
 
     network, _to_index, from_index = indexed_dependency_network(instance)
-
-    def coloring_thunk():
-        coloring = compute_two_hop_coloring(network)
-        require_two_hop_coloring(network.graph, coloring.colors)
-        return coloring.palette, coloring.host_rounds, coloring.colors
-
-    return from_index, network.graph.number_of_edges(), coloring_thunk
+    if network.graph.number_of_edges() == 0:
+        return from_index, 1, 0, dict.fromkeys(from_index, 0)
+    coloring = compute_two_hop_coloring(network)
+    require_two_hop_coloring(network.graph, coloring.colors)
+    return from_index, coloring.palette, coloring.host_rounds, coloring.colors
 
 
 def build_plan_rank2(instance: LLLInstance) -> FixPlan:
@@ -281,10 +271,8 @@ def build_plan_rank2(instance: LLLInstance) -> FixPlan:
 
     Rank-1 variables form one leading class (color ``-1``) with a cell
     per host event; rank-2 variables form one cell per dependency edge,
-    assigned to the edge's color class.  Cell and op orders match the
-    fixing order :func:`repro.core.distributed.solve_distributed_rank2`
-    has always used, up to commuting cross-cell fixings in the rank-1
-    round.
+    assigned to the edge's color class.  Cells are in sorted-owner
+    order and ops in sorted-name order.
     """
     # Plans are frozen dataclasses of pure names, derived only from the
     # fingerprinted structure, so an equal-shape instance can reuse the
@@ -293,7 +281,7 @@ def build_plan_rank2(instance: LLLInstance) -> FixPlan:
     cached = _ARTIFACTS.get("plans", plan_key)
     if cached is not None:
         return cached
-    to_index, num_edges, edge_coloring = _rank2_coloring(instance)
+    to_index, palette, coloring_rounds, colors = _rank2_coloring(instance)
 
     singles_by_event: Dict[Hashable, List[Hashable]] = {}
     by_edge: Dict[Tuple[int, int], List[Hashable]] = {}
@@ -308,13 +296,6 @@ def build_plan_rank2(instance: LLLInstance) -> FixPlan:
             v = to_index[events[1].name]
             key = (min(u, v), max(u, v))
             by_edge.setdefault(key, []).append(variable.name)
-
-    if num_edges > 0:
-        palette, coloring_rounds, colors = edge_coloring()
-    else:
-        palette = 0
-        coloring_rounds = 0
-        colors = {}
 
     classes: List[ColorClass] = []
     if singles_by_event:
@@ -368,42 +349,14 @@ def build_plan_rank3(instance: LLLInstance) -> FixPlan:
 
     For each color, the active event nodes (sorted by index) each own a
     cell fixing all their variables not claimed by an earlier cell or
-    class — statically replicating the lazy ``is_fixed`` bookkeeping of
-    :func:`repro.core.distributed.solve_distributed_rank3`, so the serial
-    traversal is that function's exact historical fixing order.
+    class, so every variable is fixed once, by the first of its events
+    to become active.
     """
     plan_key = instance_key(instance, "plan", "rank3")
     cached = _ARTIFACTS.get("plans", plan_key)
     if cached is not None:
         return cached
-    from_index, num_edges, two_hop_coloring = _rank3_coloring(instance)
-
-    if num_edges > 0:
-        palette, coloring_rounds, colors = two_hop_coloring()
-    else:
-        palette = 1
-        coloring_rounds = 0
-        colors = {index: 0 for index in from_index}
-    plan = plan_from_two_hop_coloring(
-        instance, from_index, colors, palette, coloring_rounds
-    )
-    _ARTIFACTS.put("plans", plan_key, plan)
-    return plan
-
-
-def plan_from_two_hop_coloring(
-    instance: LLLInstance,
-    from_index: Dict[int, Hashable],
-    colors: Dict[int, int],
-    palette: int,
-    coloring_rounds: int = 0,
-) -> FixPlan:
-    """Build the 2-hop-class plan from an already-computed coloring.
-
-    Used by :func:`repro.core.local_protocol.solve_distributed_local`,
-    which computes the coloring as an honest LOCAL simulation and then
-    derives the protocol's per-node ownership from the plan's cells.
-    """
+    from_index, palette, coloring_rounds, colors = _rank3_coloring(instance)
     variables_of_node: Dict[Hashable, List[Hashable]] = {
         event.name: [] for event in instance.events
     }
@@ -421,9 +374,8 @@ def plan_from_two_hop_coloring(
     assigned: Set[Hashable] = set()
     classes: List[ColorClass] = []
     for color in range(palette):
-        active_nodes = sorted(nodes_by_color.get(color, ()))
         cells: List[FixCell] = []
-        for index in active_nodes:
+        for index in sorted(nodes_by_color.get(color, ())):
             event_name = from_index[index]
             node_batch = [
                 name
@@ -442,12 +394,14 @@ def plan_from_two_hop_coloring(
                 )
         classes.append(ColorClass(color=color, cells=tuple(cells)))
 
-    return FixPlan(
+    plan = FixPlan(
         kind="two-hop-coloring",
         classes=tuple(classes),
         palette=palette,
         coloring_rounds=coloring_rounds,
     )
+    _ARTIFACTS.put("plans", plan_key, plan)
+    return plan
 
 
 def build_serial_plan(

@@ -1,6 +1,7 @@
 """Unit tests for the message-level LOCAL fixing protocol."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CriterionViolationError, SimulationError
 from repro.core import (
@@ -15,16 +16,24 @@ from repro.applications import (
     sinkless_orientation_instance,
 )
 from repro.applications.hypergraph_sinkless import satisfies_requirement
+from repro.faults import FaultPlan
 from repro.generators import (
+    INSTANCE_FAMILIES,
     all_zero_edge_instance,
     all_zero_triple_instance,
+    build_family_instance,
     cycle_graph,
     cyclic_triples,
     partition_rounds_triples,
     random_regular_graph,
 )
-from repro.lll import verify_solution
-from repro.runtime import SerialScheduler
+from repro.lll import LLLInstance, verify_solution
+from repro.probability import BadEvent, DiscreteVariable
+from repro.runtime import SerialScheduler, plan_for_instance
+
+#: Message drops and duplicates the simulator's reliable delivery must
+#: absorb without changing the protocol's answer.
+MESSAGE_FAULTS = FaultPlan(seed=7, drop_rate=0.1, duplicate_rate=0.05)
 
 
 class TestProtocolSolves:
@@ -68,6 +77,15 @@ class TestProtocolSolves:
             solve_distributed_local(instance)
 
 
+def rank1_instance():
+    """Two events with private coins: one rank-1 class, no coloring."""
+    events = []
+    for label in ("A", "B"):
+        coins = [DiscreteVariable.fair_coin(f"{label}{i}") for i in range(3)]
+        events.append(BadEvent.all_equal(label, coins, target=1))
+    return LLLInstance(events)
+
+
 class TestRoundAccounting:
     def test_two_rounds_per_class(self):
         instance = all_zero_triple_instance(12, cyclic_triples(12), 5)
@@ -75,22 +93,46 @@ class TestRoundAccounting:
         assert result.schedule_rounds == 2 * result.palette
 
     def test_rounds_needed_property(self):
-        protocol = LocalFixingProtocol(palette=7)
+        protocol = LocalFixingProtocol(num_classes=7)
         assert protocol.rounds_needed == 14
 
     def test_palette_validation(self):
         with pytest.raises(SimulationError):
-            LocalFixingProtocol(palette=0)
+            LocalFixingProtocol(num_classes=0)
 
     def test_extra_preround_charged(self):
         instance = all_zero_edge_instance(cycle_graph(12), 3)
         high_level = solve_distributed(instance)
         protocol = solve_distributed_local(instance)
-        # The protocol charges the 1-hop pre-exchange on top of coloring.
-        # (high-level uses edge coloring for rank 2, so only compare the
-        # fact that both report positive coloring phases.)
-        assert protocol.coloring_rounds >= 1
-        assert high_level.coloring_rounds >= 1
+        # Same schedule, plus the 1-hop pre-exchange of event descriptions.
+        assert protocol.coloring_rounds == high_level.coloring_rounds + 1
+
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_rank2_palette_is_the_edge_palette(self, degree):
+        instance = all_zero_edge_instance(
+            random_regular_graph(24, degree, seed=1), 4
+        )
+        result = solve_distributed_local(instance)
+        plan = plan_for_instance(instance)
+        # Corollary 1.2's 2d - 1 edge colors, not the 2-hop palette.
+        assert result.palette == plan.palette <= 2 * degree - 1
+        assert result.schedule_rounds == 2 * plan.num_classes
+
+    @pytest.mark.parametrize(
+        "make_instance",
+        [
+            pytest.param(rank1_instance, id="rank1"),
+            pytest.param(
+                lambda: all_zero_triple_instance(12, cyclic_triples(12), 5),
+                id="rank3-cyclic",
+            ),
+        ],
+    )
+    def test_two_rounds_per_plan_class(self, make_instance):
+        result = solve_distributed_local(make_instance())
+        plan = plan_for_instance(make_instance())
+        assert result.schedule_rounds == 2 * plan.num_classes
+        assert result.palette == plan.palette
 
 
 class TestConsistencyWithScheduler:
@@ -126,9 +168,19 @@ class TestConsistencyWithScheduler:
             assert step.num_good_values >= 1
 
 
+def assert_equals_serial_oracle(make_instance, fault_plan=None):
+    """The protocol's transcript, bounds and assignment are the serial
+    oracle's, record for record."""
+    local = solve_distributed_local(make_instance(), fault_plan=fault_plan)
+    oracle = solve(make_instance(), scheduler=SerialScheduler())
+    assert local.fixing.steps == oracle.steps
+    assert local.fixing.certified_bounds == oracle.certified_bounds
+    assert dict(local.assignment.items()) == dict(oracle.assignment.items())
+
+
 class TestTranscriptEqualsOracle:
-    """The protocol's rank-3 trace is the serial oracle's, record for
-    record: events in bookkeeping order, steps in plan order."""
+    """The protocol's trace is the serial oracle's, record for record:
+    events in bookkeeping order, steps in plan order."""
 
     @pytest.mark.parametrize(
         "make_instance",
@@ -146,10 +198,40 @@ class TestTranscriptEqualsOracle:
         ],
     )
     def test_rank3_steps_equal_serial_oracle(self, make_instance):
-        local = solve_distributed_local(make_instance())
-        oracle = solve(make_instance(), scheduler=SerialScheduler())
-        assert local.fixing.steps == oracle.steps
-        assert local.fixing.certified_bounds == oracle.certified_bounds
-        assert dict(local.assignment.items()) == dict(
-            oracle.assignment.items()
-        )
+        assert_equals_serial_oracle(make_instance)
+
+    @pytest.mark.parametrize(
+        "make_instance",
+        [
+            pytest.param(
+                lambda: all_zero_edge_instance(cycle_graph(16), 3),
+                id="cycle",
+            ),
+            pytest.param(
+                lambda: all_zero_edge_instance(
+                    random_regular_graph(40, 4, seed=1), 3
+                ),
+                id="regular",
+            ),
+        ],
+    )
+    def test_rank2_steps_equal_serial_oracle(self, make_instance):
+        assert_equals_serial_oracle(make_instance)
+
+    @given(
+        family=st.sampled_from(INSTANCE_FAMILIES),
+        n=st.integers(9, 30),
+        seed=st.integers(0, 2),
+        alphabet=st.integers(3, 4),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_family_equals_serial_oracle(
+        self, family, n, seed, alphabet
+    ):
+        def make_instance():
+            return build_family_instance(
+                family, n, alphabet=alphabet, seed=seed
+            )
+
+        assert_equals_serial_oracle(make_instance)
+        assert_equals_serial_oracle(make_instance, MESSAGE_FAULTS)

@@ -243,6 +243,34 @@ def test_bug_in_the_batch_path_propagates(monkeypatch):
             solve(instance, scheduler=make_scheduler("serial"))
 
 
+def test_no_support_entry_outlives_a_cleared_store():
+    """Support structure lives on the template, so it goes with the
+    template: 200 fresh shapes, each solve followed by a store clear,
+    leave no entry in any module-level table of the vector plane."""
+    from repro.artifacts.store import STORE
+    from repro.core import solve, vector
+
+    def module_entries():
+        return sum(
+            len(value)
+            for name, value in vars(vector).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        )
+
+    before = module_entries()
+    reset_engine_stats()
+    with using_planes(decide="vector"):
+        for index in range(200):
+            bad = 0.05 + index * 1e-4
+            instance = all_zero_edge_instance(
+                cycle_graph(8), 3, probabilities=(bad, 0.5, 0.5 - bad)
+            )
+            solve(instance, scheduler=make_scheduler("serial"))
+            STORE.clear()
+    assert STATS.vector_passes + STATS.vector_memo_hits > 0
+    assert module_entries() == before
+
+
 # ----------------------------------------------------------------------
 # Fallback composition: naive engine, ambient fault schedule
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.artifacts.store import STORE
 from repro.planes import using_planes
@@ -346,6 +346,7 @@ class TestAdmissionAndDeadlines:
         path=st.sampled_from(["/v1/solve", "/v1/verify", "/v1/plan"]),
         body=st.one_of(_JSON, _NEAR_VALID_BODIES),
     )
+    @example(path="/v1/verify", body={"family": "cycle", "assignment": []})
     def test_arbitrary_json_never_500s(self, serial_served, path, body):
         client = serial_served.client()
         try:
@@ -355,7 +356,11 @@ class TestAdmissionAndDeadlines:
         # Typed failures only: 400/422 for the request, 504 for a spent
         # budget; 500 is reserved for bugs and uncertified answers.
         assert status != 500, (path, body, reply)
-        assert (status == 200) == (reply["ok"] is not False)
+        assert (status == 200) == ("error" not in reply)
+        # A verify verdict is an answer: an assignment that does not
+        # verify is a 200 with "ok": false (see the tamper test).
+        if status != 200 or path != "/v1/verify":
+            assert (status == 200) == (reply["ok"] is not False)
 
     def test_stats_surface_latency_and_hit_rate(self, served):
         client = served.client()
