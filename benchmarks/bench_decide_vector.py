@@ -21,7 +21,7 @@ decide/commit arithmetic, which is what the batch lowering targets —
 the template is per-instance state and amortises across fixers exactly
 as it does across the repeated solves of a sweep.  Since the artifact
 plane (``repro.artifacts``) landed, the untimed warm-up also populates
-the process-global store — templates, kernel stacks and the instance's
+the process-global store — kernels, templates and the instance's
 parameter tier entry — so both decide paths see the same warm store;
 the cold/warm *store* trade is E7's subject
 (``bench_artifact_cache.py``), not this bench's.

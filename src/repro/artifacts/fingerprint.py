@@ -1,6 +1,6 @@
 """Canonical structural fingerprints for cross-instance artifact reuse.
 
-An artifact (kernel, template, plan, index map) may be shared between
+An artifact (kernel, template, plan, parameter) may be shared between
 two instances only if *everything* it bakes in is equal between them.
 Two kinds of key exist, one per granularity:
 
@@ -73,11 +73,20 @@ def _support_token(variable) -> Tuple[str, bytes]:
     return repr(variable.values), bytes(array("d", variable.probabilities))
 
 
+def content_digest(content) -> bytes:
+    """The digest of a structure of tuples, strings, bytes and numbers.
+
+    Exact over such content: ``repr`` round-trips floats and keeps
+    ``0.0``, ``-0.0`` and ``0`` apart.
+    """
+    return blake2b(
+        repr(content).encode("utf-8"), digest_size=_DIGEST_SIZE
+    ).digest()
+
+
 def _shape_digest(supports: tuple, hint_reprs: tuple) -> bytes:
     """The shape key of per-position support tokens and a sorted hint."""
-    return blake2b(
-        repr((supports, hint_reprs)).encode("utf-8"), digest_size=_DIGEST_SIZE
-    ).digest()
+    return content_digest((supports, hint_reprs))
 
 
 def _hint_reprs(hint) -> tuple:
@@ -208,7 +217,7 @@ def instance_fingerprint(instance) -> Optional[bytes]:
 def instance_key(instance, *parts) -> Optional[Tuple]:
     """A store key scoped to an instance shape, or ``None``.
 
-    Convenience for the template/plan/indexing tiers: the instance
+    Convenience for the template/plan/parameters tiers: the instance
     fingerprint plus discriminating parts (kind, rank, artifact name).
     ``None`` under ``REPRO_ARTIFACTS=off``, so the oracle never pays
     for a fingerprint.
@@ -219,17 +228,3 @@ def instance_key(instance, *parts) -> Optional[Tuple]:
     if fingerprint is None:
         return None
     return (fingerprint,) + parts
-
-
-def stack_key(kernels) -> Optional[Tuple]:
-    """The stacks-tier key: the interned fingerprints of the kernels.
-
-    ``EventKernel.fingerprint()`` interns on kernel *content* within a
-    process, so content-identical kernel sets — including kernels
-    unpickled afresh in a worker for every chunk — map to the same key
-    and share one stacked truth table.  ``None`` under
-    ``REPRO_ARTIFACTS=off``.
-    """
-    if planes().artifacts == "off":
-        return None
-    return tuple(kernel.fingerprint() for kernel in kernels)

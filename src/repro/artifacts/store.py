@@ -1,49 +1,43 @@
-"""The cross-instance artifact store: one cache plane, many tiers.
+"""The cross-instance artifact store: one cache plane, five tiers.
 
 The theorems this repository reproduces are structural — the threshold
 criterion and the fixing procedures depend only on the *shape* of the
 dependency structure and the event truth tables — so every expensive
 derived object is a pure function of that shape: compiled
-:class:`~repro.probability.engine.EventKernel`\\ s, stacked kernel
-batches, lowered vector-plane templates, CSR index maps, colorings and
-:class:`~repro.runtime.plan.FixPlan`\\ s.  Before this module each layer
-kept its own private cache (per-event FIFO dicts, per-instance template
-dicts, ``WeakKeyDictionary``\\ s, a per-``execute`` memo); none of them
-survived the object that owned them, so two instances of the same shape
+:class:`~repro.probability.engine.EventKernel`\\ s, lowered vector-plane
+templates, colorings + :class:`~repro.runtime.plan.FixPlan`\\ s and
+instance parameters.  Before this module each layer kept its own private
+cache (per-event FIFO dicts, per-instance template dicts,
+``WeakKeyDictionary``\\ s, a per-``execute`` memo); none of them survived
+the object that owned them, so two instances of the same shape
 recomputed everything from scratch.
 
-:class:`ArtifactStore` unifies those caches into named **tiers** of one
-process-global store (:data:`STORE`).  Each tier is a size-bounded
-:class:`LRUCache` with hit/miss/eviction counters; keys are canonical
-structural fingerprints (see :mod:`repro.artifacts.fingerprint`), so an
-artifact computed for one instance is found by every later instance of
-the same shape — across fixers, schedulers, and (for the kernel-stack
-tier) across process-pool workers, which hold their own per-process
-store warmed by repeated chunk dispatch.
+:class:`ArtifactStore` unifies those caches into the named **tiers** of
+:data:`DEFAULT_CAPACITIES`, held by one process-global store
+(:data:`STORE`).  Each tier is a size-bounded :class:`LRUCache` with
+hit/miss/eviction counters; keys are canonical structural fingerprints
+(see :mod:`repro.artifacts.fingerprint`), so an artifact computed for
+one instance is found by every later instance of the same shape —
+across fixers and schedulers.  A tier name outside the table is a
+:class:`~repro.errors.ConfigurationError`.
 
 The ``artifacts`` plane of :mod:`repro.planes`
 (``REPRO_ARTIFACTS=on|off``, default ``on``) switches the store; ``off``
 disables every cross-object tier and is the differential oracle — the
 legacy per-object caches retain their exact behaviour, so a transcript
 under ``off`` is the reference an ``on`` run must reproduce bit for
-bit.  Per-tier capacities can be overridden with
-``REPRO_ARTIFACTS_CAPACITY=tier=n[,tier=n...]``.
+bit.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from repro.errors import ConfigurationError
 from repro.planes import planes
 
-#: Environment variable overriding per-tier capacities,
-#: e.g. ``REPRO_ARTIFACTS_CAPACITY=kernels=2048,plans=16``.
-CAPACITY_ENV = "REPRO_ARTIFACTS_CAPACITY"
-
-#: Default per-tier entry capacities.  The kernel tier is keyed on the
+#: The tiers and their entry capacities.  The kernel tier is keyed on the
 #: name-free shape digest of an event, so it holds one entry per
 #: distinct event shape; its capacity still covers an n = 10^6 instance
 #: whose every event has its own shape.  The structural tiers hold one
@@ -51,10 +45,8 @@ CAPACITY_ENV = "REPRO_ARTIFACTS_CAPACITY"
 #: construction.
 DEFAULT_CAPACITIES: Dict[str, int] = {
     "kernels": 1 << 20,
-    "stacks": 512,
     "templates": 128,
     "plans": 128,
-    "indexings": 256,
     "parameters": 64,
     # Whole solve responses memoized by the solve service, keyed on
     # canonical request *content* (not shape): sound because the
@@ -62,9 +54,6 @@ DEFAULT_CAPACITIES: Dict[str, int] = {
     # produces the bit-identical result.
     "solutions": 512,
 }
-
-#: Capacity for tiers not listed in :data:`DEFAULT_CAPACITIES`.
-FALLBACK_CAPACITY = 256
 
 
 class LRUCache:
@@ -138,81 +127,49 @@ class LRUCache:
         self.evictions = 0
 
 
-class ArtifactTier(LRUCache):
-    """One named tier of the store."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, capacity: int) -> None:
-        super().__init__(capacity)
-        self.name = name
-
-
 class ArtifactStore:
     """Named LRU tiers behind one get/put surface.
 
-    ``get``/``put`` are no-ops (always-miss, never-populate, nothing
-    counted) when the plane is off or the caller could not fingerprint
-    its input (``key is None``) — so ``REPRO_ARTIFACTS=off`` reproduces
-    the pre-store behaviour of every call site exactly.
+    ``capacities`` overrides entries of the table (a test seam); it
+    cannot add a tier.  ``get``/``put`` are no-ops (always-miss,
+    never-populate, nothing counted) when the plane is off or the caller
+    could not fingerprint its input (``key is None``) — so
+    ``REPRO_ARTIFACTS=off`` reproduces the pre-store behaviour of every
+    call site exactly.
     """
 
     def __init__(self, capacities: Optional[Dict[str, int]] = None) -> None:
-        self._tiers: Dict[str, ArtifactTier] = {}
-        self._capacities = dict(capacities) if capacities else None
-        self._env_capacities: Optional[Dict[str, int]] = None
+        self._tiers: Dict[str, LRUCache] = {
+            name: LRUCache(capacity)
+            for name, capacity in sorted(DEFAULT_CAPACITIES.items())
+        }
+        for name, capacity in (capacities or {}).items():
+            self.tier(name).capacity = int(capacity)
         self._published: Dict[str, int] = {}
 
-    # -- capacity resolution -------------------------------------------
-    def _capacity(self, name: str) -> int:
-        if self._capacities is not None and name in self._capacities:
-            return self._capacities[name]
-        if self._env_capacities is None:
-            self._env_capacities = self._parse_capacity_env()
-        if name in self._env_capacities:
-            return self._env_capacities[name]
-        return DEFAULT_CAPACITIES.get(name, FALLBACK_CAPACITY)
-
-    @staticmethod
-    def _parse_capacity_env() -> Dict[str, int]:
-        raw = os.environ.get(CAPACITY_ENV, "").strip()
-        if not raw:
-            return {}
-        overrides: Dict[str, int] = {}
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, value = part.partition("=")
-            try:
-                overrides[name.strip()] = int(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{CAPACITY_ENV}: cannot parse {part!r}; expected "
-                    f"tier=integer"
-                ) from None
-        return overrides
-
-    # -- tier access ---------------------------------------------------
-    def tier(self, name: str) -> ArtifactTier:
-        """The named tier, created on first use."""
+    def tier(self, name: str) -> LRUCache:
+        """The named tier."""
         tier = self._tiers.get(name)
         if tier is None:
-            tier = ArtifactTier(name, self._capacity(name))
-            self._tiers[name] = tier
+            raise ConfigurationError(
+                f"unknown artifact tier {name!r}; the tiers are "
+                f"{', '.join(DEFAULT_CAPACITIES)}"
+            )
         return tier
 
     def get(self, tier_name: str, key: Optional[Hashable]) -> Any:
         """Tier lookup; ``None`` when off, unfingerprintable, or missing."""
+        tier = self.tier(tier_name)
         if key is None or planes().artifacts == "off":
             return None
-        return self.tier(tier_name).get(key)
+        return tier.get(key)
 
     def put(self, tier_name: str, key: Optional[Hashable], value: Any) -> None:
         """Tier insert; dropped when off or unfingerprintable."""
+        tier = self.tier(tier_name)
         if key is None or planes().artifacts == "off":
             return
-        self.tier(tier_name).put(key, value)
+        tier.put(key, value)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, int]]:
@@ -225,7 +182,7 @@ class ArtifactStore:
                 "size": len(tier),
                 "capacity": tier.capacity,
             }
-            for name, tier in sorted(self._tiers.items())
+            for name, tier in self._tiers.items()
         }
 
     def totals(self) -> Dict[str, int]:
@@ -253,7 +210,7 @@ class ArtifactStore:
         every ``execute``), each counter's total is preserved across
         publishes.
         """
-        for name, tier in sorted(self._tiers.items()):
+        for name, tier in self._tiers.items():
             for stat in ("hits", "misses", "evictions"):
                 key = f"{name}_{stat}"
                 value = getattr(tier, stat)
@@ -266,7 +223,5 @@ class ArtifactStore:
 
 _MISSING = object()
 
-#: The process-global artifact store.  Worker processes build their own
-#: on first import — that per-process store is the worker-side warm
-#: cache: it persists across the chunks a pooled worker executes.
+#: The process-global artifact store.
 STORE = ArtifactStore()

@@ -386,8 +386,6 @@ def _command_cache(args) -> int:
     if args.cache_command == "stats":
         print(f"artifact cache: mode={planes().artifacts}")
         stats = STORE.stats()
-        if not stats:
-            print("  (no tiers materialised)")
         for name in sorted(stats):
             tier = stats[name]
             print(

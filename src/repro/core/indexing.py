@@ -13,7 +13,9 @@ Both indexings are cached per instance: :class:`~repro.lll.instance.LLLInstance`
 is immutable after construction, so the sorted order, the relabeled
 network, and the CSR arrays can never go stale.  Re-deriving them used
 to cost a full sort + graph rebuild on *every* call — and the solvers
-call this once per entry point.
+call this once per entry point.  The caches are per instance only: the
+artifact store keeps no index maps, because a warm solve reads its plan
+from the ``plans`` tier and never asks for them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import Dict, Hashable, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.artifacts.fingerprint import instance_key
-from repro.artifacts.store import STORE as _ARTIFACTS
 from repro.lll.instance import LLLInstance
 from repro.local_model.network import Network
 
@@ -69,18 +69,10 @@ def indexed_dependency_network(
     cached = _NETWORK_CACHE.get(instance)
     if cached is not None:
         return cached
-    # L2: the shared artifact store, keyed on instance shape.  Event
-    # names and scopes are part of the fingerprint, so an equal-shape
-    # instance gets back content-identical mappings and an identical
-    # relabeled network (read-only by contract).
-    key = instance_key(instance, "network")
-    result = _ARTIFACTS.get("indexings", key)
-    if result is None:
-        graph = instance.dependency_graph
-        to_index, from_index = _index_maps(instance)
-        relabeled = nx.relabel_nodes(graph, to_index, copy=True)
-        result = (Network(relabeled), to_index, from_index)
-        _ARTIFACTS.put("indexings", key, result)
+    graph = instance.dependency_graph
+    to_index, from_index = _index_maps(instance)
+    relabeled = nx.relabel_nodes(graph, to_index, copy=True)
+    result = (Network(relabeled), to_index, from_index)
     _NETWORK_CACHE[instance] = result
     return result
 
@@ -97,11 +89,6 @@ def indexed_csr(instance: LLLInstance):
     cached = _CSR_CACHE.get(instance)
     if cached is not None:
         return cached
-    key = instance_key(instance, "csr")
-    result = _ARTIFACTS.get("indexings", key)
-    if result is not None:
-        _CSR_CACHE[instance] = result
-        return result
     from repro.graph import CSRGraph
 
     to_index, from_index = _index_maps(instance)
@@ -121,6 +108,5 @@ def indexed_csr(instance: LLLInstance):
         np.array(endpoints_v, dtype=np.int64),
     )
     result = (csr, to_index, from_index)
-    _ARTIFACTS.put("indexings", key, result)
     _CSR_CACHE[instance] = result
     return result

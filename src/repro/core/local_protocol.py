@@ -44,7 +44,7 @@ from repro.core.fixer import select_by_rank, step_record
 from repro.core.results import FixingResult, StepRecord
 from repro.lll.instance import LLLInstance
 from repro.local_model.algorithm import LocalAlgorithm, NodeState
-from repro.local_model.simulator import Simulator
+from repro.local_model.simulator import SimulationResult, Simulator
 from repro.probability import PartialAssignment
 
 #: phi ledger key: (sorted edge index pair, side index).
@@ -303,17 +303,23 @@ def solve_distributed_local(
             ],
         }
 
-    protocol = LocalFixingProtocol(plan.num_classes)
-    # The bandwidth profile (round_payload_chars) is part of this
-    # entry point's reported result, so payload sizing is opted in.
-    simulator = Simulator(
-        network,
-        protocol,
-        inputs=inputs,
-        track_payload=True,
-        fault_plan=fault_plan,
-    )
-    result = simulator.run(max_rounds=protocol.rounds_needed + 1)
+    if plan.num_classes:
+        protocol = LocalFixingProtocol(plan.num_classes)
+        # The bandwidth profile (round_payload_chars) is part of this
+        # entry point's reported result, so payload sizing is opted in.
+        simulator = Simulator(
+            network,
+            protocol,
+            inputs=inputs,
+            track_payload=True,
+            fault_plan=fault_plan,
+        )
+        result = simulator.run(max_rounds=protocol.rounds_needed + 1)
+        committed = protocol.records
+    else:
+        # No event has a variable: nothing to fix, so no round runs.
+        result = SimulationResult(rounds=0, outputs={}, messages_delivered=0)
+        committed = []
 
     # Merge outputs and cross-check agreement between nodes.
     merged: Dict[Hashable, Hashable] = {}
@@ -350,7 +356,7 @@ def solve_distributed_local(
 
     # Nodes of one class commit in simulator order; the trace lists
     # them in plan order, as the schedulers do.
-    records = {record.variable: record for record in protocol.records}
+    records = {record.variable: record for record in committed}
     fixing = FixingResult(
         assignment=assignment,
         steps=tuple(records[name] for name in plan.variables()),

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.artifacts.fingerprint import instance_key, stack_key
+from repro.artifacts.fingerprint import instance_key
 from repro.artifacts.store import LRUCache, STORE as _ARTIFACTS
 from repro.errors import ReproError
 from repro.obs.recorder import active as _obs_active
@@ -216,7 +216,7 @@ class _Template:
         self.slots: List[int] = []
         self.kernel_of: List[object] = []
         self.kernels: List[object] = []
-        self.fingerprint_slots: Dict[int, int] = {}
+        self.fingerprint_slots: Dict[bytes, int] = {}
         self.stack: Optional[KernelStack] = None
         self.stack_size = 0
         self.values_ids: Dict[tuple, int] = {}
@@ -252,7 +252,7 @@ class _Template:
 
     def ensure_stack(self) -> KernelStack:
         if self.stack is None or self.stack_size != len(self.kernels):
-            stack = _shared_stack(self.kernels)
+            stack = KernelStack(self.kernels)
             if stack.cells > DEFAULT_STACK_LIMIT:
                 raise _NotVectorizable(
                     f"kernel stack of {stack.cells} cells exceeds the "
@@ -537,25 +537,6 @@ class _Template:
                     )
                 wave.groups.append(group)
             section.waves.append(wave)
-
-
-def _shared_stack(kernels) -> KernelStack:
-    """A :class:`KernelStack` for ``kernels``, shared through the store.
-
-    Keyed on the kernels' interned content fingerprints, so templates
-    (and worker-side class programs, which rebuild their kernel lists
-    from the unpickled segment blob) with content-identical kernel sets
-    share one stacked truth table.  A stack is immutable after
-    construction and its queries delegate multi-row buckets to the same
-    ``math.fsum`` order regardless of which kernel objects it was built
-    from — bit-identity is preserved by construction.
-    """
-    key = stack_key(kernels)
-    stack = _ARTIFACTS.get("stacks", key)
-    if stack is None:
-        stack = KernelStack(kernels)
-        _ARTIFACTS.put("stacks", key, stack)
-    return stack
 
 
 def _template_for(instance, kind: str) -> _Template:

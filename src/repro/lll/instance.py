@@ -159,7 +159,10 @@ class LLLInstance:
     @property
     def rank(self) -> int:
         """``r``: the maximum number of events any single variable affects."""
-        return max(len(events) for events in self._events_of_variable.values())
+        return max(
+            (len(events) for events in self._events_of_variable.values()),
+            default=0,
+        )
 
     @property
     def max_dependency_degree(self) -> int:

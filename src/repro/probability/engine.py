@@ -34,10 +34,10 @@ naive path, so oversized scopes keep their existing
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, ProbabilityMassError
+from repro.artifacts.fingerprint import content_digest
+from repro.errors import ProbabilityMassError
 
 #: Probability mass above ``1 + tolerance`` indicates a support/weight bug.
 PROBABILITY_MASS_TOLERANCE = 1e-9
@@ -45,39 +45,10 @@ PROBABILITY_MASS_TOLERANCE = 1e-9
 #: Default cap on the full-scope outcome count a kernel may tabulate.
 DEFAULT_COMPILE_LIMIT = 1 << 16
 
-#: Environment variable overriding the kernel compile limit.
-COMPILE_LIMIT_ENV = "REPRO_ENGINE_COMPILE_LIMIT"
-
-
-def _compile_limit_from_env() -> int:
-    raw = os.environ.get(COMPILE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_COMPILE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{COMPILE_LIMIT_ENV}={raw!r} is not an integer"
-        ) from None
-    if limit < 1:
-        raise ConfigurationError(
-            f"{COMPILE_LIMIT_ENV} must be positive, got {limit}"
-        )
-    return limit
-
-
-# Validated lazily, on first use, like the plane config: raising at
-# import time would crash ``import repro`` itself with a raw traceback
-# before any CLI error handling can catch the ReproError.
-_COMPILE_LIMIT: Optional[int] = None
-
 
 def compile_limit() -> int:
     """Maximum full-scope outcome count a kernel may tabulate."""
-    global _COMPILE_LIMIT
-    if _COMPILE_LIMIT is None:
-        _COMPILE_LIMIT = _compile_limit_from_env()
-    return _COMPILE_LIMIT
+    return DEFAULT_COMPILE_LIMIT
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +149,6 @@ def checked_mass_sum(terms: Iterable[float], context: str) -> float:
 # ----------------------------------------------------------------------
 # The compiled kernel
 # ----------------------------------------------------------------------
-#: Intern table mapping kernel structures to small fingerprint ids.
-_FINGERPRINTS: Dict[Tuple, int] = {}
-
-
 class EventKernel:
     """A predicate compiled into a mixed-radix outcome table.
 
@@ -242,7 +209,7 @@ class EventKernel:
         self._codes: frozenset = frozenset(
             self.encode(row) for row in self._rows
         )
-        self._fingerprint: Optional[int] = None
+        self._fingerprint: Optional[bytes] = None
         self._batch_arrays = None
         self._support_maps: Optional[dict] = None
 
@@ -421,22 +388,19 @@ class EventKernel:
             for row in self._rows
         ]
 
-    def fingerprint(self) -> int:
-        """A small interned id identifying the kernel's numeric structure.
+    def fingerprint(self) -> bytes:
+        """A content digest of the kernel's numeric structure.
 
         Two kernels share a fingerprint iff they have the same weight
         vectors and the same bad-row table — exactly the inputs that
         determine every numeric query answer (``probability`` and
         ``conditional_masses`` operate on indices, never on value
-        labels).  The scheduler decision cache keys on this, so
-        structurally identical events across an instance collapse to one
-        engine pass per distinct local situation.
+        labels).  A vector-plane template stacks one truth table per
+        fingerprint, so content-identical kernels share a stack slot.
+        Cached on the kernel; no table outlives it.
         """
         if self._fingerprint is None:
-            structure = (self._probs, self._rows)
-            self._fingerprint = _FINGERPRINTS.setdefault(
-                structure, len(_FINGERPRINTS)
-            )
+            self._fingerprint = content_digest((self._probs, self._rows))
         return self._fingerprint
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``SerialScheduler`` under ``REPRO_ARTIFACTS=off`` is the oracle: every
 per-object cache keeps its exact legacy behaviour and nothing is shared
-across objects.  With the plane ``on``, kernels, kernel stacks,
-templates, index maps and plans are reused across instances of the same
+across objects.  With the plane ``on``, kernels, templates,
+plans and instance parameters are reused across instances of the same
 *shape* — and every transcript (final assignment, step records,
 certified phi ledger) must stay bit-identical to the oracle's, cold
 store or warm.
@@ -202,9 +202,6 @@ def test_second_same_shape_instance_reuses_artifacts():
     assert STORE.tier("plans").hits == 1
     assert STORE.tier("templates").hits >= 1
     assert STORE.tier("parameters").hits >= 1
-    # The plan hit short-circuits the coloring, so the indexing tier is
-    # never even consulted on the warm path — populated once, cold.
-    assert len(STORE.tier("indexings")) >= 1
 
 
 def test_different_shape_instances_do_not_collide():
@@ -227,11 +224,8 @@ def test_unfingerprintable_instance_skips_every_tier():
         plan = plan_for_instance(instance)
         fixer = Rank2Fixer(instance)
         make_scheduler("serial").execute(fixer, plan, instance)
-    # Every fingerprint-keyed tier skips the instance.  (The stacks
-    # tier may legitimately hold entries: stacked truth tables are
-    # keyed on kernel *content* fingerprints, which exist for any
-    # compiled kernel, hints or not.)
-    for tier_name in ("kernels", "plans", "templates", "indexings"):
+    # Every fingerprint-keyed tier skips the instance.
+    for tier_name in ("kernels", "plans", "templates", "parameters"):
         assert len(STORE.tier(tier_name)) == 0, tier_name
         assert STORE.tier(tier_name).hits == 0, tier_name
 
@@ -608,6 +602,27 @@ def test_store_capacity_override():
     assert store.tier("plans").evictions == 1
 
 
+def test_store_has_exactly_five_tiers():
+    import repro.artifacts as artifacts
+    from repro.errors import ConfigurationError
+    from repro.probability import engine
+
+    tiers = {"kernels", "templates", "plans", "parameters", "solutions"}
+    assert set(STORE.stats()) == tiers
+    assert set(ArtifactStore(capacities={"plans": 1}).stats()) == tiers
+    for call in (
+        lambda: STORE.tier("indexings"),
+        lambda: STORE.get("stacks", ("key",)),
+        lambda: STORE.put("stacks", ("key",), "value"),
+        lambda: ArtifactStore(capacities={"indexings": 4}),
+    ):
+        with pytest.raises(ConfigurationError):
+            call()
+    for name in ("stack_key", "CAPACITY_ENV", "ArtifactTier"):
+        assert not hasattr(artifacts, name), name
+    assert not hasattr(engine, "_FINGERPRINTS")
+
+
 # ----------------------------------------------------------------------
 # Section-memo over-limit regression (satellite: MEMO_LIMIT freeze)
 # ----------------------------------------------------------------------
@@ -684,11 +699,9 @@ def test_artifacts_identical_under_ambient_fault_schedule(monkeypatch):
     assert_identical(reference, cold, "faults/cold")
     assert_identical(reference, warm, "faults/warm")
     # Retried chunks re-derive nothing in the parent: one shape means
-    # one plan and at most one indexing entry per kind — recovery never
-    # double-populates.  (Templates lower inside the worker processes'
-    # own stores, so the parent tier stays empty on this backend.)
+    # one plan and at most one template — recovery never
+    # double-populates.
     assert len(STORE.tier("plans")) == 1
-    assert len(STORE.tier("indexings")) <= 2
     assert len(STORE.tier("templates")) <= 1
 
 
@@ -707,25 +720,6 @@ def test_artifacts_mode_plumbing():
             set_planes(artifacts="maybe")
     finally:
         set_planes(artifacts=previous.artifacts)
-
-
-def test_capacity_env_parse_rejects_garbage(monkeypatch):
-    from repro.artifacts.store import CAPACITY_ENV
-
-    monkeypatch.setenv(CAPACITY_ENV, "plans=banana")
-    store = ArtifactStore()
-    with pytest.raises(ReproError):
-        store.tier("plans")
-
-
-def test_capacity_env_override(monkeypatch):
-    from repro.artifacts.store import CAPACITY_ENV
-
-    monkeypatch.setenv(CAPACITY_ENV, "plans=7, kernels=9")
-    store = ArtifactStore()
-    assert store.tier("plans").capacity == 7
-    assert store.tier("kernels").capacity == 9
-    assert store.tier("templates").capacity == 128
 
 
 def test_scheduler_publishes_artifact_stats():

@@ -243,17 +243,37 @@ def test_bug_in_the_batch_path_propagates(monkeypatch):
             solve(instance, scheduler=make_scheduler("serial"))
 
 
+@pytest.mark.parametrize("artifacts", ["on", "off"])
+def test_content_identical_kernels_share_one_stack_slot(artifacts):
+    """With the plane off every event compiles its own kernel; the
+    template still stacks one truth table for them all, because slots
+    are keyed on kernel content, not on the kernel object."""
+    from repro.core import solve
+
+    instance = all_zero_edge_instance(cycle_graph(10), 3)
+    with using_planes(decide="vector", artifacts=artifacts):
+        solve(instance, scheduler=make_scheduler("serial"))
+        kernels = {id(event.compiled_kernel()) for event in instance.events}
+    (template,) = instance._vector_templates.values()
+    assert len(kernels) == (1 if artifacts == "on" else 10)
+    assert len(template.names) == 10
+    assert len(template.stack.kernels) == 1
+
+
 def test_no_support_entry_outlives_a_cleared_store():
-    """Support structure lives on the template, so it goes with the
-    template: 200 fresh shapes, each solve followed by a store clear,
-    leave no entry in any module-level table of the vector plane."""
+    """Support structure lives on the template and kernel fingerprints
+    on the kernel, so both go with them: 200 fresh shapes, each solve
+    followed by a store clear, leave no entry in any module-level table
+    of the vector plane or the engine."""
     from repro.artifacts.store import STORE
     from repro.core import solve, vector
+    from repro.probability import engine
 
     def module_entries():
         return sum(
             len(value)
-            for name, value in vars(vector).items()
+            for module in (vector, engine)
+            for name, value in vars(module).items()
             if isinstance(value, dict) and not name.startswith("__")
         )
 

@@ -15,6 +15,7 @@ from repro.core import (
     Rank3Fixer,
     solve,
     solve_distributed,
+    solve_distributed_local,
     solve_rank2,
     solve_rank3,
 )
@@ -80,6 +81,36 @@ class TestDegenerateVariables:
         result = solve(instance, require_criterion=False)
         assert result.max_certified_bound >= 1.0
         assert not verify_solution(instance, result.assignment).ok
+
+
+#: The three solve entry points, for instances every one of them takes.
+ENTRY_POINTS = [solve, solve_distributed, solve_distributed_local]
+
+
+class TestVariableFreeInstances:
+    """Events without variables: rank 0, degree 0, nothing to fix."""
+
+    def test_rank_is_zero(self):
+        instance = LLLInstance([BadEvent.all_equal("A", [], target=1)])
+        assert instance.rank == 0
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_certain_event_is_a_typed_criterion_violation(self, entry):
+        # The empty outcome is all-equal, so p = 1 and p < 2^-0 fails.
+        instance = LLLInstance([BadEvent.all_equal("A", [], target=1)])
+        with pytest.raises(CriterionViolationError):
+            entry(instance)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_impossible_events_solve_in_zero_steps(self, entry):
+        instance = LLLInstance([
+            BadEvent.from_bad_outcomes(name, [], []) for name in "AB"
+        ])
+        result = entry(instance)
+        fixing = getattr(result, "fixing", result)
+        assert fixing.steps == ()
+        assert fixing.certified_bounds == {"A": 0.0, "B": 0.0}
+        assert verify_solution(instance, fixing.assignment).ok
 
 
 class TestDisconnectedInstances:

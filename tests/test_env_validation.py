@@ -82,45 +82,6 @@ class TestGraphBackendEnv:
         assert "neo4j" in message
 
 
-class TestNumericEnvRejection:
-    def test_compile_limit_must_be_an_integer(self, monkeypatch):
-        from repro.probability import engine
-
-        monkeypatch.setenv("REPRO_ENGINE_COMPILE_LIMIT", "many")
-        with pytest.raises(ConfigurationError) as excinfo:
-            engine._compile_limit_from_env()
-        assert "REPRO_ENGINE_COMPILE_LIMIT" in str(excinfo.value)
-
-    def test_compile_limit_must_be_positive(self, monkeypatch):
-        from repro.probability import engine
-
-        monkeypatch.setenv("REPRO_ENGINE_COMPILE_LIMIT", "0")
-        with pytest.raises(ConfigurationError) as excinfo:
-            engine._compile_limit_from_env()
-        assert "REPRO_ENGINE_COMPILE_LIMIT" in str(excinfo.value)
-
-    def test_artifact_capacity_grammar_is_enforced(self, monkeypatch):
-        from repro.artifacts.store import ArtifactStore
-
-        monkeypatch.setenv(
-            "REPRO_ARTIFACTS_CAPACITY", "kernels=big,plans=16"
-        )
-        with pytest.raises(ConfigurationError) as excinfo:
-            ArtifactStore._parse_capacity_env()
-        assert "REPRO_ARTIFACTS_CAPACITY" in str(excinfo.value)
-
-    def test_artifact_capacity_valid_grammar_parses(self, monkeypatch):
-        from repro.artifacts.store import ArtifactStore
-
-        monkeypatch.setenv(
-            "REPRO_ARTIFACTS_CAPACITY", "kernels=2048, plans=16"
-        )
-        assert ArtifactStore._parse_capacity_env() == {
-            "kernels": 2048,
-            "plans": 16,
-        }
-
-
 class TestSetterRejection:
     """Programmatic setters reject like the env parsers, typed."""
 

@@ -347,6 +347,12 @@ class TestAdmissionAndDeadlines:
         body=st.one_of(_JSON, _NEAR_VALID_BODIES),
     )
     @example(path="/v1/verify", body={"family": "cycle", "assignment": []})
+    # A variable-free instance whose one event is certain (rank 0, p = 1):
+    # a typed criterion violation, not a crash in ``LLLInstance.rank``.
+    @example(path="/v1/solve", body={"instance": {
+        "format": "repro-lll-instance", "version": 1, "variables": [],
+        "events": [{"name": "A", "scope": [], "bad_outcomes": [[]]}],
+    }})
     def test_arbitrary_json_never_500s(self, serial_served, path, body):
         client = serial_served.client()
         try:
