@@ -31,9 +31,13 @@ variable contributes its name ``repr`` once and each distinct support
 event contributes its name, its scope as variable indices and its
 shape, and the pass ends with one digest over a few flat buffers.  The
 shape key each event gets on the way is memoised on the event, so
-kernel acquisition after a fingerprint pays one attribute read.
-Nothing survives the pass except those memos and the fingerprint
-itself (cached on the instance): the pass keeps no cache of its own.
+kernel acquisition after a fingerprint pays one attribute read.  The
+pass's columns — each scope as variable slots, each slot's name and
+support, each event's shape — are kept on the instance with the
+fingerprint as its :class:`ScopeLayout`, which
+:func:`repro.lll.verify.verify_solution` evaluates an assignment on
+without a second walk over the events.  The pass keeps no cache of its
+own.
 
 Fingerprintability requires every event to carry a *bad-outcomes hint*
 (events built via :meth:`BadEvent.from_bad_outcomes` /
@@ -61,8 +65,6 @@ from typing import List, Optional, Tuple
 
 from repro.planes import planes
 
-_UNSET = object()
-
 #: Digest width. 16 bytes = 128 bits: collision probability is
 #: negligible at any realistic artifact count.
 _DIGEST_SIZE = 16
@@ -89,8 +91,8 @@ def _shape_digest(supports: tuple, hint_reprs: tuple) -> bytes:
     return content_digest((supports, hint_reprs))
 
 
-def _hint_reprs(hint) -> tuple:
-    return tuple(sorted(map(repr, hint)))
+def _hint_reprs(hint) -> Optional[tuple]:
+    return None if hint is None else tuple(sorted(map(repr, hint)))
 
 
 def event_shape_key(event) -> Optional[bytes]:
@@ -122,17 +124,42 @@ def _intern(items: list) -> Tuple[list, List[int]]:
     return distinct, list(map(index.__getitem__, items))
 
 
-def _fingerprint(events) -> Optional[bytes]:
-    """The one-pass fingerprint of an event sequence (see module doc).
+class ScopeLayout:
+    """An instance's scopes as flat columns, from the fingerprint pass.
+
+    A *slot* is one distinct variable object.  ``slot_names[s]`` is its
+    name and ``slot_supports[s]`` its support, an index into
+    ``support_values`` (the value tuples).  ``scope_slots`` lists the
+    slot of every scope position of every event, in event order;
+    ``offsets[i]`` is where event ``i``'s scope starts there.
+    ``event_shapes[i]`` indexes ``shape_keys`` (``None`` for an event
+    without a bad-outcomes hint).  Those three are int64 ``array`` objects,
+    which numpy reads without a copy.  ``fingerprint`` is the instance
+    fingerprint, ``None`` unless every event has a hint.
+    """
+
+    __slots__ = (
+        "slot_names",
+        "slot_supports",
+        "support_values",
+        "scope_slots",
+        "offsets",
+        "event_shapes",
+        "shape_keys",
+        "fingerprint",
+    )
+
+
+def _layout(events) -> ScopeLayout:
+    """The one-pass layout and fingerprint of an event sequence.
 
     Written as whole-column ``map``/``zip`` passes rather than a loop
     per event or per variable, so the per-item work runs inside the
     interpreter's C iterators; only distinct supports and distinct
     shapes are handled one by one.
     """
+    layout = ScopeLayout()
     hints = list(map(attrgetter("bad_outcomes_hint"), events))
-    if None in hints:
-        return None
     scopes = list(map(attrgetter("variables"), events))
     scope_lengths = array("q", map(len, scopes))
     flat = list(chain.from_iterable(scopes))
@@ -157,30 +184,45 @@ def _fingerprint(events) -> Optional[bytes]:
     slot_supports = list(
         map(support_of.__getitem__, zip(values, probabilities))
     )
+    support_values: List[tuple] = [()] * len(supports)
+    for variable, support in zip(representatives.values(), object_supports):
+        support_values[support] = variable.values
 
     # The variable table: one row per distinct name repr.  Supports need
     # no column: the shapes of the events holding a variable say its
     # support at every scope position.
-    names, slot_rows = _intern(
-        list(map(repr, map(attrgetter("name"), variables)))
-    )
+    slot_names = list(map(attrgetter("name"), variables))
+    names, slot_rows = _intern(list(map(repr, slot_names)))
     scope_rows = list(map(slot_rows.__getitem__, flat_slots))
 
     # Each event's shape: its supports by scope position and its hint.
     flat_supports = list(map(slot_supports.__getitem__, flat_slots))
-    ends = list(accumulate(scope_lengths))
+    starts = [0] + list(accumulate(scope_lengths))
+    ends = starts[1:]
     event_supports = map(
-        tuple, map(flat_supports.__getitem__, map(slice, [0] + ends, ends))
+        tuple, map(flat_supports.__getitem__, map(slice, starts, ends))
     )
     shapes, event_shapes = _intern(
         list(zip(event_supports, map(_hint_reprs, hints)))
     )
     keys = [
-        _shape_digest(tuple([supports[s] for s in positions]), hint_reprs)
+        None if hint_reprs is None
+        else _shape_digest(tuple([supports[s] for s in positions]), hint_reprs)
         for positions, hint_reprs in shapes
     ]
     for event, shape in zip(events, event_shapes):
         event._shape_key = keys[shape]
+
+    layout.slot_names = slot_names
+    layout.slot_supports = slot_supports
+    layout.support_values = support_values
+    layout.scope_slots = array("q", flat_slots)
+    layout.offsets = array("q", starts)
+    layout.event_shapes = array("q", event_shapes)
+    layout.shape_keys = keys
+    layout.fingerprint = None
+    if None in hints:
+        return layout
 
     # The header fixes every column's length, so the byte stream parses
     # one way only.
@@ -192,9 +234,22 @@ def _fingerprint(events) -> Optional[bytes]:
     hasher = blake2b(digest_size=_DIGEST_SIZE)
     hasher.update(len(header).to_bytes(8, "little"))
     hasher.update(header)
-    for column in (scope_lengths, scope_rows, event_shapes):
-        hasher.update(array("q", column))
-    return hasher.digest()
+    for column in (scope_lengths, array("q", scope_rows), layout.event_shapes):
+        hasher.update(column)
+    layout.fingerprint = hasher.digest()
+    return layout
+
+
+def scope_layout(instance) -> ScopeLayout:
+    """The instance's :class:`ScopeLayout`, built once and cached on it.
+
+    Instances are immutable after construction, so the layout (and the
+    fingerprint it carries) never goes stale.
+    """
+    layout = getattr(instance, "_scope_layout", None)
+    if layout is None:
+        layout = instance._scope_layout = _layout(instance.events)
+    return layout
 
 
 def instance_fingerprint(instance) -> Optional[bytes]:
@@ -203,15 +258,9 @@ def instance_fingerprint(instance) -> Optional[bytes]:
     Content-exact over every event in construction order (event order
     determines variable first-appearance order, hence every iteration
     order the plan builders and the template lowering see).  Cached on
-    the instance — instances are immutable after construction, so the
-    fingerprint never goes stale.
+    the instance with its :func:`scope_layout`.
     """
-    cached = getattr(instance, "_artifact_fingerprint", _UNSET)
-    if cached is not _UNSET:
-        return cached
-    fingerprint = _fingerprint(instance.events)
-    instance._artifact_fingerprint = fingerprint
-    return fingerprint
+    return scope_layout(instance).fingerprint
 
 
 def instance_key(instance, *parts) -> Optional[Tuple]:

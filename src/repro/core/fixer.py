@@ -19,12 +19,18 @@ what is its own:
 Every commit, per-op or whole-class, runs through one loop
 (:meth:`Fixer._commit_ops`), with recorder events and invariant checks
 inside it, and every :class:`~repro.core.results.StepRecord` is built by
-:func:`step_record`.
+:func:`step_record`.  The loop takes the records ready-made: a class
+the vector plane replays from its section memo reuses the records the
+memo entry cached on its first commit, and the assignment's checks
+(value in support, variable not yet fixed) run once per class, before
+the loop.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import vector
@@ -44,6 +50,10 @@ from repro.errors import PStarViolationError
 from repro.lll.instance import LLLInstance
 from repro.obs.recorder import active as _obs_active
 from repro.probability import PartialAssignment
+from repro.probability.assignment import refix_error, support_error
+
+_UNSET = object()
+_apply_slots = itemgetter(TOP_APPLY)
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +113,22 @@ def step_record(variable, names: Tuple[Hashable, ...], choice) -> StepRecord:
     here.
     """
     return _STEP_BUILDERS[type(choice)](variable, names, choice)
+
+
+def _class_records(ops, choices) -> List[StepRecord]:
+    """The step records of ``ops`` fixed by ``choices``, in op order.
+
+    ``ops`` yield ``(variable, event names, ...)`` (a template op record
+    or a plain pair).  Runs the assignment's support check once per op,
+    raising what :meth:`PartialAssignment.fix` raises.
+    """
+    records = []
+    for op, choice in zip(ops, choices):
+        variable = op[TOP_VARIABLE]
+        if choice.value not in variable:
+            raise support_error(variable.name, choice.value)
+        records.append(step_record(variable, op[TOP_NAMES], choice))
+    return records
 
 
 def select_by_rank(variable, events, weights, assignment: PartialAssignment):
@@ -289,8 +315,8 @@ class Fixer:
 
     def commit(self, decision: Decision) -> StepRecord:
         """Apply a decision: update the ledger, assignment and trace."""
-        choice = decision.choice
-        op = self._keyed_op(decision.variable, decision.events, choice)
+        op = self._keyed_op(decision.variable, decision.events, decision.choice)
+        self._check_unfixed((op[0],))
         self._commit_ops((op,), None)
         return self._steps[-1]
 
@@ -339,49 +365,94 @@ class Fixer:
                 for cell, choices in zip(cells, class_choices)
                 for op, choice in zip(cell.ops, choices)
             ]
+            self._check_unfixed([op[0] for op in ops])
             self._commit_ops(ops, None)
             return
-        _cells, records, refs = state.pending
-        ops = [
-            (op[TOP_VARIABLE], op[TOP_NAMES], ref, op[TOP_APPLY], choice)
-            for (_owner, cell_ops), cell_refs, choices in zip(
-                records, refs, class_choices
-            )
-            for op, ref, choice in zip(cell_ops, cell_refs, choices)
-        ]
-        self._commit_ops(ops, state.phi)
+        _cells, parts = state.pending
+        if len(parts) == 1:
+            section, entry, refs = parts[0]
+            ops, names = section.ops, section.names
+        else:
+            entry = None
+            ops = [op for part in parts for op in part[0].ops]
+            names = [name for part in parts for name in part[0].names]
+            refs = [ref for part in parts for ref in part[2]]
+        if entry is not None and entry.choices is class_choices:
+            # A decided batch's records are a pure function of its memo
+            # entry: build them on its first commit only.
+            if entry.records is None:
+                entry.records = _class_records(
+                    ops, chain.from_iterable(class_choices)
+                )
+            records = entry.records
+        else:
+            records = _class_records(ops, chain.from_iterable(class_choices))
+        self._check_unfixed(records, names)
+        self._commit_ops(
+            zip(
+                records,
+                refs,
+                map(_apply_slots, ops),
+                chain.from_iterable(class_choices),
+            ),
+            state.phi,
+        )
         state.pending = None
 
     def _keyed_op(self, variable, events, choice) -> tuple:
         """A commit-loop op whose ledger entry comes from a key lookup."""
         names = tuple(event.name for event in events)
-        return (variable, names, self._ledger_ref(names), None, choice)
+        (record,) = _class_records(((variable, names),), (choice,))
+        return (record, self._ledger_ref(names), None, choice)
+
+    def _check_unfixed(self, records, names=None) -> None:
+        """The assignment's re-fix check, once for a batch of records.
+
+        Raises the error :meth:`PartialAssignment.fix` raises for the
+        first record whose variable is already fixed to a different
+        value (re-fixing to the same value is allowed there too).
+        ``names`` are the records' variable names when the caller holds
+        them.
+        """
+        values = self._assignment._values
+        if not values:
+            return
+        if names is None:
+            names = [record.variable for record in records]
+        if values.keys().isdisjoint(names):
+            return
+        for record in records:
+            existing = values.get(record.variable, _UNSET)
+            if existing is not _UNSET and existing != record.value:
+                raise refix_error(record.variable, existing, record.value)
 
     def _commit_ops(self, ops: Iterable[tuple], phi) -> None:
         """The one commit loop.
 
-        ``ops`` yields ``(variable, event names, live ledger entry, apply
-        slots, choice)`` per op, in plan order.  ``phi`` is the vector
+        ``ops`` yields ``(step record, live ledger entry, apply slots,
+        choice)`` per op, in plan order, whose records have passed the
+        support and re-fix checks (:func:`_class_records`,
+        :meth:`_check_unfixed`).  Per op: one ledger write, one
+        assignment store, one step append.  ``phi`` is the vector
         plane's flat ledger (or ``None``); values the ledger write had to
         clamp are copied back into it at the op's apply slots.
         """
         recorder = _obs_active()
         validate = self._validate
         write = self._write
-        fix = self._assignment.fix
-        steps = self._steps
+        store = self._assignment._values.__setitem__
+        append = self._steps.append
         start = 0
-        for variable, names, ref, slots, choice in ops:
+        for record, ref, slots, choice in ops:
             if recorder is not None:
                 start = time.perf_counter_ns()
             if ref is not None:
-                clamped = write(ref, names, choice)
+                clamped = write(ref, record.events, choice)
                 if clamped is not None and phi is not None:
                     for slot, value in zip(slots, clamped):
                         phi[slot] = value
-            fix(variable, choice.value)
-            record = _STEP_BUILDERS[type(choice)](variable, names, choice)
-            steps.append(record)
+            store(record.variable, record.value)
+            append(record)
             if recorder is not None:
                 self._observe_commit(recorder, record, ref, start)
             if validate:
@@ -414,18 +485,17 @@ class Fixer:
         construction order, so after a scheduler has fixed every
         variable ``run(order=())`` only assembles the result.
         """
-        variables = self._instance.variables
+        instance = self._instance
         if order is None:
-            order = [variable.name for variable in variables]
+            order = instance.variable_names
         for name in order:
             self.fix_variable(name)
-        remaining = [
-            variable.name
-            for variable in variables
-            if not self._assignment.is_fixed(variable.name)
-        ]
-        for name in remaining:
-            self.fix_variable(name)
+        # The fixer fixes instance variables only, so a full assignment
+        # leaves nothing to scan for.
+        if len(self._assignment) < instance.num_variables:
+            for name in instance.variable_names:
+                if not self._assignment.is_fixed(name):
+                    self.fix_variable(name)
         result = FixingResult(
             assignment=self._assignment,
             steps=tuple(self._steps),

@@ -158,14 +158,25 @@ class _Section:
     ``read_rows``/``slot_list`` enumerate every pins-matrix row and
     every phi-ledger slot the section's decisions read or write — the
     *complete* mutable input of the batch (everything else is static
-    lowering).  ``memo`` caches finished decision batches keyed by the
-    exact bytes of that input: the wave-level dedup argument lifted to
-    whole classes — a decision batch is a pure function of those
-    arrays, so identical pre-state yields the identical (shared) choice
-    objects and post-state, bit for bit.
+    lowering).  ``memo`` caches finished decision batches
+    (:class:`_MemoEntry`) keyed by the exact bytes of that input: the
+    wave-level dedup argument lifted to whole classes — a decision batch
+    is a pure function of those arrays, so identical pre-state yields
+    the identical (shared) choice objects and post-state, bit for bit.
+    ``ops`` and ``names`` are the op records and their variable names,
+    flat in plan order (the commit loop's columns).
     """
 
-    __slots__ = ("cells", "waves", "num_ops", "read_rows", "slot_list", "memo")
+    __slots__ = (
+        "cells",
+        "waves",
+        "num_ops",
+        "read_rows",
+        "slot_list",
+        "memo",
+        "ops",
+        "names",
+    )
 
     def __getstate__(self):
         # Shipped to process workers without the memo: it is a parent
@@ -416,6 +427,8 @@ class _Template:
                 num_ops += 1
             section.cells.append((cell.owner, op_records))
         section.num_ops = num_ops
+        section.ops = [entry[2] for entry in raw]
+        section.names = [record[TOP_VARIABLE].name for record in section.ops]
         np = _numpy()
         section.read_rows = np.asarray(sorted(read_set), dtype=np.int64)
         section.slot_list = np.asarray(sorted(slot_set), dtype=np.int64)
@@ -567,13 +580,14 @@ class _RunState:
     """The mutable arrays one fixer's solve carries through a template.
 
     ``pending`` holds the class most recently decided but not yet
-    committed, as ``(cells, op records per cell, live ledger refs per
-    cell)`` — whether one section decided it in this process or several
-    chunk sections did in process workers; decisions mutate the pins
-    matrix and the ledger array
-    speculatively, so an unconfirmed pending class (or any fixer
-    progress outside the vector path, detected via the step count)
-    invalidates the state and forces a rebuild from ground truth.
+    committed, as ``(cells, parts)`` with one ``(section, memo entry or
+    None, live ledger refs per op)`` part per section — one section
+    decided in this process, or several chunk sections decided in
+    process workers (no memo entry); decisions mutate the pins matrix
+    and the ledger array speculatively, so an unconfirmed pending class
+    (or any fixer progress outside the vector path, detected via the
+    step count) invalidates the state and forces a rebuild from ground
+    truth.
     """
 
     __slots__ = (
@@ -594,7 +608,7 @@ class _RunState:
         # Per-section live ledger entries (_resolve_refs output); the
         # entry dicts are created once per fixer and mutated in place,
         # so the resolution is stable for this fixer's lifetime.
-        self.refs_cache: Dict[int, List[list]] = {}
+        self.refs_cache: Dict[int, list] = {}
 
     def ensure_capacity(self, np) -> None:
         template = self.template
@@ -675,8 +689,8 @@ def _build_state(fixer, template: _Template) -> _RunState:
     return state
 
 
-def _resolve_refs(section: _Section, fixer) -> List[list]:
-    """Live ledger entries per op, for the fixer's ``commit_class``.
+def _resolve_refs(section: _Section, fixer) -> list:
+    """Live ledger entries per op (flat, plan order), for ``commit_class``.
 
     The fixer's own ``_ledger_ref`` hook resolves each op on the
     template's precomputed keys.  A key the fixer's ledger lacks (a
@@ -684,21 +698,34 @@ def _resolve_refs(section: _Section, fixer) -> List[list]:
     path, which raises the proper error.
     """
     ledger_ref = fixer._ledger_ref
-    refs: List[list] = []
-    for _owner, ops in section.cells:
-        cell_refs = []
-        for op in ops:
-            try:
-                cell_refs.append(ledger_ref(op[TOP_NAMES], op[TOP_KEYS]))
-            except KeyError as error:
-                raise _NotVectorizable(
-                    f"no dependency edge {sorted(map(repr, error.args[0]))}"
-                ) from None
-        refs.append(cell_refs)
-    return refs
+    try:
+        return [ledger_ref(op[TOP_NAMES], op[TOP_KEYS]) for op in section.ops]
+    except KeyError as error:
+        raise _NotVectorizable(
+            f"no dependency edge {sorted(map(repr, error.args[0]))}"
+        ) from None
 
 
-def _run_section(state: _RunState, section: _Section) -> List[list]:
+class _MemoEntry:
+    """One memoised decision batch of a section.
+
+    ``choices`` per cell in op order (shared by every replay), the
+    section's post-decision pins rows and phi slots, and ``records``:
+    the step records of the batch, flat in plan order, built by the
+    first commit of the entry and shared by every later one (a step
+    record is a pure function of the template's op and its choice).
+    """
+
+    __slots__ = ("choices", "pins", "phi", "records")
+
+    def __init__(self, choices, pins, phi) -> None:
+        self.choices = choices
+        self.pins = pins
+        self.phi = phi
+        self.records: Optional[list] = None
+
+
+def _run_section(state: _RunState, section: _Section) -> _MemoEntry:
     np = _numpy()
     template = state.template
     stack = template.ensure_stack()
@@ -717,25 +744,18 @@ def _run_section(state: _RunState, section: _Section) -> List[list]:
     memo = section.memo
     hit = memo.get(signature)
     if hit is not None:
-        choices, post_pins, post_phi = hit
-        pins[read_rows] = post_pins
-        phi[slot_list] = post_phi
+        pins[read_rows] = hit.pins
+        phi[slot_list] = hit.phi
         STATS.vector_memo_hits += 1
-        return choices
+        return hit
     results = execute_section(stack, pins, phi, section, template.max_values)
     # LRU insert: the memo evicts its least recently used batch at
     # capacity instead of silently refusing new entries, so a workload
     # cycling through more than MEMO_LIMIT distinct signatures keeps a
     # live working set instead of freezing the first 128 forever.
-    memo.put(
-        signature,
-        (
-            results,
-            pins[read_rows].copy(),
-            phi[slot_list].copy(),
-        ),
-    )
-    return results
+    entry = _MemoEntry(results, pins[read_rows].copy(), phi[slot_list].copy())
+    memo.put(signature, entry)
+    return entry
 
 
 def execute_section(stack, pins, phi, section, max_values) -> List[list]:
@@ -946,15 +966,14 @@ def _section_refs(state: _RunState, section: _Section, fixer):
     return refs
 
 
-def _park(fixer, state: _RunState, cells, sections, refs) -> None:
-    """Leave ``cells``' decided lowering pending for ``commit_class``."""
-    state.pending = (
-        cells,
-        [cell for section in sections for cell in section.cells],
-        [cell_refs for section_refs in refs for cell_refs in section_refs],
-    )
+def _park(fixer, state: _RunState, cells, parts) -> None:
+    """Leave ``cells``' decided lowering pending for ``commit_class``.
+
+    ``parts`` lists ``(section, memo entry or None, refs)`` per section.
+    """
+    state.pending = (cells, parts)
     state.steps_seen = len(fixer._steps) + sum(
-        section.num_ops for section in sections
+        part[0].num_ops for part in parts
     )
     fixer._vector_state = state
 
@@ -978,12 +997,12 @@ def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
         section = template.section_for(instance, cells)
         state = _live_state(fixer, template)
         refs = _section_refs(state, section, fixer)
-        choices = _run_section(state, section)
+        entry = _run_section(state, section)
     except (_NotVectorizable, ReproError) as error:
         _fallback(fixer, error)
         return None
-    _park(fixer, state, cells, (section,), (refs,))
-    return choices
+    _park(fixer, state, cells, ((section, entry, refs),))
+    return entry.choices
 
 
 def lower_chunks(instance, kind: str, chunks):
@@ -1045,8 +1064,10 @@ def park_worker_class(fixer, state: _RunState, cells, sections) -> None:
         fixer,
         state,
         cells,
-        sections,
-        [state.refs_cache[id(section)] for section in sections],
+        [
+            (section, None, state.refs_cache[id(section)])
+            for section in sections
+        ],
     )
 
 

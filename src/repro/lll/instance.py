@@ -16,9 +16,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.artifacts import STORE as _ARTIFACTS
-from repro.artifacts.fingerprint import instance_key
+from repro.artifacts.fingerprint import event_shape_key, instance_key
 from repro.errors import ReproError, UnknownVariableError
 from repro.lll.hypergraph import Hypergraph
+from repro.planes import planes
 from repro.probability import (
     BadEvent,
     DiscreteVariable,
@@ -86,6 +87,11 @@ class LLLInstance:
     def variables(self) -> Tuple[DiscreteVariable, ...]:
         """All distinct variables, in first-appearance order."""
         return tuple(self._variables.values())
+
+    @property
+    def variable_names(self) -> Tuple[Hashable, ...]:
+        """The names of :attr:`variables`, in the same order."""
+        return tuple(self._variables)
 
     @property
     def num_variables(self) -> int:
@@ -172,13 +178,23 @@ class LLLInstance:
         ``d`` is a pure function of the instance shape, so a same-shape
         instance avoids materialising the dependency graph just to take
         a degree maximum (precondition checks need only the scalar).
+        Otherwise the ``vectorized`` graph plane reads it from the CSR
+        degrees and the ``reference`` plane from the networkx graph.
         """
         key = instance_key(self, "max-degree")
         cached = _ARTIFACTS.get("parameters", key)
         if cached is not None:
             return cached
-        graph = self.dependency_graph
-        degree = max((deg for _, deg in graph.degree()), default=0)
+        if planes().graph == "vectorized":
+            # The plan builds the same CSR graph next (cached per
+            # instance), so reading the degrees there costs no graph
+            # build of its own.
+            from repro.core.indexing import indexed_csr
+
+            degree = indexed_csr(self)[0].max_degree
+        else:
+            graph = self.dependency_graph
+            degree = max((deg for _, deg in graph.degree()), default=0)
         _ARTIFACTS.put("parameters", key, degree)
         return degree
 
@@ -187,19 +203,28 @@ class LLLInstance:
 
         Served from the artifact store's parameters tier when enabled —
         the probabilities are pure functions of the instance shape, so a
-        same-shape instance solved earlier already paid the per-event
-        enumeration.  Always returns a fresh dict; callers own (and may
-        mutate) their copy.
+        same-shape instance solved earlier already paid the enumeration.
+        On a miss, events of one shape key share one computed
+        probability; with the plane off every event computes its own.
+        Always returns a fresh dict; callers own (and may mutate) their
+        copy.
         """
         key = instance_key(self, "probabilities")
         cached = _ARTIFACTS.get("parameters", key)
         if cached is not None:
             return dict(cached)
-        probabilities = {
-            event.name: event.probability() for event in self._events
-        }
         if key is None:
-            return probabilities
+            return {event.name: event.probability() for event in self._events}
+        # A fingerprinted instance has every event's shape key memoised,
+        # and events of one shape have one probability: compute it once.
+        by_shape: Dict[bytes, float] = {}
+        probabilities = {}
+        for event in self._events:
+            shape = event_shape_key(event)
+            probability = by_shape.get(shape)
+            if probability is None:
+                probability = by_shape[shape] = event.probability()
+            probabilities[event.name] = probability
         _ARTIFACTS.put("parameters", key, probabilities)
         return dict(probabilities)
 

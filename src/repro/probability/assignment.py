@@ -84,15 +84,10 @@ class PartialAssignment:
             variable was already fixed to a *different* value.
         """
         if value not in variable:
-            raise InvalidAssignmentError(
-                f"value {value!r} is not in the support of {variable.name!r}"
-            )
+            raise support_error(variable.name, value)
         existing = self._values.get(variable.name, _UNSET)
         if existing is not _UNSET and existing != value:
-            raise InvalidAssignmentError(
-                f"variable {variable.name!r} already fixed to {existing!r}; "
-                f"cannot re-fix to {value!r}"
-            )
+            raise refix_error(variable.name, existing, value)
         self._values[variable.name] = value
         return self
 
@@ -145,6 +140,25 @@ class PartialAssignment:
 
     def __repr__(self) -> str:
         return f"PartialAssignment({self._values!r})"
+
+
+def support_error(name: Hashable, value: Hashable) -> InvalidAssignmentError:
+    """The error :meth:`PartialAssignment.fix` raises for a value outside
+    the variable's support."""
+    return InvalidAssignmentError(
+        f"value {value!r} is not in the support of {name!r}"
+    )
+
+
+def refix_error(
+    name: Hashable, existing: Hashable, value: Hashable
+) -> InvalidAssignmentError:
+    """The error :meth:`PartialAssignment.fix` raises for re-fixing a
+    variable to a different value."""
+    return InvalidAssignmentError(
+        f"variable {name!r} already fixed to {existing!r}; "
+        f"cannot re-fix to {value!r}"
+    )
 
 
 class _Unset:

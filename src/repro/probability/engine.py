@@ -67,6 +67,8 @@ _STAT_NAMES = (
     "vector_passes",
     "vector_fallbacks",
     "vector_memo_hits",
+    "verify_columnar_events",
+    "verify_scalar_events",
     "cache_hits",
     "cache_misses",
     "cache_evictions",
@@ -171,6 +173,7 @@ class EventKernel:
         "_fingerprint",
         "_batch_arrays",
         "_support_maps",
+        "_bad_codes",
         "num_outcomes",
     )
 
@@ -212,6 +215,7 @@ class EventKernel:
         self._fingerprint: Optional[bytes] = None
         self._batch_arrays = None
         self._support_maps: Optional[dict] = None
+        self._bad_codes = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -347,6 +351,19 @@ class EventKernel:
     def value_index(self, position: int, value: Hashable) -> Optional[int]:
         """Index of ``value`` in the scope variable at ``position``."""
         return self._index_maps[position].get(value)
+
+    def bad_codes(self):
+        """The bad rows' mixed-radix codes as a sorted int64 array (cached).
+
+        The columnar form of :meth:`occurs`: a code is bad iff it is in
+        this array.
+        """
+        if self._bad_codes is None:
+            np = _numpy()
+            self._bad_codes = np.fromiter(
+                sorted(self._codes), dtype=np.int64, count=len(self._codes)
+            )
+        return self._bad_codes
 
     def support_map(
         self, position: int, values: Tuple[Hashable, ...]

@@ -292,6 +292,14 @@ class BadEvent:
                 row.append(index)
             else:
                 return kernel.occurs(row)
+        return self.predicate_occurs(assignment)
+
+    def predicate_occurs(self, assignment: PartialAssignment) -> bool:
+        """The predicate itself under an assignment fixing the whole scope.
+
+        What :meth:`occurs` answers without a kernel, or for a value its
+        kernel cannot index (one outside the variable's value list).
+        """
         values = {
             name: assignment.value_of(name) for name in self._scope_names
         }

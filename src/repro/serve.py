@@ -362,6 +362,7 @@ class SolveService:
                 "complete": bool(report.complete),
                 "occurring": [_encode_name(n) for n in report.occurring],
                 "unfixed": [_encode_name(n) for n in report.unfixed],
+                "invalid": [_encode_name(n) for n in report.invalid],
             },
         }
 

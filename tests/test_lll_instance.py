@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+from repro.artifacts import STORE
 from repro.errors import ReproError, UnknownVariableError
+from repro.generators import INSTANCE_FAMILIES, build_family_instance
 from repro.lll import LLLInstance
+from repro.planes import using_planes
 from repro.probability import BadEvent, DiscreteVariable, PartialAssignment
 
 
@@ -135,3 +138,26 @@ class TestVerification:
         assert triangle_instance.variable("xy").name == "xy"
         with pytest.raises(ReproError):
             triangle_instance.event("missing")
+
+
+class TestParametersAcrossPlanes:
+    """``d`` from CSR degrees and probabilities computed once per shape
+    equal the reference plane's networkx degree and the per-event
+    enumeration, on every generator family."""
+
+    @pytest.mark.parametrize("family", INSTANCE_FAMILIES)
+    @pytest.mark.parametrize("artifacts", ["on", "off"])
+    def test_degree_and_probabilities_agree(self, family, artifacts):
+        def build():
+            alphabet = 5 if family == "triples" else 3
+            return build_family_instance(family, 10, alphabet=alphabet, seed=2)
+
+        graph = build().dependency_graph
+        expected_d = max(degree for _, degree in graph.degree())
+        expected_p = {event.name: event.probability() for event in build().events}
+        for graph_plane in ("vectorized", "reference"):
+            with using_planes(graph=graph_plane, artifacts=artifacts):
+                STORE.clear()
+                instance = build()
+                assert instance.max_dependency_degree == expected_d
+                assert instance.event_probabilities() == expected_p

@@ -249,6 +249,32 @@ class TestServeDifferential:
         assert len(broken["result"]["occurring"]) == 18
         client.close()
 
+    def test_verify_rejects_values_outside_the_value_list(self, served):
+        """No event occurs under an out-of-support value, and still the
+        assignment is not a solution: the report names the variables."""
+        client = served.client()
+        payload = {"family": "cycle", "n": 12, "alphabet": 3}
+        _, solved = client.solve(payload)
+        names = [name for name, _ in solved["result"]["assignment"]]
+        status, report = client.request(
+            "POST",
+            "/v1/verify",
+            {**payload, "assignment": [[name, 99] for name in names]},
+        )
+        assert status == 200 and not report["ok"]
+        assert report["result"]["complete"]
+        assert report["result"]["occurring"] == []
+        invalid = report["result"]["invalid"]
+        assert sorted(map(json.dumps, invalid)) == sorted(map(json.dumps, names))
+        status, valid = client.request(
+            "POST",
+            "/v1/verify",
+            {**payload, "assignment": solved["result"]["assignment"]},
+        )
+        assert status == 200 and valid["ok"]
+        assert valid["result"]["invalid"] == []
+        client.close()
+
     def test_plan_endpoint_matches_local_plan(self, served):
         from repro.runtime.plan import plan_for_instance
 
