@@ -95,6 +95,27 @@ def _hint_reprs(hint) -> Optional[tuple]:
     return None if hint is None else tuple(sorted(map(repr, hint)))
 
 
+#: Label types whose equal values always print equally.  ``bool`` and
+#: ``float`` are not: ``0 == False == 0.0`` and ``0.0 == -0.0``.
+_REPR_EXACT = frozenset((int, str))
+
+
+def _hints_reprs(hints: list) -> list:
+    """:func:`_hint_reprs` of each hint, once per distinct hint.
+
+    Generators build a fresh hint per event, so hints are interned by
+    value first — exact only when equal hints print equally, which
+    holds when every label is of a :data:`_REPR_EXACT` type.  Otherwise
+    every hint is printed on its own.
+    """
+    labels = chain.from_iterable(chain.from_iterable(filter(None, hints)))
+    if not set(map(type, labels)) <= _REPR_EXACT:
+        return list(map(_hint_reprs, hints))
+    distinct, index = _intern(hints)
+    reprs = list(map(_hint_reprs, distinct))
+    return list(map(reprs.__getitem__, index))
+
+
 def event_shape_key(event) -> Optional[bytes]:
     """The kernels-tier key of one event, or ``None``.
 
@@ -203,7 +224,7 @@ def _layout(events) -> ScopeLayout:
         tuple, map(flat_supports.__getitem__, map(slice, starts, ends))
     )
     shapes, event_shapes = _intern(
-        list(zip(event_supports, map(_hint_reprs, hints)))
+        list(zip(event_supports, _hints_reprs(hints)))
     )
     keys = [
         None if hint_reprs is None

@@ -16,7 +16,15 @@ deduplicated by fingerprint and stacked
 (:class:`repro.probability.engine.KernelStack`), one pins-matrix row per
 event, one flat weight-ledger slot per bookkeeping entry, and wave
 sections (one per run of cells: a whole color class, or one process
-chunk of it) with all index arrays precomputed.  A solve then only
+chunk of it) with all index arrays precomputed.  Lowering reads the
+instance's :class:`~repro.artifacts.fingerprint.ScopeLayout` columns
+(``scope_slots``, ``offsets``, ``event_shapes``) as whole arrays: an
+argsort transpose of the scope column gives each variable's events,
+kernels and pin maps are looked up once per event shape and scope
+position, ledger slots are numbered from sorted integer event-index
+keys, and each wave's query, site and group arrays come from numpy
+grouping; per op it builds only the records the commit loop reads.
+A solve then only
 carries a small :class:`_RunState` (the pins matrix and the ledger
 array, specialised from live fixer state) through the template, so
 repeated solves pay specialisation, not lowering.
@@ -61,11 +69,14 @@ through any other path.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from itertools import chain, count, repeat
+from operator import attrgetter, is_
+from typing import Dict, Hashable, List, Optional
 
-from repro.artifacts.fingerprint import instance_key
+from repro.artifacts.fingerprint import instance_key, scope_layout
 from repro.artifacts.store import LRUCache, STORE as _ARTIFACTS
 from repro.errors import ReproError
+from repro.graph.csr import concatenated_ranges, sort_unique
 from repro.obs.recorder import active as _obs_active
 from repro.planes import planes
 from repro.probability.engine import (
@@ -81,7 +92,6 @@ from repro.core.selection import (
     select_rankr_class,
 )
 
-_MISSING = object()
 
 class _NotVectorizable(Exception):
     """Internal: the class cannot take the vector path."""
@@ -91,20 +101,72 @@ class _NotVectorizable(Exception):
 # Parent side: the instance-level template
 # ----------------------------------------------------------------------
 # Template op records are plain tuples; the indices below name the
-# fields.  ``TOP_GATHER``/``TOP_APPLY`` are ledger-slot layouts: where
-# the op's decision weights are read and where its committed weights
-# are written back.  For the rank-3 rule the gather is the ``[3, 2]``
-# matrix of phi-slot pairs whose products form the representable
-# triple, in the exact operand order ``local_weights`` multiplies them.
+# fields.  ``TOP_APPLY`` is the op's ledger-slot layout: where its
+# committed weights are written back.
 TOP_VARIABLE = 0  # the DiscreteVariable object
 TOP_NAMES = 1  # tuple of affected event names, in bookkeeping order
 TOP_RANK = 2  # number of affected events
 TOP_VALUES = 3  # tuple of support value labels, in support order
-TOP_SUPPORT = 4  # tuple of support value indices (into the value list)
-TOP_VALUES_ID = 5  # interned id of the support label tuple
-TOP_KEYS = 6  # ledger keys (frozensets) the op reads, or None
-TOP_GATHER = 7  # ledger slots read for decision weights, or None
-TOP_APPLY = 8  # ledger slots written on commit, or None
+TOP_KEYS = 4  # ledger keys (frozensets) the op reads, or None
+TOP_APPLY = 5  # ledger slots written on commit, or None
+
+#: The rank-3 rule's decision weights are the ``[3, 2]`` matrix of
+#: phi-slot pairs whose products form the representable triple, in the
+#: exact operand order ``local_weights`` multiplies them.  Entries are
+#: positions in the op's apply slots ``(uv:u, uv:v, uw:u, uw:w, vw:v,
+#: vw:w)``.
+_RANK3_GATHER = ((0, 2), (1, 4), (3, 5))
+
+
+#: The ledger keys of a rank-2 or rank-3 op under the pair rules: event
+#: pairs, as positions in the op's events (see ``_Template._key_sides``).
+_PAIR_SIDES = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+
+
+def _number_rows(np, rows, radix: int):
+    """Dense ids of the distinct rows of an int64 matrix, and their count.
+
+    Column by column, a row's id so far and its next entry form one
+    integer pair key, renumbered by :func:`sort_unique`; ``radix``
+    exceeds every entry.  Ids follow the rows' lexicographic order.
+    """
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    distinct = ids
+    for column in range(rows.shape[1]):
+        codes = ids * radix + rows[:, column]
+        distinct = sort_unique(codes)
+        ids = np.searchsorted(distinct, codes)
+    return ids, len(distinct)
+
+
+def _first_of(np, ids, count: int):
+    """The first position of each id ``0 .. count - 1`` in ``ids``."""
+    order = np.argsort(ids, kind="stable")
+    return order[np.searchsorted(ids[order], np.arange(count))]
+
+
+def _require_kernel_gate(np, events, num_outcomes: int) -> None:
+    """Raise unless every event would take a shared shape kernel.
+
+    The per-event side of ``BadEvent._compile_kernel``: an event whose
+    own enumeration limit is below the shape's outcome count, or whose
+    compile already failed, has no kernel.
+    """
+    limits = np.fromiter(
+        map(attrgetter("_enumeration_limit"), events),
+        dtype=np.int64,
+        count=len(events),
+    )
+    refused = np.fromiter(
+        map(is_, map(attrgetter("_kernel"), events), repeat(None)),
+        dtype=bool,
+        count=len(events),
+    )
+    over = np.flatnonzero(refused | (limits < num_outcomes))
+    if len(over):
+        raise _NotVectorizable(
+            f"event {events[int(over[0])].name!r} has no compiled kernel"
+        )
 
 
 class _TGroup:
@@ -140,10 +202,8 @@ class _TWave:
         "q_names",  # per-query event name (engine error contexts)
         "q_support",  # [Q, S] support value indices of the querying op
         "groups",
-        "site_lane",  # [T] lane per pin-scatter site
-        "site_event",  # [T] pins-matrix row per site
-        "site_pos",  # [T] pins-matrix column per site
-        "site_maps",  # [T, S] pin index per support position
+        # An op's pin-scatter sites are its queries: its own events.
+        "site_maps",  # [Q, S] pin index per support position
         "site_arange",
     )
 
@@ -191,57 +251,281 @@ class _Section:
 class _Template:
     """The instance-wide static lowering, shared across fixers and runs.
 
-    Events register lazily (with the first class that reads them).
-    Every op's pin-scatter sites are exactly its own affected events,
-    and an event's scope containing a variable is the same thing as the
-    event being affected by it — so any event is registered no later
-    than the first op whose fix it must observe, and later classes'
-    freshly registered events (whose scopes are disjoint from all
-    previously fixed variables) correctly start fully unpinned.
+    The first section binds the template to the instance's scope
+    columns (:class:`~repro.artifacts.fingerprint.ScopeLayout`): event
+    ``i`` of the layout is pins-matrix row ``i``, each variable's events
+    come from an argsort transpose of the scope columns, and supports
+    and ledger slots are arrays over variable rows.  All of it is a
+    function of the instance fingerprint, so fingerprint-equal instances
+    share it.
+
+    Kernels register lazily, with the first section that reads an
+    event: with the artifact store on, one ``compiled_kernel`` per
+    hinted event shape (on the shape's first event, the one the
+    fingerprint-keyed layers also ask); otherwise one per event.  An
+    event's row is pinned only by ops that affect it, and those ops'
+    sections register it, so no row is read before its event has a
+    kernel.
     """
 
     __slots__ = (
         "kind",
-        "index_of",  # event name -> event index
-        "names",
-        "scopes",
-        "slots",  # per event: stack slot of its kernel
-        "kernel_of",  # per event: the kernel object
+        "names",  # per event: its name
+        "offsets",  # int64 [E + 1]: event i's scope in scope_vars (None
+        # until bound)
+        "scope_vars",  # int64 [P]: variable row of every scope position
+        "var_ptr",  # int64 [V + 1]: variable v's sites start at var_ptr[v]
+        "var_events",  # int64 [P]: each variable's events, in event order
+        "var_positions",  # int64 [P]: its scope position in each
+        "row_of",  # variable name -> variable row
+        "variables",  # per variable row: the DiscreteVariable
+        "var_supports",  # int64 [V]: support id per variable row
+        "support_labels",  # per support id: the support value labels
+        "support_table",  # int64 [S, W]: support value indices, 0-padded
+        "support_sizes",  # int64 [S]
+        "support_ids",  # float64 [S]: interned id of the label tuple
+        "num_values",  # int64 [S]: length of the value list
+        "var_apply",  # int64 [V, A]: ledger slots per variable, -1-padded
+        "apply_widths",  # int64 [V]: used columns of var_apply
+        "ledger_keys",  # (first slot, distinct key rows) per key width
+        "ledger_size",
+        "event_shapes",  # int64 [E]: layout shape per event
+        "shape_first",  # int64 [shapes]: the first event of each shape
+        "shape_hinted",  # bool [shapes]: the shape has a shape key
+        "shape_kernels",  # shape -> index into kernel_objects
+        "pin_span",  # code radix of (shape, position, support) pin keys
+        "pin_maps",  # pin key -> pin index per support position
+        "kernel_ids",  # int64 [E]: index into kernel_objects, -1 unset
+        "kernel_objects",  # the registered kernel objects
+        "kernel_slots",  # per kernel object: its stack slot
+        "slots",  # int64 [E]: stack slot per registered event
         "kernels",  # unique kernels, by fingerprint
         "fingerprint_slots",
         "stack",
         "stack_size",
-        "values_ids",  # support label tuple -> small int
-        "supports",  # (values, probabilities) -> (support labels, indices)
-        "ledger_slots",  # ledger key -> {event name: phi slot}
-        "ledger_size",
         "sections",  # (id(cells), start, stop) -> (cells, _Section)
         "max_values",
     )
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.index_of: Dict[Hashable, int] = {}
         self.names: List[Hashable] = []
-        self.scopes: List[tuple] = []
-        self.slots: List[int] = []
-        self.kernel_of: List[object] = []
+        self.offsets = None
+        self.shape_kernels: Dict[int, int] = {}
+        self.pin_maps: Dict[int, tuple] = {}
+        self.kernel_objects: List[object] = []
+        self.kernel_slots: List[int] = []
         self.kernels: List[object] = []
         self.fingerprint_slots: Dict[bytes, int] = {}
         self.stack: Optional[KernelStack] = None
         self.stack_size = 0
-        self.values_ids: Dict[tuple, int] = {}
-        self.supports: Dict[tuple, Tuple[tuple, tuple]] = {}
-        self.ledger_slots: Dict[frozenset, Dict[Hashable, int]] = {}
+        self.ledger_keys: List[tuple] = []
         self.ledger_size = 0
         self.sections: Dict[tuple, tuple] = {}
         self.max_values = 1
 
-    # -- events and kernels -------------------------------------------
-    def ensure_event(self, event) -> int:
-        index = self.index_of.get(event.name)
-        if index is not None:
-            return index
+    # -- binding to the scope columns ---------------------------------
+    def _bind(self, np, instance) -> None:
+        layout = scope_layout(instance)
+        events = instance.events
+        num_events = len(events)
+        offsets = np.array(layout.offsets, dtype=np.int64)
+        lengths = np.diff(offsets)
+        self.names = list(map(attrgetter("name"), events))
+        self.offsets = offsets
+
+        # Variable rows follow the instance's variable order; a layout
+        # slot (one variable object) maps to the row of its name.
+        self.row_of = dict(zip(instance.variable_names, count()))
+        variables = instance.variables
+        num_vars = len(variables)
+        slot_rows = np.fromiter(
+            map(self.row_of.__getitem__, layout.slot_names),
+            dtype=np.int64,
+            count=len(layout.slot_names),
+        )
+        scope_vars = slot_rows[np.frombuffer(layout.scope_slots, np.int64)]
+        self.scope_vars = scope_vars
+        event_of = np.repeat(np.arange(num_events, dtype=np.int64), lengths)
+        positions = np.arange(len(scope_vars), dtype=np.int64) - offsets[
+            event_of
+        ]
+        # The transpose: a stable sort by variable keeps each
+        # variable's events in event order — the instance's
+        # ``events_of_variable`` (bookkeeping) order.
+        order = np.argsort(scope_vars, kind="stable")
+        self.var_ptr = np.zeros(num_vars + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(scope_vars, minlength=num_vars), out=self.var_ptr[1:]
+        )
+        self.var_events = event_of[order]
+        self.var_positions = positions[order]
+
+        self.variables = variables
+        self._bind_supports(np, layout, slot_rows)
+        self._bind_ledger(np, num_events)
+
+        shapes = np.frombuffer(layout.event_shapes, np.int64)
+        self.event_shapes = shapes
+        self.shape_first = _first_of(np, shapes, len(layout.shape_keys))
+        self.shape_hinted = np.asarray(
+            [key is not None for key in layout.shape_keys], dtype=bool
+        )
+        self.pin_span = (
+            max(int(lengths.max(initial=0)), 1),
+            max(len(self.support_labels), 1),
+        )
+        self.kernel_ids = np.full(num_events, -1, dtype=np.int64)
+        self.slots = np.full(num_events, -1, dtype=np.int64)
+
+    def _bind_supports(self, np, layout, slot_rows) -> None:
+        """Support columns per distinct layout support.
+
+        A layout support is exact: value-label ``repr`` and probability
+        bytes, so labels ``0``, ``0.0`` and ``False`` stay apart.  Each
+        variable row takes the support of its first slot, the
+        instance's own variable object.
+        """
+        first_slots = _first_of(np, slot_rows, len(self.variables))
+        supports = np.asarray(layout.slot_supports, dtype=np.int64)[
+            first_slots
+        ]
+        used = sort_unique(supports)
+        self.var_supports = np.searchsorted(used, supports)
+        representatives = [
+            self.variables[row]
+            for row in _first_of(np, self.var_supports, len(used)).tolist()
+        ]
+        indices = [
+            tuple(
+                index
+                for index, probability in enumerate(variable.probabilities)
+                if probability > 0.0
+            )
+            for variable in representatives
+        ]
+        labels = [
+            tuple(map(variable.values.__getitem__, support))
+            for variable, support in zip(representatives, indices)
+        ]
+        table = np.zeros(
+            (len(indices), max(map(len, indices), default=1) or 1),
+            dtype=np.int64,
+        )
+        for row, support in enumerate(indices):
+            table[row, : len(support)] = support
+        self.support_labels = labels
+        self.support_table = table
+        self.support_sizes = np.fromiter(
+            map(len, indices), dtype=np.int64, count=len(indices)
+        )
+        # Selection dedup compares these ids, and a shared choice
+        # carries its representative's label objects: key them exactly.
+        values_ids: Dict[str, int] = {}
+        self.support_ids = np.asarray(
+            [values_ids.setdefault(repr(key), len(values_ids))
+             for key in labels],
+            dtype=np.float64,
+        )
+        self.num_values = np.asarray(
+            [variable.num_values for variable in representatives],
+            dtype=np.int64,
+        )
+
+    def _key_sides(self, rank: int) -> tuple:
+        """The ledger keys of a rank-``rank`` op, as positions in its
+        events: the whole event set under the naive rule, event pairs
+        under the rank-2 and rank-3 rules."""
+        if self.kind == "naive":
+            return (tuple(range(rank)),)
+        return _PAIR_SIDES.get(rank, ())
+
+    def _bind_ledger(self, np, num_events: int) -> None:
+        """One phi slot per (ledger key, member event), over all variables.
+
+        A ledger key is a set of events, as its sorted row of event
+        indices; equal rows share slots, numbered by
+        :func:`_number_rows`.  The naive rule keys each variable's whole
+        event set; the rank-2 and rank-3 rules key event pairs (one per
+        rank-2 variable, three per rank-3 variable), so the rank-2
+        variables and triangle sides on one dependency edge share its
+        entry.  A variable's slots are in bookkeeping order.
+        """
+        var_ptr = self.var_ptr
+        ranks = np.diff(var_ptr)
+        self.apply_widths = np.zeros(len(ranks), dtype=np.int64)
+        # key width -> (variables, first apply column, key rows) per side
+        sides_by_width: Dict[int, list] = {}
+        for rank in sort_unique(ranks).tolist():
+            members = np.flatnonzero(ranks == rank)
+            sides = self._key_sides(rank)
+            self.apply_widths[members] = sum(map(len, sides))
+            for index, side in enumerate(sides):
+                rows = self.var_events[var_ptr[members][:, None] + side]
+                sides_by_width.setdefault(len(side), []).append(
+                    (members, index * len(side), rows)
+                )
+        self.var_apply = np.full(
+            (len(ranks), max(int(self.apply_widths.max(initial=0)), 1)),
+            -1,
+            dtype=np.int64,
+        )
+        base = 0
+        for width, sides in sorted(sides_by_width.items()):
+            rows = np.concatenate([side[2] for side in sides])
+            ids, count = _number_rows(np, rows, num_events)
+            distinct = np.empty((count, width), dtype=np.int64)
+            distinct[ids] = rows
+            self.ledger_keys.append((base, distinct))
+            slots = base + ids[:, None] * width + np.arange(width)
+            offset = 0
+            for members, column, _rows in sides:
+                self.var_apply[members, column:column + width] = slots[
+                    offset:offset + len(members)
+                ]
+                offset += len(members)
+            base += count * width
+        self.ledger_size = base
+
+    # -- kernels ---------------------------------------------------------
+    def _register(self, np, instance, rows) -> None:
+        """Give every event of ``rows`` without one a kernel and a slot."""
+        new = rows[self.kernel_ids[rows] < 0]
+        if not len(new):
+            return
+        events = instance.events
+        shapes = self.event_shapes[new]
+        shared = self.shape_hinted[shapes]
+        if planes().artifacts != "on":
+            shared[:] = False
+        for shape in sort_unique(shapes[shared]).tolist():
+            in_shape = shapes == shape
+            kernel_id = self.shape_kernels.get(shape)
+            if kernel_id is None:
+                first = events[int(self.shape_first[shape])]
+                kernel_id = -1
+                if first.compiled_kernel() is not None:
+                    kernel_id = self._add_kernel(first)
+                self.shape_kernels[shape] = kernel_id
+            if kernel_id < 0:
+                # The shape's first event has no kernel: the shape's
+                # events register one by one.
+                shared &= ~in_shape
+                continue
+            members = new[shared & in_shape]
+            _require_kernel_gate(
+                np,
+                list(map(events.__getitem__, members.tolist())),
+                self.kernel_objects[kernel_id].num_outcomes,
+            )
+            self.kernel_ids[members] = kernel_id
+            self.slots[members] = self.kernel_slots[kernel_id]
+        for index in new[~shared].tolist():
+            kernel_id = self._add_kernel(events[index])
+            self.kernel_ids[index] = kernel_id
+            self.slots[index] = self.kernel_slots[kernel_id]
+
+    def _add_kernel(self, event) -> int:
         kernel = event.compiled_kernel()
         if kernel is None:
             raise _NotVectorizable(
@@ -253,13 +537,9 @@ class _Template:
             slot = len(self.kernels)
             self.fingerprint_slots[fingerprint] = slot
             self.kernels.append(kernel)
-        index = len(self.names)
-        self.index_of[event.name] = index
-        self.names.append(event.name)
-        self.scopes.append(tuple(event.scope_names))
-        self.slots.append(slot)
-        self.kernel_of.append(kernel)
-        return index
+        self.kernel_objects.append(kernel)
+        self.kernel_slots.append(slot)
+        return len(self.kernel_objects) - 1
 
     def ensure_stack(self) -> KernelStack:
         if self.stack is None or self.stack_size != len(self.kernels):
@@ -273,70 +553,83 @@ class _Template:
             self.stack_size = len(self.kernels)
         return self.stack
 
-    def support_of(self, variable) -> Tuple[tuple, tuple]:
-        """``(support value labels, support value indices)``, by shape."""
-        key = (variable.values, variable.probabilities)
-        cached = self.supports.get(key)
-        if cached is None:
-            values = []
-            indices = []
-            for index, probability in enumerate(variable.probabilities):
-                if probability > 0.0:
-                    values.append(variable.values[index])
-                    indices.append(index)
-            cached = (tuple(values), tuple(indices))
-            self.supports[key] = cached
-        return cached
+    def _pin_table(self, np, site_event, site_pos, site_support):
+        """``(table, row per site)``: each site's pin index per support
+        position, as rows of a zero-padded table.
 
-    # -- ledger slots --------------------------------------------------
-    def _slots_for(
-        self, key: frozenset, names: tuple
-    ) -> Dict[Hashable, int]:
-        slot_map = self.ledger_slots.get(key)
-        if slot_map is None:
-            base = self.ledger_size
-            slot_map = {
-                name: base + offset for offset, name in enumerate(names)
-            }
-            self.ledger_size = base + len(names)
-            self.ledger_slots[key] = slot_map
-        return slot_map
+        A pin map depends only on the event's shape, the scope position
+        and the variable's support, so each distinct triple asks its
+        kernel's ``support_map`` once per template.
+        """
+        positions, supports = self.pin_span
+        codes = (
+            self.event_shapes[site_event] * positions + site_pos
+        ) * supports + site_support
+        distinct = sort_unique(codes)
+        rows = np.searchsorted(distinct, codes)
+        first = _first_of(np, rows, len(distinct))
+        table = np.zeros(
+            (len(distinct), self.support_table.shape[1]), dtype=np.int64
+        )
+        for row, code in enumerate(distinct.tolist()):
+            pin_map = self.pin_maps.get(code)
+            if pin_map is None:
+                site = int(first[row])
+                event = int(site_event[site])
+                labels = self.support_labels[int(site_support[site])]
+                kernel = self.kernel_objects[int(self.kernel_ids[event])]
+                pin_map = kernel.support_map(int(site_pos[site]), labels)
+                if pin_map is None:
+                    raise _NotVectorizable(
+                        f"support {labels!r} not indexable in event "
+                        f"{self.names[event]!r}"
+                    )
+                self.pin_maps[code] = pin_map
+            table[row, : len(pin_map)] = pin_map
+        return table, rows
 
-    def _ledger_layout(self, names: tuple, rank: int):
-        """``(keys, gather slots, apply slots)`` for one op."""
-        if self.kind == "naive":
-            key = frozenset(names)
-            slot_map = self._slots_for(key, names)
-            slots = tuple(slot_map[name] for name in names)
-            return (key,), slots, slots
-        if rank == 1:
-            return None, None, None
-        if rank == 2:
-            key = frozenset(names)
-            slot_map = self._slots_for(key, names)
-            slots = (slot_map[names[0]], slot_map[names[1]])
-            return (key,), slots, slots
-        u, v, w = names
-        key_uv = frozenset((u, v))
-        key_uw = frozenset((u, w))
-        key_vw = frozenset((v, w))
-        map_uv = self._slots_for(key_uv, (u, v))
-        map_uw = self._slots_for(key_uw, (u, w))
-        map_vw = self._slots_for(key_vw, (v, w))
-        gather = (
-            (map_uv[u], map_uw[u]),
-            (map_uv[v], map_vw[v]),
-            (map_uw[w], map_vw[w]),
-        )
-        apply_slots = (
-            map_uv[u],
-            map_uv[v],
-            map_uw[u],
-            map_uw[w],
-            map_vw[v],
-            map_vw[w],
-        )
-        return (key_uv, key_uw, key_vw), gather, apply_slots
+    def _op_columns(self, np, ranks, site_ptr, site_event, op_var):
+        """Per op: its event names, its ledger keys (frozensets of event
+        names) and its apply slots, the last two ``None`` for an op
+        without a ledger entry.  Built per rank from whole name columns.
+        """
+        num_ops = len(ranks)
+        op_names: List[Optional[tuple]] = [None] * num_ops
+        keys: List[Optional[tuple]] = [None] * num_ops
+        applies: List[Optional[tuple]] = [None] * num_ops
+        for rank in sort_unique(ranks).tolist():
+            members = np.flatnonzero(ranks == rank)
+            first = site_ptr[members]
+            columns = [
+                list(
+                    map(
+                        self.names.__getitem__,
+                        site_event[first + position].tolist(),
+                    )
+                )
+                for position in range(rank)
+            ]
+            member_names = list(zip(*columns))
+            width = int(self.apply_widths[op_var[members[0]]])
+            if width == 0:
+                member_keys = member_slots = repeat(None)
+            else:
+                member_keys = zip(
+                    *[
+                        list(map(frozenset, zip(*[columns[j] for j in side])))
+                        for side in self._key_sides(rank)
+                    ]
+                )
+                member_slots = map(
+                    tuple, self.var_apply[op_var[members], :width].tolist()
+                )
+            for index, names, key, slots in zip(
+                members.tolist(), member_names, member_keys, member_slots
+            ):
+                op_names[index] = names
+                keys[index] = key
+                applies[index] = slots
+        return op_names, keys, applies
 
     # -- class sections ------------------------------------------------
     def section_for(
@@ -361,195 +654,173 @@ class _Template:
         return section
 
     def _lower(self, instance, cells) -> _Section:
-        section = _Section()
-        section.cells = []
-        section.waves = []
-        section.memo = LRUCache(MEMO_LIMIT)
-        read_set: set = set()
-        slot_set: set = set()
-        raw: List[tuple] = []
-        num_ops = 0
-        for cell_index, cell in enumerate(cells):
-            op_records = []
-            for op_index, op in enumerate(cell.ops):
-                variable = instance.variable(op.variable)
-                events = instance.events_of_variable(op.variable)
-                names = tuple(event.name for event in events)
-                rank = len(names)
-                indices = [self.ensure_event(event) for event in events]
-                values, support = self.support_of(variable)
-                if variable.num_values > self.max_values:
-                    self.max_values = variable.num_values
-                values_id = self.values_ids.setdefault(
-                    values, len(self.values_ids)
-                )
-                sites = []
-                pin_maps = []
-                for event_index in indices:
-                    position = self.scopes[event_index].index(
-                        variable.name
-                    )
-                    value_map = self.kernel_of[event_index].support_map(
-                        position, values
-                    )
-                    if value_map is None:
-                        raise _NotVectorizable(
-                            f"support of {variable.name!r} not indexable "
-                            f"in event {self.names[event_index]!r}"
-                        )
-                    sites.append((event_index, position))
-                    pin_maps.append(value_map)
-                keys, gather, apply_slots = self._ledger_layout(
-                    names, rank
-                )
-                read_set.update(indices)
-                if apply_slots is not None:
-                    slot_set.update(apply_slots)
-                if gather is not None:
-                    for entry in gather:
-                        if isinstance(entry, tuple):
-                            slot_set.update(entry)
-                        else:
-                            slot_set.add(entry)
-                record = (
-                    variable,
-                    names,
-                    rank,
-                    values,
-                    support,
-                    values_id,
-                    keys,
-                    gather,
-                    apply_slots,
-                )
-                op_records.append(record)
-                raw.append((cell_index, op_index, record, sites, pin_maps))
-                num_ops += 1
-            section.cells.append((cell.owner, op_records))
-        section.num_ops = num_ops
-        section.ops = [entry[2] for entry in raw]
-        section.names = [record[TOP_VARIABLE].name for record in section.ops]
-        np = _numpy()
-        section.read_rows = np.asarray(sorted(read_set), dtype=np.int64)
-        section.slot_list = np.asarray(sorted(slot_set), dtype=np.int64)
-        self._assemble(section, raw)
-        self.ensure_stack()
-        return section
+        """Lower ``cells`` from the bound columns, as whole arrays.
 
-    def _assemble(self, section: _Section, raw: List[tuple]) -> None:
+        Ops are flat in plan order; an op's sites are its variable's
+        (event, scope position) pairs.  Wave ``j`` holds the ``j``-th op
+        of every cell, its lanes in cell order.  Only the op records the
+        commit loop reads are built per op.
+        """
         np = _numpy()
-        num_waves = max((entry[1] for entry in raw), default=-1) + 1
-        buckets: List[List[tuple]] = [[] for _ in range(num_waves)]
-        for entry in raw:
-            buckets[entry[1]].append(entry)
+        if self.offsets is None:
+            self._bind(np, instance)
         naive = self.kind == "naive"
-        for bucket in buckets:
-            wave = _TWave()
-            count = len(bucket)
-            wave.count = count
-            wave.cell_of = [entry[0] for entry in bucket]
-            max_rank = 1
-            max_support = 1
-            for _c, _w, record, _s, _m in bucket:
-                if record[TOP_RANK] > max_rank:
-                    max_rank = record[TOP_RANK]
-                size = len(record[TOP_SUPPORT])
-                if size > max_support:
-                    max_support = size
-            wave.max_rank = max_rank
-            wave.max_support = max_support
-            support_matrix = np.zeros(
-                (count, max_support), dtype=np.int64
+        cell_ops = list(map(attrgetter("ops"), cells))
+        ops = list(chain.from_iterable(cell_ops))
+        num_ops = len(ops)
+        variable_names = list(map(attrgetter("variable"), ops))
+        try:
+            op_var = np.fromiter(
+                map(self.row_of.__getitem__, variable_names),
+                dtype=np.int64,
+                count=num_ops,
             )
-            mask_matrix = np.zeros((count, max_support), dtype=bool)
-            q_kernel: List[int] = []
-            q_event: List[int] = []
-            q_target: List[int] = []
-            q_op: List[int] = []
-            q_slot: List[int] = []
-            q_names: List[Hashable] = []
-            site_lane: List[int] = []
-            site_event: List[int] = []
-            site_pos: List[int] = []
-            site_maps: List[tuple] = []
-            grouped: Dict[Tuple[str, int], List[int]] = {}
-            for lane, (_c, _w, record, sites, pin_maps) in enumerate(
-                bucket
-            ):
-                support = record[TOP_SUPPORT]
-                size = len(support)
-                support_matrix[lane, :size] = support
-                mask_matrix[lane, :size] = True
-                for slot_index, (event_index, position) in enumerate(
-                    sites
-                ):
-                    q_kernel.append(self.slots[event_index])
-                    q_event.append(event_index)
-                    q_target.append(position)
-                    q_op.append(lane)
-                    q_slot.append(slot_index)
-                    q_names.append(self.names[event_index])
-                for (event_index, position), value_map in zip(
-                    sites, pin_maps
-                ):
-                    site_lane.append(lane)
-                    site_event.append(event_index)
-                    site_pos.append(position)
-                    site_maps.append(
-                        value_map
-                        + (0,) * (max_support - len(value_map))
-                    )
-                rank = record[TOP_RANK]
-                rule = "rankr" if naive else f"rank{rank}"
-                grouped.setdefault((rule, rank), []).append(lane)
-            q_op_array = np.asarray(q_op, dtype=np.int64)
-            wave.q_kernel = np.asarray(q_kernel, dtype=np.int64)
-            wave.q_event = np.asarray(q_event, dtype=np.int64)
-            wave.q_target = np.asarray(q_target, dtype=np.int64)
-            wave.q_op = q_op_array
-            wave.q_slot = np.asarray(q_slot, dtype=np.int64)
-            wave.q_names = q_names
-            wave.q_support = support_matrix[q_op_array]
-            wave.site_lane = np.asarray(site_lane, dtype=np.int64)
-            wave.site_event = np.asarray(site_event, dtype=np.int64)
-            wave.site_pos = np.asarray(site_pos, dtype=np.int64)
-            wave.site_maps = np.asarray(
-                site_maps, dtype=np.int64
-            ).reshape(len(site_maps), max_support)
-            wave.site_arange = np.arange(len(site_maps))
+        except KeyError as error:
+            raise _NotVectorizable(
+                f"no variable named {error.args[0]!r}"
+            ) from None
+        starts = self.var_ptr[op_var]
+        ranks = self.var_ptr[op_var + 1] - starts
+        if not naive and num_ops and int(ranks.max()) > 3:
+            raise _NotVectorizable("an op of rank above 3")
+        site_ptr = np.zeros(num_ops + 1, dtype=np.int64)
+        np.cumsum(ranks, out=site_ptr[1:])
+        sites = concatenated_ranges(starts, ranks)
+        site_event = self.var_events[sites]
+        site_pos = self.var_positions[sites]
+        site_op = np.repeat(np.arange(num_ops, dtype=np.int64), ranks)
+        site_slot = np.arange(len(sites), dtype=np.int64) - site_ptr[site_op]
+        read_rows = sort_unique(site_event)
+        self._register(np, instance, read_rows)
+        op_support = self.var_supports[op_var]
+        pin_table, site_pin = self._pin_table(
+            np, site_event, site_pos, op_support[site_op]
+        )
+        op_apply = self.var_apply[op_var]
+        if num_ops:
+            self.max_values = max(
+                self.max_values, int(self.num_values[op_support].max())
+            )
+
+        variables = list(map(self.variables.__getitem__, op_var.tolist()))
+        values = list(
+            map(self.support_labels.__getitem__, op_support.tolist())
+        )
+        op_names, keys, applies = self._op_columns(
+            np, ranks, site_ptr, site_event, op_var
+        )
+        records = list(
+            zip(variables, op_names, ranks.tolist(), values, keys, applies)
+        )
+        counts = np.fromiter(
+            map(len, cell_ops), dtype=np.int64, count=len(cell_ops)
+        )
+        cell_ptr = np.zeros(len(cell_ops) + 1, dtype=np.int64)
+        np.cumsum(counts, out=cell_ptr[1:])
+        cell_bounds = cell_ptr.tolist()
+
+        section = _Section()
+        section.cells = list(
+            zip(
+                map(attrgetter("owner"), cells),
+                map(
+                    records.__getitem__,
+                    map(slice, cell_bounds[:-1], cell_bounds[1:]),
+                ),
+            )
+        )
+        section.memo = LRUCache(MEMO_LIMIT)
+        section.num_ops = num_ops
+        section.ops = records
+        section.names = variable_names
+        section.read_rows = read_rows
+        section.slot_list = sort_unique(op_apply[op_apply >= 0])
+
+        # Waves: the j-th op of every cell, lanes in cell order.
+        op_cell = np.repeat(np.arange(len(cell_ops), dtype=np.int64), counts)
+        op_wave = np.arange(num_ops, dtype=np.int64) - cell_ptr[op_cell]
+        num_waves = int(counts.max(initial=0))
+        lane_order = np.argsort(op_wave, kind="stable")
+        wave_ptr = np.searchsorted(
+            op_wave[lane_order], np.arange(num_waves + 1)
+        )
+        lane_of = np.empty(num_ops, dtype=np.int64)
+        lane_of[lane_order] = (
+            np.arange(num_ops, dtype=np.int64) - wave_ptr[op_wave[lane_order]]
+        )
+        site_wave = op_wave[site_op]
+        site_order = np.argsort(site_wave, kind="stable")
+        site_wave_ptr = np.searchsorted(
+            site_wave[site_order], np.arange(num_waves + 1)
+        )
+        section.waves = []
+        for wave_index in range(num_waves):
+            lane_ops = lane_order[
+                wave_ptr[wave_index]:wave_ptr[wave_index + 1]
+            ]
+            wave_sites = site_order[
+                site_wave_ptr[wave_index]:site_wave_ptr[wave_index + 1]
+            ]
+            lane_support = op_support[lane_ops]
+            lane_ranks = ranks[lane_ops]
+            sizes = self.support_sizes[lane_support]
+            wave = _TWave()
+            wave.count = len(lane_ops)
+            wave.cell_of = op_cell[lane_ops].tolist()
+            wave.max_rank = max(int(lane_ranks.max(initial=1)), 1)
+            max_support = max(int(sizes.max(initial=1)), 1)
+            wave.max_support = max_support
+            support_matrix = self.support_table[lane_support, :max_support]
+            mask_matrix = np.arange(max_support) < sizes[:, None]
+            wave.q_op = lane_of[site_op[wave_sites]]
+            wave.q_event = site_event[wave_sites]
+            wave.q_target = site_pos[wave_sites]
+            wave.q_kernel = self.slots[wave.q_event]
+            wave.q_slot = site_slot[wave_sites]
+            wave.q_names = list(
+                map(self.names.__getitem__, wave.q_event.tolist())
+            )
+            wave.q_support = support_matrix[wave.q_op]
+            wave.site_maps = pin_table[site_pin[wave_sites], :max_support]
+            wave.site_arange = np.arange(len(wave_sites))
             wave.groups = []
-            for (rule, rank), lane_list in grouped.items():
+            # One group per rank, in order of first lane.
+            wave_ranks = sort_unique(lane_ranks)
+            first_lanes = _first_of(
+                np, np.searchsorted(wave_ranks, lane_ranks), len(wave_ranks)
+            )
+            for rank in wave_ranks[np.argsort(first_lanes)].tolist():
+                lanes = np.flatnonzero(lane_ranks == rank)
+                group_ops = lane_ops[lanes]
+                group_op_list = group_ops.tolist()
                 group = _TGroup()
-                group.rule = rule
+                group.rule = "rankr" if naive else f"rank{rank}"
                 group.rank = rank
-                group.lane_list = lane_list
-                group.lanes = np.asarray(lane_list, dtype=np.int64)
-                records = [bucket[lane][2] for lane in lane_list]
-                group.values_id = np.asarray(
-                    [record[TOP_VALUES_ID] for record in records],
-                    dtype=np.float64,
-                ).reshape(len(lane_list), 1)
-                group.variables = [
-                    record[TOP_VARIABLE] for record in records
-                ]
-                group.values = [
-                    record[TOP_VALUES] for record in records
-                ]
-                group.mask = mask_matrix[group.lanes]
-                if records[0][TOP_GATHER] is None:
+                group.lanes = lanes
+                group.lane_list = lanes.tolist()
+                group.values_id = self.support_ids[
+                    op_support[group_ops]
+                ].reshape(len(lanes), 1)
+                group.variables = list(
+                    map(variables.__getitem__, group_op_list)
+                )
+                group.values = list(map(values.__getitem__, group_op_list))
+                group.mask = mask_matrix[lanes]
+                width = int(self.apply_widths[op_var[group_ops[0]]])
+                if width == 0:
                     group.gather = None
                     group.apply = None
                 else:
-                    group.gather = np.asarray(
-                        [record[TOP_GATHER] for record in records],
-                        dtype=np.int64,
-                    )
-                    group.apply = np.asarray(
-                        [record[TOP_APPLY] for record in records],
-                        dtype=np.int64,
+                    group.apply = op_apply[group_ops, :width]
+                    group.gather = (
+                        group.apply[:, np.asarray(_RANK3_GATHER)]
+                        if not naive and rank == 3
+                        else group.apply
                     )
                 wave.groups.append(group)
             section.waves.append(wave)
+        self.ensure_stack()
+        return section
 
 
 def _template_for(instance, kind: str) -> _Template:
@@ -612,38 +883,13 @@ class _RunState:
 
     def ensure_capacity(self, np) -> None:
         template = self.template
-        width = max(template.stack.width, 1)
-        num_events = len(template.names)
+        shape = (len(template.names), max(template.stack.width, 1))
         pins = self.pins
-        if pins is None:
-            self.pins = np.full(
-                (num_events, width), -1, dtype=np.int64
-            )
-        else:
-            rows, cols = pins.shape
-            if cols < width:
-                pins = np.concatenate(
-                    [
-                        pins,
-                        np.full(
-                            (rows, width - cols), -1, dtype=np.int64
-                        ),
-                    ],
-                    axis=1,
-                )
-            if rows < num_events:
-                pins = np.concatenate(
-                    [
-                        pins,
-                        np.full(
-                            (num_events - rows, pins.shape[1]),
-                            -1,
-                            dtype=np.int64,
-                        ),
-                    ],
-                    axis=0,
-                )
-            self.pins = pins
+        if pins is None or pins.shape != shape:
+            grown = np.full(shape, -1, dtype=np.int64)
+            if pins is not None:
+                grown[: pins.shape[0], : pins.shape[1]] = pins
+            self.pins = grown
         phi = self.phi
         size = template.ledger_size
         if phi is None:
@@ -663,30 +909,52 @@ def _build_state(fixer, template: _Template) -> _RunState:
     state.ensure_capacity(np)
     values_map = fixer.assignment._values
     if values_map:
-        pins = state.pins
-        kernel_of = template.kernel_of
-        scopes = template.scopes
-        for index in range(len(template.names)):
-            kernel = kernel_of[index]
-            for position, name in enumerate(scopes[index]):
-                value = values_map.get(name, _MISSING)
-                if value is not _MISSING:
-                    pin = kernel.value_index(position, value)
-                    if pin is None:
-                        raise _NotVectorizable(
-                            f"value of {name!r} outside the support of "
-                            f"event {template.names[index]!r}"
-                        )
-                    pins[index, position] = pin
+        _pin_assignment(np, state.pins, template, values_map)
     if state.steps_seen or values_map:
-        phi = state.phi
-        ledger = fixer.vector_ledger
-        for key, slot_map in template.ledger_slots.items():
-            live = ledger.get(key)
-            if live is not None:
-                for name, slot in slot_map.items():
-                    phi[slot] = live[name]
+        _copy_ledger(state.phi, template, fixer.vector_ledger)
     return state
+
+
+def _pin_assignment(np, pins, template: _Template, values_map) -> None:
+    """Pin every fixed variable in the rows of the registered events."""
+    offsets = template.offsets
+    scope_vars = template.scope_vars
+    variable_names = [variable.name for variable in template.variables]
+    fixed = np.fromiter(
+        map(values_map.__contains__, variable_names),
+        dtype=bool,
+        count=len(variable_names),
+    )
+    event_of = np.repeat(
+        np.arange(len(template.names), dtype=np.int64), np.diff(offsets)
+    )
+    kernel_ids = template.kernel_ids
+    sites = np.flatnonzero(fixed[scope_vars] & (kernel_ids[event_of] >= 0))
+    for site, event in zip(sites.tolist(), event_of[sites].tolist()):
+        position = site - int(offsets[event])
+        name = variable_names[int(scope_vars[site])]
+        kernel = template.kernel_objects[int(kernel_ids[event])]
+        pin = kernel.value_index(position, values_map[name])
+        if pin is None:
+            raise _NotVectorizable(
+                f"value of {name!r} outside the support of "
+                f"event {template.names[event]!r}"
+            )
+        pins[event, position] = pin
+
+
+def _copy_ledger(phi, template: _Template, ledger) -> None:
+    """Copy the fixer's live ledger entries into their phi slots."""
+    names = template.names
+    for base, keys in template.ledger_keys:
+        width = keys.shape[1]
+        for index, row in enumerate(keys.tolist()):
+            members = [names[event] for event in row]
+            live = ledger.get(frozenset(members))
+            if live is not None:
+                slot = base + index * width
+                for offset, name in enumerate(members):
+                    phi[slot + offset] = live[name]
 
 
 def _resolve_refs(section: _Section, fixer) -> list:
@@ -916,9 +1184,9 @@ def _run_twave(np, stack, pins, phi, wave, results, max_values) -> None:
     cell_of = wave.cell_of
     for lane in range(count):
         results[cell_of[lane]].append(choices[lane])
-    if wave.site_event.shape[0]:
-        pins[wave.site_event, wave.site_pos] = wave.site_maps[
-            wave.site_arange, positions[wave.site_lane]
+    if wave.q_event.shape[0]:
+        pins[wave.q_event, wave.q_target] = wave.site_maps[
+            wave.site_arange, positions[wave.q_op]
         ]
 
 

@@ -53,7 +53,24 @@ def require_index_dtype(name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def sort_unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array: ``np.unique(keys)``.
+
+    One sort and one neighbour mask.  ``np.unique`` may take a hash
+    table instead (numpy 2.x does for integer input), which is slower
+    on the key arrays the substrate dedupes; this result does not
+    depend on the numpy version.
+    """
+    keys = np.sort(keys, axis=None)
+    if len(keys) < 2:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``.
 
     The standard vectorized multi-range trick; the building block for
@@ -123,7 +140,7 @@ class CSRGraph:
         # Symmetrize, then dedupe directed pairs via their flat keys.
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
-        keys = np.unique(src * np.int64(num_nodes) + dst)
+        keys = sort_unique(src * np.int64(num_nodes) + dst)
         src = keys // num_nodes
         dst = keys % num_nodes
         counts = np.bincount(src, minlength=num_nodes)
@@ -223,7 +240,7 @@ class CSRGraph:
         """
         starts = self.indptr[nodes]
         counts = self.indptr[nodes + 1] - starts
-        entry = _concatenated_ranges(starts, counts)
+        entry = concatenated_ranges(starts, counts)
         owner = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
         return owner, entry
 
@@ -347,16 +364,16 @@ def square_csr(csr: CSRGraph) -> CSRGraph:
             chunk = slice(start_entry, end_entry)
             src = np.repeat(row[chunk], counts[chunk])
             targets = csr.indices[chunk]
-            entry = _concatenated_ranges(
+            entry = concatenated_ranges(
                 csr.indptr[targets], counts[chunk]
             )
             dst = csr.indices[entry]
             keep = src != dst
-            keys.append(np.unique(src[keep] * np.int64(n) + dst[keep]))
+            keys.append(sort_unique(src[keep] * np.int64(n) + dst[keep]))
             spent = int(boundaries[end_entry - 1])
             start_entry = end_entry
         del boundaries
-    all_keys = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.int64)
+    all_keys = sort_unique(np.concatenate(keys))
     src = all_keys // n
     dst = all_keys % n
     counts = np.bincount(src, minlength=n)

@@ -18,6 +18,7 @@ per-event :meth:`BadEvent.occurs` only for a reason in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Hashable, Optional, Tuple
 
@@ -50,7 +51,7 @@ class VerificationResult:
     #: Names of variables that are still unfixed.
     unfixed: Tuple[Hashable, ...]
     #: Names of fixed variables whose value is not in the variable's
-    #: value list, in instance order.
+    #: value list (an unhashable value never is), in instance order.
     invalid: Tuple[Hashable, ...] = ()
 
     @property
@@ -112,16 +113,35 @@ def _slot_indices(np, layout, values):
         {value: index for index, value in enumerate(support)}
         for support in layout.support_values
     ]
-    if len(maps) == 1:
+    try:
+        lookups = [index_map.get for index_map in maps]
+        return _indices_in(np, layout, slot_values, lookups, count)
+    except TypeError:
+        # An unhashable value (say a JSON list) is in no value list.
+        lookups = [
+            partial(_index_or_outside, index_map) for index_map in maps
+        ]
+        return _indices_in(np, layout, slot_values, lookups, count)
+
+
+def _index_or_outside(index_map, value, outside):
+    try:
+        return index_map.get(value, outside)
+    except TypeError:
+        return outside
+
+
+def _indices_in(np, layout, slot_values, lookups, count):
+    if len(lookups) == 1:
         return np.fromiter(
-            map(maps[0].get, slot_values, repeat(-1)), dtype=np.int64, count=count
+            map(lookups[0], slot_values, repeat(-1)), dtype=np.int64, count=count
         )
     slot_index = np.empty(count, dtype=np.int64)
     supports = np.asarray(layout.slot_supports, dtype=np.int64)
-    for support, index_map in enumerate(maps):
+    for support, lookup in enumerate(lookups):
         slots = np.flatnonzero(supports == support)
         slot_index[slots] = np.fromiter(
-            map(index_map.get, map(slot_values.__getitem__, slots.tolist()),
+            map(lookup, map(slot_values.__getitem__, slots.tolist()),
                 repeat(-1)),
             dtype=np.int64,
             count=len(slots),
@@ -191,14 +211,35 @@ def _occurrence_per_event(events, assignment, scalar, occurs):
     for reason, members in scalar.items():
         for index in members:
             event = events[index]
-            occurs[index] = (
-                event.predicate_occurs(assignment)
-                if reason == "outside_index_map"
-                else event.occurs(assignment)
-            )
+            occurs[index] = _occurs(event, assignment, reason)
         _engine.STATS.verify_scalar_events += len(members)
         if recorder is not None:
             recorder.count("verify", f"scalar_{reason}", len(members))
+
+
+def _occurs(event, assignment, reason: str) -> bool:
+    """Whether ``event`` occurs, evaluated on its own.
+
+    An event whose predicate cannot take an unhashable value of its
+    scope does not occur: no tabulated bad outcome holds such a value,
+    and the value itself is reported ``invalid``.
+    """
+    try:
+        if reason == "outside_index_map":
+            return event.predicate_occurs(assignment)
+        return event.occurs(assignment)
+    except TypeError:
+        if all(map(_hashable, map(assignment.value_of, event.scope_names))):
+            raise
+        return False
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

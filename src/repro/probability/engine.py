@@ -172,7 +172,6 @@ class EventKernel:
         "_codes",
         "_fingerprint",
         "_batch_arrays",
-        "_support_maps",
         "_bad_codes",
         "num_outcomes",
     )
@@ -214,7 +213,6 @@ class EventKernel:
         )
         self._fingerprint: Optional[bytes] = None
         self._batch_arrays = None
-        self._support_maps: Optional[dict] = None
         self._bad_codes = None
 
     # ------------------------------------------------------------------
@@ -368,29 +366,15 @@ class EventKernel:
     def support_map(
         self, position: int, values: Tuple[Hashable, ...]
     ) -> Optional[Tuple[int, ...]]:
-        """Value indices of a support tuple at one scope position, cached.
+        """Value indices of a support tuple at one scope position.
 
         ``None`` if any value is outside the scope variable's value list.
-        Cached per kernel *object* (not per fingerprint): fingerprints
-        deliberately ignore value labels, which are exactly what this
-        maps.  The vector decide plane calls this once per (variable,
-        pin-site) pair per class, so the cache turns the per-op label
-        translation into a dict hit.
+        The vector decide plane asks once per (event shape, scope
+        position, support) and keeps the answer on its template.
         """
-        maps = self._support_maps
-        if maps is None:
-            maps = self._support_maps = {}
-        key = (position, values)
-        cached = maps.get(key, False)
-        if cached is False:
-            index_map = self._index_maps[position]
-            indices: Optional[Tuple[int, ...]] = tuple(
-                index_map.get(value, -1) for value in values
-            )
-            if -1 in indices:
-                indices = None
-            cached = maps[key] = indices
-        return cached
+        index_map = self._index_maps[position]
+        indices = tuple(index_map.get(value, -1) for value in values)
+        return None if -1 in indices else indices
 
     def bad_value_tuples(self) -> List[Tuple[Hashable, ...]]:
         """The bad outcomes as value tuples, in code (lexicographic) order.

@@ -19,6 +19,7 @@ the batch commit as on the per-op path.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -32,6 +33,7 @@ from repro.generators import (
     all_zero_triple_instance,
     cycle_graph,
     cyclic_triples,
+    partition_rounds_triples,
     random_regular_graph,
 )
 from repro.probability import reset_engine_stats
@@ -289,6 +291,127 @@ def test_no_support_entry_outlives_a_cleared_store():
             STORE.clear()
     assert STATS.vector_passes + STATS.vector_memo_hits > 0
     assert module_entries() == before
+
+
+def test_equal_labels_of_different_types_stay_apart():
+    """Variables labelled ``(0, 1, 2)`` and ``(False, True, 2)`` compare
+    equal but commit different objects: the batch must commit each
+    variable's own labels, as the scalar path does."""
+    from repro.lll.instance import LLLInstance
+    from repro.probability import DiscreteVariable
+    from repro.probability.event import BadEvent
+
+    variables = [
+        DiscreteVariable(
+            ("e", i), (0, 1, 2) if i % 2 else (False, True, 2),
+            (1 / 3, 1 / 3, 1 / 3),
+        )
+        for i in range(8)
+    ]
+    events = [
+        BadEvent.from_bad_outcomes(
+            i, [variables[i - 1], variables[i]],
+            [(variables[i - 1].values[0], variables[i].values[0])],
+        )
+        for i in range(8)
+    ]
+    committed = []
+    for mode in ("scalar", "vector"):
+        instance = LLLInstance(events)
+        plan = plan_for_instance(instance)
+        with using_planes(decide=mode):
+            fixer = Rank2Fixer(instance)
+            make_scheduler("serial").execute(fixer, plan, instance)
+        committed.append([
+            repr(fixer.assignment.value_of(name))
+            for name in instance.variable_names
+        ])
+    assert committed[1] == committed[0]
+
+
+# ----------------------------------------------------------------------
+# Columnar lowering on the cold rank-3 benchmark shape
+# ----------------------------------------------------------------------
+def rounds_instance():
+    """Every event in 3 random triples, alphabet 5: one event shape."""
+    triples = partition_rounds_triples(300, 3, 7)
+    return all_zero_triple_instance(300, triples, 5)
+
+
+def rank3_transcript(instance, mode):
+    plan = plan_for_instance(instance)
+    with using_planes(decide=mode):
+        fixer = Rank3Fixer(instance)
+        make_scheduler("serial").execute(fixer, plan, instance)
+    values = {
+        name: fixer.assignment.value_of(name)
+        for name in instance.variable_names
+    }
+    return values, fixer.steps, bounds_of(fixer)
+
+
+@pytest.mark.parametrize("artifacts", ["on", "off"])
+def test_columnar_lowering_on_the_cold_rank3_shape(artifacts):
+    """The lowering built from the scope columns decides exactly like
+    the scalar oracle, asks the kernels tier at most once per shape
+    (compiling once per event with the store off), and a class cut into
+    chunk sections decides like the whole-class section."""
+    from repro.artifacts.fingerprint import scope_layout
+    from repro.artifacts.store import STORE
+    from repro.core import vector
+
+    with using_planes(artifacts=artifacts):
+        STORE.clear()
+        reference = rank3_transcript(rounds_instance(), "scalar")
+        STORE.clear()
+        reset_engine_stats()
+        candidate = rank3_transcript(rounds_instance(), "vector")
+        assert_identical(reference, candidate, f"rounds/{artifacts}")
+        assert STATS.vector_fallbacks == 0
+        assert STATS.vector_passes > 0
+
+        STORE.clear()
+        instance = rounds_instance()
+        plan = plan_for_instance(instance)
+        shapes = len(scope_layout(instance).shape_keys)
+        tier = STORE.tier("kernels")
+        lookups = tier.hits + tier.misses
+        reset_engine_stats()
+        with using_planes(decide="vector"):
+            template = vector._template_for(instance, "rank3")
+            sections = [
+                template.section_for(instance, color_class.cells)
+                for color_class in plan.classes
+            ]
+        assert tier.hits + tier.misses - lookups <= shapes
+        expected_compiles = shapes if artifacts == "on" else 300
+        assert STATS.kernel_compiles == expected_compiles
+
+        stack = template.ensure_stack()
+        pins = np.full((len(template.names), stack.width), -1, np.int64)
+        phi = np.ones(template.ledger_size)
+        decided = 0
+        for color_class, section in zip(plan.classes, sections):
+            cells = color_class.cells
+            cuts = [0, len(cells) // 3, 2 * len(cells) // 3, len(cells)]
+            chunks = [
+                template.section_for(instance, cells, start, stop)
+                for start, stop in zip(cuts, cuts[1:])
+            ]
+            whole_pins, whole_phi = pins.copy(), phi.copy()
+            expected = vector.execute_section(
+                stack, whole_pins, whole_phi, section, template.max_values
+            )
+            chunked = []
+            for chunk in chunks:
+                chunked += vector.execute_section(
+                    stack, pins, phi, chunk, template.max_values
+                )
+            assert chunked == expected
+            assert np.array_equal(pins, whole_pins)
+            assert np.array_equal(phi, whole_phi)
+            decided += sum(map(len, expected))
+        assert decided == len(instance.variables)
 
 
 # ----------------------------------------------------------------------

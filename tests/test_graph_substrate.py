@@ -35,6 +35,7 @@ from repro.core.indexing import indexed_csr, indexed_dependency_network
 from repro.errors import ColoringError, GraphSubstrateError
 from repro.generators.graphs import cycle_csr, random_regular_csr, torus_csr
 from repro.generators.instances import all_zero_edge_instance
+from repro.graph import csr as csr_module
 from repro.graph import (
     BatchedSimulator,
     CSRGraph,
@@ -44,6 +45,7 @@ from repro.graph import (
     line_graph_csr,
     square_csr,
 )
+from repro.graph.csr import sort_unique
 from repro.local_model.algorithm import LocalAlgorithm
 from repro.local_model.network import (
     Network,
@@ -182,6 +184,49 @@ class TestVirtualGraphs:
         network = Network(graph)
         square_ref = square_graph_network(network)
         square = square_csr(CSRGraph.from_networkx(graph))
+        assert sorted(map(tuple, map(sorted, square.edges()))) == sorted(
+            map(tuple, map(sorted, square_ref.graph.edges()))
+        )
+
+
+class TestSortUnique:
+    """The CSR constructions dedupe keys by sort and mask, not np.unique."""
+
+    @given(
+        st.lists(st.integers(-(2 ** 62), 2 ** 62), max_size=300),
+        st.sampled_from(["as-drawn", "sorted", "all-duplicates", "repeated"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_unique(self, values, arrangement):
+        keys = np.asarray(values, dtype=np.int64)
+        if arrangement == "sorted":
+            keys = np.sort(keys)
+        elif arrangement == "all-duplicates":
+            keys = np.full(len(keys), keys[0] if len(keys) else 5, np.int64)
+        elif arrangement == "repeated":
+            keys = np.concatenate([keys, keys[::-1], keys])
+        before = keys.copy()
+        result = sort_unique(keys)
+        expected = np.unique(keys)
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)
+        assert np.array_equal(keys, before)
+
+    def test_empty_and_single(self):
+        for keys in (np.empty(0, np.int64), np.array([7], np.int64)):
+            assert np.array_equal(sort_unique(keys), np.unique(keys))
+            assert sort_unique(keys).dtype == np.int64
+
+    @given(random_graphs(), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_square_in_small_chunks_matches_reference(self, graph, chunk):
+        """Chunk boundaries of the two-hop expansion leave G^2 unchanged."""
+        if graph.number_of_nodes() == 0:
+            return
+        square_ref = square_graph_network(Network(graph))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csr_module, "_EXPANSION_CHUNK", chunk)
+            square = square_csr(CSRGraph.from_networkx(graph))
         assert sorted(map(tuple, map(sorted, square.edges()))) == sorted(
             map(tuple, map(sorted, square_ref.graph.edges()))
         )

@@ -5,7 +5,12 @@ import pytest
 from repro.errors import CriterionViolationError, RankViolationError
 from repro.lll import check_preconditions, verify_solution
 from repro.probability import PartialAssignment
-from repro.generators import all_zero_edge_instance, cycle_graph
+from repro.generators import (
+    all_zero_edge_instance,
+    build_family_instance,
+    cycle_graph,
+)
+from repro.lll.io import instance_from_dict, instance_to_dict
 
 
 @pytest.fixture
@@ -37,6 +42,48 @@ class TestVerifySolution:
         assert result.complete
         assert not result.ok
         assert len(result.occurring) == instance.num_events
+
+
+class TestUnhashableValues:
+    """A value that cannot be hashed (say a JSON list) is in no value
+    list: it is reported ``invalid``, never raised as a ``TypeError``."""
+
+    def test_list_values_are_invalid(self):
+        instance = build_family_instance("cycle", 6)
+        assignment = PartialAssignment(
+            {name: [1] for name in instance.variable_names}
+        )
+        result = verify_solution(instance, assignment)
+        assert result.complete
+        assert not result.ok
+        assert result.invalid == instance.variable_names
+
+    def test_one_list_value_among_valid_ones(self):
+        instance = build_family_instance("cycle", 6)
+        names = instance.variable_names
+        values = dict.fromkeys(names, 1)
+        values[names[0]] = [1]
+        result = verify_solution(instance, PartialAssignment(values))
+        assert not result.ok
+        assert result.invalid == (names[0],)
+        assert result.occurring == ()
+
+    def test_tabulated_events_holding_a_list_value_do_not_occur(self):
+        # Loaded events test membership in their bad-outcome set, which
+        # cannot hash a list.
+        instance = instance_from_dict(
+            instance_to_dict(build_family_instance("cycle", 6))
+        )
+        names = instance.variable_names
+        values = dict.fromkeys(names, 0)
+        values[names[0]] = [0]
+        result = verify_solution(instance, PartialAssignment(values))
+        assert result.invalid == (names[0],)
+        untouched = [
+            event.name for event in instance.events
+            if names[0] not in event.scope_names
+        ]
+        assert list(result.occurring) == untouched
 
 
 class TestCheckPreconditions:

@@ -379,6 +379,15 @@ class TestAdmissionAndDeadlines:
         "format": "repro-lll-instance", "version": 1, "variables": [],
         "events": [{"name": "A", "scope": [], "bad_outcomes": [[]]}],
     }})
+    # Real variable names, each paired with a list: an unhashable value
+    # is invalid (a 200 with "ok": false), not an untyped TypeError.
+    @example(path="/v1/verify", body={
+        "family": "cycle", "n": 4,
+        "assignment": [
+            [{"__tuple__": ["edge", u, v]}, [1]]
+            for u, v in ((0, 1), (0, 3), (1, 2), (2, 3))
+        ],
+    })
     def test_arbitrary_json_never_500s(self, serial_served, path, body):
         client = serial_served.client()
         try:
