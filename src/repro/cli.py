@@ -229,7 +229,8 @@ def _command_plan(args) -> int:
     plan = plan_for_instance(instance)
     print(
         f"plan: kind={plan.kind}, palette={plan.palette}, "
-        f"coloring_rounds={plan.coloring_rounds}"
+        f"coloring_rounds={plan.coloring_rounds}, "
+        f"local_rounds={plan.local_rounds}"
     )
     print(
         f"classes: {plan.num_classes} "

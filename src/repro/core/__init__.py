@@ -24,7 +24,11 @@ from repro.core.audit import (
     certify_recovery,
     run_audit,
 )
-from repro.core.indexing import indexed_csr, indexed_dependency_network
+from repro.core.indexing import (
+    event_incidence,
+    indexed_csr,
+    indexed_dependency_network,
+)
 from repro.core.local_protocol import (
     LocalFixingProtocol,
     solve_distributed_local,
@@ -81,6 +85,7 @@ __all__ = [
     "Rank2Choice",
     "Rank3Choice",
     "check_naive_criterion",
+    "event_incidence",
     "indexed_csr",
     "indexed_dependency_network",
     "naive_threshold",

@@ -12,12 +12,25 @@ we track the per-event initial probability ``p_v`` instead, which is a
 strictly stronger invariant maintained by exactly the same argument and
 gives tighter certified bounds (``p_v * 2^deg(v)`` instead of
 ``p * 2^d``).
+
+The edges and each event's neighbour order come from the instance's
+:func:`~repro.core.indexing.event_incidence`, not from the networkx
+``dependency_graph``: the phi entries are created in ``edges()`` order,
+and an event's product multiplies its sides left to right in
+``neighbors`` order, so bounds are bit-identical to a walk of the graph
+while no graph is built.
 """
 
 from __future__ import annotations
 
+from itertools import chain, count, repeat
+from math import prod
+from operator import mul
 from typing import Dict, FrozenSet, Hashable, Tuple
 
+import numpy as np
+
+from repro.core.indexing import event_incidence
 from repro.errors import PStarViolationError
 from repro.lll.instance import LLLInstance
 from repro.obs.recorder import PHI_BUCKETS, active as _obs_active
@@ -85,9 +98,24 @@ class PStarState:
 
     def __init__(self, instance: LLLInstance) -> None:
         self._instance = instance
-        self._phi: Dict[EdgeKey, Dict[Hashable, float]] = {}
-        for u, v in instance.dependency_graph.edges():
-            self._phi[frozenset((u, v))] = {u: 1.0, v: 1.0}
+        incidence = event_incidence(instance)
+        names = incidence.names
+        self._index_of = dict(zip(names, count()))
+        column = np.fromiter(names, dtype=object, count=len(names))
+        first = column[incidence.edge_u].tolist()
+        second = column[incidence.edge_v].tolist()
+        entries = np.empty(len(first), dtype=object)
+        entries[:] = [{u: 1.0, v: 1.0} for u, v in zip(first, second)]
+        self._phi: Dict[EdgeKey, Dict[Hashable, float]] = dict(
+            zip(map(frozenset, zip(first, second)), entries.tolist())
+        )
+        # Every event's side of its edges, flat in neighbour order:
+        # slot ``k`` reads ``_refs[k][_owners[k]]``, and event ``i``'s
+        # slots are ``_side_ptr[i]:_side_ptr[i + 1]``.
+        self._refs = entries[incidence.nbr_edges].tolist()
+        degrees = incidence.degrees.tolist()
+        self._owners = list(chain.from_iterable(map(repeat, names, degrees)))
+        self._side_ptr = incidence.nbr_ptr.tolist()
         # Via the instance (and hence the artifact store's parameters
         # tier): same-shape instances share one probability enumeration.
         self._initial_probabilities = instance.event_probabilities()
@@ -130,22 +158,36 @@ class PStarState:
             ) from None
 
     def node_product(self, node: Hashable) -> float:
-        """``prod over e containing node of phi_e^node``."""
+        """``prod over e containing node of phi_e^node``, left to right
+        in neighbour order."""
+        try:
+            index = self._index_of[node]
+        except KeyError:
+            raise PStarViolationError(f"no event named {node!r}") from None
+        start, stop = self._side_ptr[index], self._side_ptr[index + 1]
         product = 1.0
-        for neighbor in self._instance.dependency_graph.neighbors(node):
-            product *= self._phi[frozenset((node, neighbor))][node]
+        for entry in self._refs[start:stop]:
+            product *= entry[node]
         return product
 
     def certified_bound(self, node: Hashable) -> float:
         """``p_node * node_product(node)``: the P* probability bound."""
-        return self._initial_probabilities[node] * self.node_product(node)
+        # The product first: it names an unknown event.
+        product = self.node_product(node)
+        return self._initial_probabilities[node] * product
 
     def certified_bounds(self) -> Dict[Hashable, float]:
-        """The P* bound of every event."""
-        return {
-            event.name: self.certified_bound(event.name)
-            for event in self._instance.events
-        }
+        """The P* bound of every event.
+
+        The same left-to-right products as :meth:`node_product`, over
+        one flat pass of the sides.
+        """
+        sides = list(map(dict.__getitem__, self._refs, self._owners))
+        ptr = self._side_ptr
+        products = map(prod, map(sides.__getitem__, map(slice, ptr, ptr[1:])))
+        names = self._index_of
+        initial = map(self._initial_probabilities.__getitem__, names)
+        return dict(zip(names, map(mul, initial, products)))
 
     # ------------------------------------------------------------------
     # Updates

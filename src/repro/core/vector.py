@@ -18,16 +18,17 @@ event, one flat weight-ledger slot per bookkeeping entry, and wave
 sections (one per run of cells: a whole color class, or one process
 chunk of it) with all index arrays precomputed.  Lowering reads the
 instance's :class:`~repro.artifacts.fingerprint.ScopeLayout` columns
-(``scope_slots``, ``offsets``, ``event_shapes``) as whole arrays: an
-argsort transpose of the scope column gives each variable's events,
-kernels and pin maps are looked up once per event shape and scope
-position, ledger slots are numbered from sorted integer event-index
-keys, and each wave's query, site and group arrays come from numpy
-grouping; per op it builds only the records the commit loop reads.
-A solve then only
-carries a small :class:`_RunState` (the pins matrix and the ledger
-array, specialised from live fixer state) through the template, so
-repeated solves pay specialisation, not lowering.
+(``scope_slots``, ``offsets``, ``event_shapes``) as whole arrays.
+Each variable's events come from the instance's
+:func:`~repro.core.indexing.event_incidence`, the transpose the plan
+builders read too; kernels and pin maps are looked up once per event
+shape and scope position, ledger slots are numbered from sorted integer
+event-index keys, and each wave's query, site and group arrays come
+from numpy grouping; per op it builds only the records the commit loop
+reads.  A solve then only carries a small :class:`_RunState` (the
+pins matrix and the ledger array, specialised from live fixer state)
+through the template, so repeated solves pay specialisation, not
+lowering.
 :func:`execute_section` runs a section's waves through
 :func:`_run_twave` — in the parent for the serial scheduler, and in
 the process backend's workers, which receive the built stack and their
@@ -254,7 +255,8 @@ class _Template:
     The first section binds the template to the instance's scope
     columns (:class:`~repro.artifacts.fingerprint.ScopeLayout`): event
     ``i`` of the layout is pins-matrix row ``i``, each variable's events
-    come from an argsort transpose of the scope columns, and supports
+    come from the instance's :func:`~repro.core.indexing.event_incidence`
+    (the one transpose of the scope columns), and supports
     and ledger slots are arrays over variable rows.  All of it is a
     function of the instance fingerprint, so fingerprint-equal instances
     share it.
@@ -326,43 +328,26 @@ class _Template:
 
     # -- binding to the scope columns ---------------------------------
     def _bind(self, np, instance) -> None:
+        from repro.core.indexing import event_incidence
+
         layout = scope_layout(instance)
-        events = instance.events
-        num_events = len(events)
+        incidence = event_incidence(instance)
+        num_events = incidence.num_events
         offsets = np.array(layout.offsets, dtype=np.int64)
         lengths = np.diff(offsets)
-        self.names = list(map(attrgetter("name"), events))
+        self.names = incidence.names
         self.offsets = offsets
 
-        # Variable rows follow the instance's variable order; a layout
-        # slot (one variable object) maps to the row of its name.
-        self.row_of = dict(zip(instance.variable_names, count()))
-        variables = instance.variables
-        num_vars = len(variables)
-        slot_rows = np.fromiter(
-            map(self.row_of.__getitem__, layout.slot_names),
-            dtype=np.int64,
-            count=len(layout.slot_names),
-        )
-        scope_vars = slot_rows[np.frombuffer(layout.scope_slots, np.int64)]
-        self.scope_vars = scope_vars
-        event_of = np.repeat(np.arange(num_events, dtype=np.int64), lengths)
-        positions = np.arange(len(scope_vars), dtype=np.int64) - offsets[
-            event_of
-        ]
-        # The transpose: a stable sort by variable keeps each
-        # variable's events in event order — the instance's
-        # ``events_of_variable`` (bookkeeping) order.
-        order = np.argsort(scope_vars, kind="stable")
-        self.var_ptr = np.zeros(num_vars + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(scope_vars, minlength=num_vars), out=self.var_ptr[1:]
-        )
-        self.var_events = event_of[order]
-        self.var_positions = positions[order]
+        # Variable rows and each variable's events (in event order: the
+        # instance's bookkeeping order) are the incidence's transpose.
+        self.row_of = incidence.row_of
+        self.scope_vars = incidence.scope_vars
+        self.var_ptr = incidence.var_ptr
+        self.var_events = incidence.var_events
+        self.var_positions = incidence.var_positions
 
-        self.variables = variables
-        self._bind_supports(np, layout, slot_rows)
+        self.variables = instance.variables
+        self._bind_supports(np, layout, incidence.slot_rows)
         self._bind_ledger(np, num_events)
 
         shapes = np.frombuffer(layout.event_shapes, np.int64)

@@ -19,7 +19,6 @@ from repro.artifacts import STORE as _ARTIFACTS
 from repro.artifacts.fingerprint import event_shape_key, instance_key
 from repro.errors import ReproError, UnknownVariableError
 from repro.lll.hypergraph import Hypergraph
-from repro.planes import planes
 from repro.probability import (
     BadEvent,
     DiscreteVariable,
@@ -131,7 +130,10 @@ class LLLInstance:
     def dependency_graph(self) -> nx.Graph:
         """The dependency graph ``G``: events adjacent iff they share a variable.
 
-        The returned graph is cached; treat it as read-only.
+        A networkx view for analysis and tests; the solve path reads the
+        same structure from :func:`repro.core.indexing.event_incidence`
+        and builds no graph.  The returned graph is cached; treat it as
+        read-only.
         """
         if self._dependency_graph is None:
             graph = nx.Graph()
@@ -176,25 +178,18 @@ class LLLInstance:
 
         Served from the artifact store's parameters tier when enabled:
         ``d`` is a pure function of the instance shape, so a same-shape
-        instance avoids materialising the dependency graph just to take
-        a degree maximum (precondition checks need only the scalar).
-        Otherwise the ``vectorized`` graph plane reads it from the CSR
-        degrees and the ``reference`` plane from the networkx graph.
+        instance skips even the incidence build (precondition checks
+        need only the scalar).  Otherwise it is the largest degree of
+        the instance's :func:`~repro.core.indexing.event_incidence`,
+        which fixer init and the plan read next, on either graph plane.
         """
         key = instance_key(self, "max-degree")
         cached = _ARTIFACTS.get("parameters", key)
         if cached is not None:
             return cached
-        if planes().graph == "vectorized":
-            # The plan builds the same CSR graph next (cached per
-            # instance), so reading the degrees there costs no graph
-            # build of its own.
-            from repro.core.indexing import indexed_csr
+        from repro.core.indexing import event_incidence
 
-            degree = indexed_csr(self)[0].max_degree
-        else:
-            graph = self.dependency_graph
-            degree = max((deg for _, deg in graph.degree()), default=0)
+        degree = int(event_incidence(self).degrees.max(initial=0))
         _ARTIFACTS.put("parameters", key, degree)
         return degree
 

@@ -274,9 +274,10 @@ def check_local_criterion(instance: LLLInstance) -> None:
     CriterionViolationError
         Naming the first event that violates its local bound.
     """
-    graph = instance.dependency_graph
-    for event in instance.events:
-        degree = graph.degree(event.name)
+    from repro.core.indexing import event_incidence
+
+    degrees = event_incidence(instance).degrees.tolist()
+    for event, degree in zip(instance.events, degrees):
         probability = event.probability()
         if probability >= 2.0 ** (-degree):
             raise CriterionViolationError(

@@ -16,7 +16,10 @@ when it is constructed instead of trusting the coloring.
 :func:`plan_for_instance` is the one schedule of the fixing phase:
 the serial oracle, the process backend, :mod:`repro.core.distributed`
 and the message-level protocol of :mod:`repro.core.local_protocol` all
-execute the plan it returns.
+execute the plan it returns.  The builders read the instance's
+dependency structure from :func:`~repro.core.indexing.event_incidence`
+(the colorings from its CSR form, or from the networkx network on the
+``reference`` graph plane).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.artifacts.fingerprint import instance_key
 from repro.artifacts.store import STORE as _ARTIFACTS
 from repro.errors import SimulationError
@@ -43,7 +48,8 @@ from repro.coloring import (
     require_proper_edge_coloring,
     require_two_hop_coloring,
 )
-from repro.core.indexing import indexed_dependency_network
+from repro.core.indexing import event_incidence, indexed_dependency_network
+from repro.graph.csr import sort_unique
 from repro.lll.instance import LLLInstance
 from repro.planes import planes
 
@@ -155,6 +161,18 @@ class FixPlan:
         return len(self.classes)
 
     @property
+    def local_rounds(self) -> int:
+        """LOCAL rounds of the message-level run of this plan.
+
+        The coloring rounds, two rounds per class (each class's owners
+        decide, then push their fixings and phi writes one hop), and one
+        pre-round exchanging event descriptions — the count
+        :func:`~repro.core.local_protocol.solve_distributed_local`
+        charges.
+        """
+        return self.coloring_rounds + 2 * self.num_classes + 1
+
+    @property
     def num_cells(self) -> int:
         """Total scheduling units across all classes."""
         return sum(len(cls.cells) for cls in self.classes)
@@ -241,7 +259,8 @@ def _rank3_coloring(instance: LLLInstance):
     Same shape as :func:`_rank2_coloring`; the vectorized branch
     validates by checking properness on the CSR square graph (adjacency
     in ``G^2`` is exactly "within distance two").  Returns
-    ``(from_index, palette, coloring_rounds, colors)``; an edgeless
+    ``(to_index, from_index, palette, coloring_rounds, colors)`` with
+    ``colors`` an int64 array over sorted-repr indices; an edgeless
     graph is one class of every node.
     """
     if planes().graph == "vectorized":
@@ -251,19 +270,32 @@ def _rank3_coloring(instance: LLLInstance):
             validate_proper_vertex_arrays,
         )
 
-        csr, _to_index, from_index = indexed_csr(instance)
+        csr, to_index, from_index = indexed_csr(instance)
         if csr.num_edges == 0:
-            return from_index, 1, 0, dict.fromkeys(from_index, 0)
-        derived, colors_array, square = two_hop_coloring_with_arrays(csr)
-        validate_proper_vertex_arrays(square, colors_array)
-        return from_index, derived.palette, derived.host_rounds, derived.colors
+            return to_index, from_index, 1, 0, np.zeros(
+                len(from_index), dtype=np.int64
+            )
+        derived, colors, square = two_hop_coloring_with_arrays(csr)
+        validate_proper_vertex_arrays(square, colors)
+        return (
+            to_index, from_index, derived.palette, derived.host_rounds, colors
+        )
 
-    network, _to_index, from_index = indexed_dependency_network(instance)
+    network, to_index, from_index = indexed_dependency_network(instance)
     if network.graph.number_of_edges() == 0:
-        return from_index, 1, 0, dict.fromkeys(from_index, 0)
+        return to_index, from_index, 1, 0, np.zeros(
+            len(from_index), dtype=np.int64
+        )
     coloring = compute_two_hop_coloring(network)
     require_two_hop_coloring(network.graph, coloring.colors)
-    return from_index, coloring.palette, coloring.host_rounds, coloring.colors
+    colors = np.fromiter(
+        map(coloring.colors.__getitem__, range(len(from_index))),
+        dtype=np.int64,
+        count=len(from_index),
+    )
+    return (
+        to_index, from_index, coloring.palette, coloring.host_rounds, colors
+    )
 
 
 def build_plan_rank2(instance: LLLInstance) -> FixPlan:
@@ -344,59 +376,96 @@ def build_plan_rank2(instance: LLLInstance) -> FixPlan:
     return plan
 
 
+def _fix_ops(incidence, variable_names, rows: np.ndarray) -> List[FixOp]:
+    """The ops fixing variable ``rows``, events in bookkeeping order.
+
+    Built per rank from whole event-name columns of the incidence.
+    """
+    starts = incidence.var_ptr[rows]
+    ranks = incidence.var_ptr[rows + 1] - starts
+    names = incidence.names
+    events = np.empty(len(rows), dtype=object)
+    for rank in sort_unique(ranks).tolist():
+        members = np.flatnonzero(ranks == rank)
+        columns = [
+            map(
+                names.__getitem__,
+                incidence.var_events[starts[members] + position].tolist(),
+            )
+            for position in range(rank)
+        ]
+        events[members] = np.fromiter(
+            zip(*columns), dtype=object, count=len(members)
+        )
+    return list(
+        map(
+            FixOp,
+            map(variable_names.__getitem__, rows.tolist()),
+            events.tolist(),
+        )
+    )
+
+
 def build_plan_rank3(instance: LLLInstance) -> FixPlan:
     """The Corollary 1.4 schedule: 2-hop color classes.
 
     For each color, the active event nodes (sorted by index) each own a
     cell fixing all their variables not claimed by an earlier cell or
     class, so every variable is fixed once, by the first of its events
-    to become active.
+    to become active.  Ops within a cell are in sorted-name order.
+
+    Built by array grouping over the instance's
+    :func:`~repro.core.indexing.event_incidence`: each variable is
+    claimed by its event with the smallest ``(color, index)``, and the
+    variables sorted by claim, then by name ``repr``, are the plan's
+    ops in order.
     """
     plan_key = instance_key(instance, "plan", "rank3")
     cached = _ARTIFACTS.get("plans", plan_key)
     if cached is not None:
         return cached
-    from_index, palette, coloring_rounds, colors = _rank3_coloring(instance)
-    variables_of_node: Dict[Hashable, List[Hashable]] = {
-        event.name: [] for event in instance.events
-    }
-    for variable in instance.variables:
-        for event in instance.events_of_variable(variable.name):
-            variables_of_node[event.name].append(variable.name)
+    to_index, from_index, palette, coloring_rounds, colors = _rank3_coloring(
+        instance
+    )
+    incidence = event_incidence(instance)
+    num_events = incidence.num_events
+    index = np.fromiter(
+        map(to_index.__getitem__, incidence.names),
+        dtype=np.int64,
+        count=num_events,
+    )
+    event_keys = colors[index] * num_events + index
+    claims = np.minimum.reduceat(
+        event_keys[incidence.var_events], incidence.var_ptr[:-1]
+    )
+    reprs = list(map(repr, instance.variable_names))
+    by_name = np.asarray(
+        sorted(range(len(reprs)), key=reprs.__getitem__), dtype=np.int64
+    )
+    rows = by_name[np.argsort(claims[by_name], kind="stable")]
+    claims = claims[rows]
+    ops = _fix_ops(incidence, instance.variable_names, rows)
 
-    # One grouping pass over the coloring instead of a full rescan per
-    # color; each class's active-node order (sorted indices) is
-    # unchanged.
-    nodes_by_color: Dict[int, List[int]] = {}
-    for index, c in colors.items():
-        nodes_by_color.setdefault(c, []).append(index)
-
-    assigned: Set[Hashable] = set()
-    classes: List[ColorClass] = []
-    for color in range(palette):
-        cells: List[FixCell] = []
-        for index in sorted(nodes_by_color.get(color, ())):
-            event_name = from_index[index]
-            node_batch = [
-                name
-                for name in sorted(variables_of_node[event_name], key=repr)
-                if name not in assigned
-            ]
-            if node_batch:
-                assigned.update(node_batch)
-                cells.append(
-                    FixCell(
-                        owner=event_name,
-                        ops=tuple(
-                            _op_for(instance, name) for name in node_batch
-                        ),
-                    )
-                )
-        classes.append(ColorClass(color=color, cells=tuple(cells)))
+    cell_starts = np.flatnonzero(
+        np.diff(claims, prepend=np.int64(-1)) != 0
+    ).tolist()
+    bounds = cell_starts + [len(ops)]
+    cells_by_color: Dict[int, List[FixCell]] = {}
+    for claim, start, stop in zip(
+        claims[cell_starts].tolist(), cell_starts, bounds[1:]
+    ):
+        color, owner = divmod(claim, num_events)
+        cells_by_color.setdefault(color, []).append(
+            FixCell(owner=from_index[owner], ops=tuple(ops[start:stop]))
+        )
+    classes = tuple(
+        ColorClass(color=color, cells=tuple(cells_by_color.get(color, ())))
+        for color in range(palette)
+    )
 
     plan = FixPlan(
         kind="two-hop-coloring",
-        classes=tuple(classes),
+        classes=classes,
         palette=palette,
         coloring_rounds=coloring_rounds,
     )

@@ -32,6 +32,15 @@ class TestCommands:
         assert main(["logstar", "65536"]) == 0
         assert capsys.readouterr().out.strip() == "4"
 
+    def test_plan_prints_local_rounds(self, capsys):
+        from repro.generators import build_family_instance
+        from repro.runtime import plan_for_instance
+
+        assert main(["plan", "--family", "triples", "--n", "12"]) == 0
+        out = capsys.readouterr().out
+        plan = plan_for_instance(build_family_instance("triples", 12))
+        assert f"local_rounds={plan.local_rounds}" in out
+
     def test_solve_sequential(self, capsys):
         assert main(["solve", "--family", "cycle", "--n", "12"]) == 0
         out = capsys.readouterr().out

@@ -121,6 +121,30 @@ class TestRoundAccounting:
     @pytest.mark.parametrize(
         "make_instance",
         [
+            pytest.param(
+                lambda: all_zero_triple_instance(15, cyclic_triples(15), 5),
+                id="rank3-cyclic",
+            ),
+            pytest.param(
+                lambda: all_zero_edge_instance(
+                    random_regular_graph(20, 4, seed=1), 3
+                ),
+                id="rank2-4-regular",
+            ),
+        ],
+    )
+    def test_plan_local_rounds_is_the_protocol_count(self, make_instance):
+        plan = plan_for_instance(make_instance())
+        result = solve_distributed_local(make_instance())
+        protocol = LocalFixingProtocol(plan.num_classes)
+        assert plan.local_rounds == (
+            result.coloring_rounds + protocol.rounds_needed
+        )
+        assert plan.local_rounds == result.total_rounds
+
+    @pytest.mark.parametrize(
+        "make_instance",
+        [
             pytest.param(rank1_instance, id="rank1"),
             pytest.param(
                 lambda: all_zero_triple_instance(12, cyclic_triples(12), 5),

@@ -102,3 +102,13 @@ class TestCheck:
         name = next(iter(probabilities))
         probabilities[name] = 42.0
         assert state.initial_probabilities[name] != 42.0
+
+
+def test_unknown_event_is_a_pstar_violation():
+    from repro.core import Rank3Fixer
+    from repro.generators import build_family_instance
+
+    pstar = Rank3Fixer(build_family_instance("triples", 12, alphabet=5)).pstar
+    for call in (pstar.node_product, pstar.certified_bound):
+        with pytest.raises(PStarViolationError, match="no event named 'nope'"):
+            call("nope")

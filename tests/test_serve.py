@@ -24,6 +24,7 @@ import asyncio
 import dataclasses
 import glob
 import json
+import math
 import os
 import signal
 import subprocess
@@ -35,8 +36,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.artifacts.store import STORE
 from repro.planes import using_planes
+from repro.core.rank2 import Rank2Fixer
+from repro.core.rank3 import Rank3Fixer
 from repro.core.sequential import solve
-from repro.generators import build_family_instance
+from repro.errors import CriterionViolationError
+from repro.generators import INSTANCE_FAMILIES, build_family_instance
 from repro.lll.io import _encode_name, instance_to_dict
 from repro.probability.assignment import PartialAssignment
 from repro.runtime.schedulers import make_scheduler
@@ -444,7 +448,87 @@ def _solve_with_one_flipped_value(real_solve):
     return flipped
 
 
+def at_threshold_instance(family: str, n: int, seed: int):
+    """``build_family_instance(family, n, seed=seed)``'s structure with
+    its event probability put at ``p = 2^-d`` through the generators'
+    ``probabilities=`` argument.
+
+    The edge families are ``delta``-regular with ``d = delta``, so a
+    bad value of probability 1/2 puts them exactly at ``2^-d``.  A
+    cyclic-triples node lies in 3 triples with ``d = 4``, and no float
+    ``q`` has ``q^3 = 2^-4``: the family takes the smallest ``q`` whose
+    ``p`` is not below ``2^-d``, one ulp of ``q`` above an instance the
+    criterion accepts.
+    """
+    from repro.generators import (
+        all_zero_edge_instance,
+        all_zero_triple_instance,
+        cycle_graph,
+        cyclic_triples,
+        random_regular_graph,
+        torus_graph,
+    )
+
+    if family == "triples":
+        def build(q):
+            return all_zero_triple_instance(
+                n, cyclic_triples(n), 2, probabilities=(q, 1.0 - q)
+            )
+
+        d = build(0.5).max_dependency_degree
+        q = 2.0 ** (-d / 3)
+        while build(q).max_event_probability < 2.0 ** -d:
+            q = math.nextafter(q, 1.0)
+        below = build(math.nextafter(q, 0.0))
+        assert below.max_event_probability < 2.0 ** -d
+        return build(q)
+    if family == "cycle":
+        graph = cycle_graph(n)
+    elif family == "regular":
+        graph = random_regular_graph(n, 4, seed=seed)
+    else:
+        side = max(int(round(n ** 0.5)), 3)
+        graph = torus_graph(side, side)
+    instance = all_zero_edge_instance(
+        graph, 3, probabilities=(0.5, 0.25, 0.25)
+    )
+    d = instance.max_dependency_degree
+    assert instance.max_event_probability == 2.0 ** -d
+    return instance
+
+
 class TestCertificate:
+    @settings(max_examples=16, deadline=None)
+    @given(
+        family=st.sampled_from(INSTANCE_FAMILIES),
+        n=st.integers(min_value=3, max_value=7).map(lambda k: 2 * k),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_families_at_the_threshold_are_rejected(
+        self, serial_served, family, n, seed
+    ):
+        instance = at_threshold_instance(family, n, seed)
+        reference = build_family_instance(family, n, degree=4, seed=seed)
+        assert instance.variable_names == reference.variable_names
+        assert [e.name for e in instance.events] == [
+            e.name for e in reference.events
+        ]
+        fixers = [Rank3Fixer, solve]
+        if instance.rank <= 2:
+            fixers.append(Rank2Fixer)
+        for fixer in fixers:
+            with pytest.raises(CriterionViolationError):
+                fixer(instance)
+        client = serial_served.client()
+        try:
+            status, reply = client.solve(
+                {"instance": instance_to_dict(instance)}
+            )
+        finally:
+            client.close()
+        assert status == 422, reply
+        assert reply["error"]["type"] == "CriterionViolationError"
+
     def test_uncertified_answer_is_a_typed_500_and_not_memoised(
         self, monkeypatch
     ):
