@@ -160,6 +160,16 @@ class ColoringError(ReproError):
     """A coloring routine produced or received an invalid coloring."""
 
 
+class ScopeColumnsError(ReproError):
+    """A generator's declared scope columns disagree with its objects.
+
+    Raised when :func:`repro.artifacts.fingerprint.scope_layout` checks
+    the columns a generator declared (its variable and shape numbering)
+    against the events and variables it built; the layout is never
+    rebuilt by the walk instead.
+    """
+
+
 class ObsError(ReproError):
     """An observability record or trace is malformed.
 

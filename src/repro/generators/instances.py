@@ -23,10 +23,12 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Mapping, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.artifacts.fingerprint import declare_scopes
 from repro.errors import ReproError
 from repro.lll.instance import LLLInstance
 from repro.probability import BadEvent, DiscreteVariable
@@ -89,6 +91,36 @@ def build_family_instance(
     )
 
 
+def _shared_probabilities(
+    alphabet_size: int, probabilities: Optional[Sequence[float]]
+) -> Tuple[float, ...]:
+    """One probability tuple for every variable of a generated instance.
+
+    Every variable keeps this very tuple, which is what lets
+    :func:`_declared_instance` declare one support.
+    """
+    if probabilities is None:
+        return (1.0 / alphabet_size,) * alphabet_size
+    return tuple(map(float, probabilities))
+
+
+def _declared_instance(
+    events: List[BadEvent], scope_ids: array, shape_ids: array
+) -> LLLInstance:
+    """The instance of ``events``, with the generator's columns declared.
+
+    ``scope_ids`` numbers the variable at every scope position by the
+    generator's own edge or triple index, and ``shape_ids`` numbers
+    each event's shape by its scope length: every variable has the
+    one shared support and every event is "all incident equal 0".
+    The fingerprint then reads these arrays instead of walking the
+    objects (:func:`repro.artifacts.fingerprint.declare_scopes`).
+    """
+    instance = LLLInstance(events)
+    declare_scopes(instance, scope_ids, shape_ids)
+    return instance
+
+
 def _require_no_isolated_nodes(graph: nx.Graph) -> None:
     isolated = [node for node, degree in graph.degree() if degree == 0]
     if isolated:
@@ -122,22 +154,30 @@ def all_zero_edge_instance(
         raise ReproError("alphabet_size must be at least 2")
     _require_no_isolated_nodes(graph)
     values = tuple(range(alphabet_size))
-    variables = {}
+    probabilities = _shared_probabilities(alphabet_size, probabilities)
+    variables: List[DiscreteVariable] = []
+    index: Dict[Hashable, int] = {}
     for u, v in graph.edges():
         name = edge_variable_name(u, v)
-        variables[name] = DiscreteVariable(name, values, probabilities)
+        index[name] = len(variables)
+        variables.append(DiscreteVariable(name, values, probabilities))
+    scope_ids, shape_ids, shapes = array("q"), array("q"), {}
     events = []
     for node in graph.nodes():
-        scope = [
-            variables[edge_variable_name(node, neighbor)]
+        ids = [
+            index[edge_variable_name(node, neighbor)]
             for neighbor in sorted(graph.neighbors(node))
         ]
+        scope_ids.extend(ids)
+        shape_ids.append(shapes.setdefault(len(ids), len(shapes)))
         # Tabulated ("all incident equal 0") rather than an opaque
         # closure: the bad-outcomes hint makes the event — and hence the
         # whole instance — structurally fingerprintable, so kernels,
         # plans and templates are shared across same-shape instances.
-        events.append(BadEvent.all_equal(node, scope, 0))
-    return LLLInstance(events)
+        events.append(
+            BadEvent.all_equal(node, list(map(variables.__getitem__, ids)), 0)
+        )
+    return _declared_instance(events, scope_ids, shape_ids)
 
 
 def threshold_count_edge_instance(
@@ -230,30 +270,38 @@ def all_zero_triple_instance(
     if alphabet_size < 2:
         raise ReproError("alphabet_size must be at least 2")
     values = tuple(range(alphabet_size))
-    variables = {}
-    incident: List[List[DiscreteVariable]] = [[] for _ in range(num_nodes)]
+    probabilities = _shared_probabilities(alphabet_size, probabilities)
+    variables: List[DiscreteVariable] = []
+    names = set()
+    incident: List[List[int]] = [[] for _ in range(num_nodes)]
     for triple in triples:
         if len(set(triple)) != 3:
             raise ReproError(f"triple {triple!r} has repeated nodes")
         name = triple_variable_name(triple)
-        if name in variables:
+        if name in names:
             raise ReproError(f"duplicate triple {triple!r}")
-        variable = DiscreteVariable(name, values, probabilities)
-        variables[name] = variable
+        names.add(name)
+        number = len(variables)
+        variables.append(DiscreteVariable(name, values, probabilities))
         for node in triple:
             if node < 0 or node >= num_nodes:
                 raise ReproError(f"triple node {node} out of range")
-            incident[node].append(variable)
+            incident[node].append(number)
+    scope_ids, shape_ids, shapes = array("q"), array("q"), {}
     events = []
     for node in range(num_nodes):
-        scope = incident[node]
-        if not scope:
+        ids = incident[node]
+        if not ids:
             raise ReproError(
                 f"node {node} is in no triple; its event would have an "
                 f"empty scope"
             )
-        events.append(BadEvent.all_equal(node, scope, 0))
-    return LLLInstance(events)
+        scope_ids.extend(ids)
+        shape_ids.append(shapes.setdefault(len(ids), len(shapes)))
+        events.append(
+            BadEvent.all_equal(node, list(map(variables.__getitem__, ids)), 0)
+        )
+    return _declared_instance(events, scope_ids, shape_ids)
 
 
 def mixed_rank_instance(

@@ -68,6 +68,7 @@ class LLLInstance:
         self._space = ProductSpace(tuple(self._variables.values()))
         self._dependency_graph: Optional[nx.Graph] = None
         self._hypergraph: Optional[Hypergraph] = None
+        self._rank: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -166,11 +167,15 @@ class LLLInstance:
     # ------------------------------------------------------------------
     @property
     def rank(self) -> int:
-        """``r``: the maximum number of events any single variable affects."""
-        return max(
-            (len(events) for events in self._events_of_variable.values()),
-            default=0,
-        )
+        """``r``: the maximum number of events any single variable affects.
+
+        Computed once: the instance is immutable.
+        """
+        if self._rank is None:
+            self._rank = max(
+                map(len, self._events_of_variable.values()), default=0
+            )
+        return self._rank
 
     @property
     def max_dependency_degree(self) -> int:
@@ -227,6 +232,15 @@ class LLLInstance:
     def max_event_probability(self) -> float:
         """``p``: the maximum unconditional probability of a bad event."""
         return max(self.event_probabilities().values())
+
+    @property
+    def criterion_margin(self) -> float:
+        """``p·2^d``: below 1 exactly when the paper's criterion holds.
+
+        Both factors are read through the artifact store's parameters
+        tier when it is enabled, so after a solve this costs two hits.
+        """
+        return self.max_event_probability * 2.0**self.max_dependency_degree
 
     # ------------------------------------------------------------------
     # Verification

@@ -56,8 +56,12 @@ class DiscreteVariable:
             )
         if probabilities is None:
             probabilities = tuple(1.0 / len(values) for _ in values)
-        else:
-            probabilities = tuple(float(p) for p in probabilities)
+        elif type(probabilities) is not tuple or not all(
+            type(p) is float for p in probabilities
+        ):
+            # A tuple of floats is kept as given, so variables built
+            # from one tuple share it.
+            probabilities = tuple(map(float, probabilities))
         if len(probabilities) != len(values):
             raise InvalidDistributionError(
                 f"variable {name!r}: {len(values)} values but "

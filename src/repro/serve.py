@@ -81,6 +81,7 @@ from repro.errors import (
     CriterionViolationError,
     DeadlineExceededError,
     ReproError,
+    ScopeColumnsError,
 )
 from repro.generators.instances import build_family_instance
 from repro.lll.instance import LLLInstance
@@ -93,6 +94,7 @@ from repro.probability.assignment import PartialAssignment
 #: HTTP status by error type; anything else maps to 500.
 _ERROR_STATUS = {
     CertificateError: 500,
+    ScopeColumnsError: 500,
     AdmissionError: 429,
     DeadlineExceededError: 504,
     CriterionViolationError: 422,
@@ -192,7 +194,10 @@ def _solve_cache_key(payload: Dict[str, Any]) -> str:
 
 
 def _require_certificate(
-    verified: bool, max_certified_bound: float, min_slack: float
+    verified: bool,
+    max_certified_bound: float,
+    min_slack: float,
+    criterion_margin: float,
 ) -> None:
     """Raise :class:`CertificateError` naming each failed certificate check."""
     failed = []
@@ -202,6 +207,8 @@ def _require_certificate(
         failed.append(f"max_certified_bound < 1 (got {max_certified_bound!r})")
     if not min_slack >= 0.0:
         failed.append(f"min_slack >= 0 (got {min_slack!r})")
+    if not criterion_margin < 1.0:
+        failed.append(f"criterion_margin < 1 (got {criterion_margin!r})")
     if failed:
         raise CertificateError(
             "solve produced an uncertified answer; failed: "
@@ -321,13 +328,15 @@ class SolveService:
             result = solve(instance, scheduler=self._scheduler)
             verified = verify_solution(instance, result.assignment).ok
             bound, slack = result.max_certified_bound, result.min_slack
-            _require_certificate(verified, bound, slack)
+            margin = instance.criterion_margin
+            _require_certificate(verified, bound, slack, margin)
             full = {
                 "ok": True,
                 "result": {
                     "steps": result.num_steps,
                     "min_slack": slack,
                     "max_certified_bound": bound,
+                    "criterion_margin": margin,
                     "verified": True,
                     "assignment": _encode_pairs(result.assignment.items()),
                     "certified_bounds": _encode_pairs(

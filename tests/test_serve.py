@@ -529,6 +529,50 @@ class TestCertificate:
         assert status == 422, reply
         assert reply["error"]["type"] == "CriterionViolationError"
 
+    def test_certificate_carries_the_criterion_margin(self):
+        payload = {"family": "regular", "n": 24, "alphabet": 3, "seed": 2}
+        instance = build_family_instance("regular", 24, alphabet=3, seed=2)
+        margin = (
+            instance.max_event_probability
+            * 2.0 ** instance.max_dependency_degree
+        )
+        assert margin < 1.0
+        thread = ServerThread(scheduler="serial")
+        try:
+            client = thread.client()
+            with using_planes(artifacts="on"):
+                STORE.clear()
+                _, fresh = client.solve(payload)
+                parameter_hits = STORE.tier("parameters").hits
+                _, memo_hit = client.solve(payload)
+                assert STORE.tier("solutions").hits == 1
+            client.close()
+        finally:
+            thread.stop()
+        assert fresh["ok"] and memo_hit["ok"]
+        assert fresh["result"]["criterion_margin"] == margin
+        assert memo_hit["result"]["criterion_margin"] == margin
+        # The fresh solve's precondition check filled the parameters
+        # tier, and the certificate read the margin back from it.
+        assert parameter_hits >= 2
+
+    def test_margin_at_or_above_one_is_uncertified(self):
+        from repro.errors import CertificateError
+        from repro.serve import _require_certificate
+
+        _require_certificate(True, 0.5, 0.0, math.nextafter(1.0, 0.0))
+        for margin in (1.0, 1.5, math.nan):
+            with pytest.raises(CertificateError, match="criterion_margin"):
+                _require_certificate(True, 0.5, 0.0, margin)
+
+    def test_disagreeing_scope_columns_are_a_500(self):
+        from repro.errors import ScopeColumnsError
+        from repro.serve import _status_for
+
+        # A generator's columns that disagree with its own objects are a
+        # fault of the program, not of the request.
+        assert _status_for(ScopeColumnsError("x")) == 500
+
     def test_uncertified_answer_is_a_typed_500_and_not_memoised(
         self, monkeypatch
     ):
