@@ -21,7 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
+import numpy as np
+
+from repro.coloring.validate import require_proper_vertex_coloring
 from repro.coloring.vertex import ColoringResult, compute_vertex_coloring
+from repro.errors import SimulationError
 from repro.local_model.network import (
     Network,
     line_graph_network,
@@ -49,47 +53,6 @@ class EdgeColoringResult:
     virtual_rounds: int
 
 
-def compute_edge_coloring(
-    network: Network, target: Optional[int] = None
-) -> EdgeColoringResult:
-    """Edge-color a network with ``2d - 1`` colors (or ``target``).
-
-    ``network`` may also be a :class:`repro.graph.CSRGraph`, in which
-    case the array-native substrate is used directly.
-    """
-    # Imported lazily — repro.graph imports this module for the result
-    # dataclasses.
-    from repro.graph import edge_coloring_arrays, fast_path_csr
-
-    csr = fast_path_csr(network)
-    if csr is not None:
-        return edge_coloring_arrays(csr, target)
-    virtual, index = line_graph_network(network)
-    if target is None:
-        target = max(virtual.max_degree + 1, 1)
-    with _obs_span("coloring", "edge_coloring"):
-        result = compute_vertex_coloring(virtual, target=target)
-    edge_colors = {
-        edge: result.colors[virtual_node] for edge, virtual_node in index.items()
-    }
-    recorder = _obs_active()
-    if recorder is not None:
-        recorder.event(
-            "coloring",
-            "phase",
-            phase="edge_coloring",
-            host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
-            virtual_rounds=result.total_rounds,
-            palette=result.palette,
-        )
-    return EdgeColoringResult(
-        colors=edge_colors,
-        palette=result.palette,
-        host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
-        virtual_rounds=result.total_rounds,
-    )
-
-
 @dataclass
 class TwoHopColoringResult:
     """A 2-hop vertex coloring with host-graph round accounting."""
@@ -104,34 +67,98 @@ class TwoHopColoringResult:
     virtual_rounds: int
 
 
-def compute_two_hop_coloring(
-    network: Network, target: Optional[int] = None
-) -> TwoHopColoringResult:
-    """2-hop color a network with ``d^2 + 1`` colors (or ``target``).
+def _color_virtual(phase: str, virtual, target: Optional[int]) -> ColoringResult:
+    """Vertex-color a virtual graph, recheck it and report the phase.
 
-    ``network`` may also be a :class:`repro.graph.CSRGraph`, in which
-    case the array-native substrate is used directly.
+    ``virtual`` is a :class:`Network` or a
+    :class:`repro.graph.CSRGraph`; a CSR graph has no
+    ``identifier_space()``, so its positions are the identifiers.
+    Properness is rechecked on the virtual graph itself — adjacency
+    there is exactly "shares an endpoint" (line graph) or "within
+    distance two" (square) — before the coloring becomes a schedule.
     """
-    from repro.graph import fast_path_csr, two_hop_coloring_arrays
+    from repro.graph import validate_proper_vertex_arrays
 
-    csr = fast_path_csr(network)
-    if csr is not None:
-        return two_hop_coloring_arrays(csr, target)
-    square = square_graph_network(network)
+    on_network = isinstance(virtual, Network)
     if target is None:
-        target = max(square.max_degree + 1, 1)
-    with _obs_span("coloring", "two_hop_coloring"):
-        result = compute_vertex_coloring(square, target=target)
+        target = max(virtual.max_degree + 1, 1)
+    with _obs_span("coloring", phase):
+        result = compute_vertex_coloring(
+            virtual,
+            target=target,
+            identifier_space=None if on_network else virtual.num_nodes,
+        )
+    if on_network:
+        require_proper_vertex_coloring(virtual.graph, result.colors)
+    else:
+        validate_proper_vertex_arrays(
+            virtual,
+            np.fromiter(
+                map(result.colors.__getitem__, range(virtual.num_nodes)),
+                dtype=np.int64,
+                count=virtual.num_nodes,
+            ),
+        )
     recorder = _obs_active()
     if recorder is not None:
         recorder.event(
             "coloring",
             "phase",
-            phase="two_hop_coloring",
+            phase=phase,
             host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
             virtual_rounds=result.total_rounds,
             palette=result.palette,
         )
+    return result
+
+
+def compute_edge_coloring(
+    network: Network, target: Optional[int] = None
+) -> EdgeColoringResult:
+    """Edge-color a network with ``2d - 1`` colors (or ``target``).
+
+    ``network`` may also be a :class:`repro.graph.CSRGraph`; the line
+    graph is built on whichever substrate
+    :func:`repro.graph.fast_path_csr` picks.
+    """
+    # Imported lazily — repro.graph imports the repro.coloring package.
+    from repro.graph import fast_path_csr, line_graph_csr
+
+    csr = fast_path_csr(network)
+    if csr is None:
+        virtual, edges = line_graph_network(network)
+    elif csr.num_edges == 0:
+        # Mirrors the reference path, where the empty line graph fails
+        # Network's at-least-one-node invariant.
+        raise SimulationError("network must have at least one node")
+    else:
+        virtual, edge_u, edge_v = line_graph_csr(csr)
+        edges = zip(edge_u.tolist(), edge_v.tolist())
+    result = _color_virtual("edge_coloring", virtual, target)
+    return EdgeColoringResult(
+        colors=dict(
+            zip(edges, map(result.colors.__getitem__, range(virtual.num_nodes)))
+        ),
+        palette=result.palette,
+        host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
+        virtual_rounds=result.total_rounds,
+    )
+
+
+def compute_two_hop_coloring(
+    network: Network, target: Optional[int] = None
+) -> TwoHopColoringResult:
+    """2-hop color a network with ``d^2 + 1`` colors (or ``target``).
+
+    ``network`` may also be a :class:`repro.graph.CSRGraph`; the square
+    graph is built on whichever substrate
+    :func:`repro.graph.fast_path_csr` picks.
+    """
+    from repro.graph import fast_path_csr, square_csr
+
+    csr = fast_path_csr(network)
+    virtual = square_graph_network(network) if csr is None else square_csr(csr)
+    result = _color_virtual("two_hop_coloring", virtual, target)
     return TwoHopColoringResult(
         colors=dict(result.colors),
         palette=result.palette,

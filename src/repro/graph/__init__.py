@@ -30,10 +30,6 @@ from repro.graph.coloring import (
     KWReductionArrayAlgorithm,
     LinialArrayAlgorithm,
     cole_vishkin_arrays,
-    edge_coloring_arrays,
-    edge_coloring_with_arrays,
-    two_hop_coloring_arrays,
-    two_hop_coloring_with_arrays,
     validate_proper_vertex_arrays,
     vertex_coloring_arrays,
 )
@@ -54,14 +50,10 @@ __all__ = [
     "KWReductionArrayAlgorithm",
     "LinialArrayAlgorithm",
     "cole_vishkin_arrays",
-    "edge_coloring_arrays",
-    "edge_coloring_with_arrays",
     "fast_path_csr",
     "line_graph_csr",
     "require_index_dtype",
     "square_csr",
-    "two_hop_coloring_arrays",
-    "two_hop_coloring_with_arrays",
     "validate_proper_vertex_arrays",
     "vertex_coloring_arrays",
 ]

@@ -7,7 +7,11 @@ Kuhn-Wattenhofer class eliminations, and Cole-Vishkin bit reduction —
 with *element-identical* outputs.  The per-node versions stay in place
 as the differential oracle (``REPRO_GRAPH=reference``); the Hypothesis
 suite in ``tests/test_graph_substrate.py`` asserts the equivalence on
-random graphs, including multi-component and isolated-node cases.
+random graphs, including multi-component and isolated-node cases.  The
+edge and 2-hop pipelines of :mod:`repro.coloring.derived` reach
+:func:`vertex_coloring_arrays` through
+:func:`~repro.coloring.vertex.compute_vertex_coloring` on their CSR
+line and square graphs.
 
 Faithfulness notes (the invariants that make identity hold):
 
@@ -34,7 +38,7 @@ from repro.coloring.linial import reduction_schedule
 from repro.coloring.reduction import kw_phase_schedule
 from repro.coloring.vertex import ColoringResult
 from repro.graph.batched import ArrayAlgorithm, BatchedSimulator
-from repro.graph.csr import CSRGraph, line_graph_csr, require_index_dtype, square_csr
+from repro.graph.csr import CSRGraph, require_index_dtype
 from repro.obs.recorder import active as _obs_active, span as _obs_span
 
 
@@ -345,7 +349,7 @@ class ColeVishkinArrayAlgorithm(ArrayAlgorithm):
 
 
 # ----------------------------------------------------------------------
-# Pipelines (array twins of repro.coloring.vertex / .derived)
+# Pipelines (array twin of repro.coloring.vertex)
 # ----------------------------------------------------------------------
 def _require_round_budget(csr: CSRGraph, needed: int, max_rounds: int) -> None:
     """Raise the reference simulator's budget error if ``needed`` exceeds it."""
@@ -439,115 +443,6 @@ def vertex_coloring_arrays(
         linial_rounds=linial_result.rounds,
         reduction_rounds=reduction_rounds,
     )
-
-
-def edge_coloring_with_arrays(
-    csr: CSRGraph, target: Optional[int] = None
-):
-    """Array-native edge coloring; returns the result plus raw arrays.
-
-    Returns ``(EdgeColoringResult, colors_array, line_csr, edge_u,
-    edge_v)`` — the array forms let callers validate or post-process
-    without dict round-trips.  Element-identical to
-    :func:`repro.coloring.derived.compute_edge_coloring`.
-    """
-    from repro.coloring.derived import (
-        EdgeColoringResult,
-        VIRTUAL_ROUND_FACTOR,
-    )
-
-    if csr.num_edges == 0:
-        # Mirrors the reference path, where the empty line graph fails
-        # Network's at-least-one-node invariant.
-        raise SimulationError("network must have at least one node")
-    line, edge_u, edge_v = line_graph_csr(csr)
-    if target is None:
-        target = max(line.max_degree + 1, 1)
-    with _obs_span("coloring", "edge_coloring"):
-        result = vertex_coloring_arrays(
-            line, target=target, identifier_space=line.num_nodes
-        )
-    colors_array = np.array(
-        [result.colors[i] for i in range(line.num_nodes)], dtype=np.int64
-    )
-    edge_colors = {
-        (u, v): int(c)
-        for u, v, c in zip(
-            edge_u.tolist(), edge_v.tolist(), colors_array.tolist()
-        )
-    }
-    recorder = _obs_active()
-    if recorder is not None:
-        recorder.event(
-            "coloring",
-            "phase",
-            phase="edge_coloring",
-            host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
-            virtual_rounds=result.total_rounds,
-            palette=result.palette,
-        )
-    derived = EdgeColoringResult(
-        colors=edge_colors,
-        palette=result.palette,
-        host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
-        virtual_rounds=result.total_rounds,
-    )
-    return derived, colors_array, line, edge_u, edge_v
-
-
-def edge_coloring_arrays(csr: CSRGraph, target: Optional[int] = None):
-    """Array-native twin of :func:`repro.coloring.derived.compute_edge_coloring`."""
-    derived, _colors, _line, _eu, _ev = edge_coloring_with_arrays(csr, target)
-    return derived
-
-
-def two_hop_coloring_with_arrays(
-    csr: CSRGraph, target: Optional[int] = None
-):
-    """Array-native 2-hop coloring; returns the result plus raw arrays.
-
-    Returns ``(TwoHopColoringResult, colors_array, square_csr)``.
-    Element-identical to
-    :func:`repro.coloring.derived.compute_two_hop_coloring`.
-    """
-    from repro.coloring.derived import (
-        TwoHopColoringResult,
-        VIRTUAL_ROUND_FACTOR,
-    )
-
-    square = square_csr(csr)
-    if target is None:
-        target = max(square.max_degree + 1, 1)
-    with _obs_span("coloring", "two_hop_coloring"):
-        result = vertex_coloring_arrays(
-            square, target=target, identifier_space=square.num_nodes
-        )
-    colors_array = np.array(
-        [result.colors[i] for i in range(square.num_nodes)], dtype=np.int64
-    )
-    recorder = _obs_active()
-    if recorder is not None:
-        recorder.event(
-            "coloring",
-            "phase",
-            phase="two_hop_coloring",
-            host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
-            virtual_rounds=result.total_rounds,
-            palette=result.palette,
-        )
-    derived = TwoHopColoringResult(
-        colors=dict(result.colors),
-        palette=result.palette,
-        host_rounds=VIRTUAL_ROUND_FACTOR * result.total_rounds,
-        virtual_rounds=result.total_rounds,
-    )
-    return derived, colors_array, square
-
-
-def two_hop_coloring_arrays(csr: CSRGraph, target: Optional[int] = None):
-    """Array-native twin of :func:`repro.coloring.derived.compute_two_hop_coloring`."""
-    derived, _colors, _square = two_hop_coloring_with_arrays(csr, target)
-    return derived
 
 
 def cole_vishkin_arrays(

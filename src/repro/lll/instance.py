@@ -58,7 +58,7 @@ class LLLInstance:
                 if known is None:
                     self._variables[variable.name] = variable
                     self._events_of_variable[variable.name] = []
-                elif known != variable:
+                elif known is not variable and known != variable:
                     raise ReproError(
                         f"variable {variable.name!r} is declared with two "
                         f"different distributions"
@@ -209,10 +209,15 @@ class LLLInstance:
         Always returns a fresh dict; callers own (and may mutate) their
         copy.
         """
+        return dict(self._probabilities())
+
+    def _probabilities(self) -> Dict[Hashable, float]:
+        """:meth:`event_probabilities` without the copy: the cached
+        mapping itself when it is cached, so callers must not mutate it."""
         key = instance_key(self, "probabilities")
         cached = _ARTIFACTS.get("parameters", key)
         if cached is not None:
-            return dict(cached)
+            return cached
         if key is None:
             return {event.name: event.probability() for event in self._events}
         # A fingerprinted instance has every event's shape key memoised,
@@ -226,12 +231,12 @@ class LLLInstance:
                 probability = by_shape[shape] = event.probability()
             probabilities[event.name] = probability
         _ARTIFACTS.put("parameters", key, probabilities)
-        return dict(probabilities)
+        return probabilities
 
     @property
     def max_event_probability(self) -> float:
         """``p``: the maximum unconditional probability of a bad event."""
-        return max(self.event_probabilities().values())
+        return max(self._probabilities().values())
 
     @property
     def criterion_margin(self) -> float:

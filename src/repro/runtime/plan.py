@@ -16,16 +16,20 @@ when it is constructed instead of trusting the coloring.
 :func:`plan_for_instance` is the one schedule of the fixing phase:
 the serial oracle, the process backend, :mod:`repro.core.distributed`
 and the message-level protocol of :mod:`repro.core.local_protocol` all
-execute the plan it returns.  The builders read the instance's
-dependency structure from :func:`~repro.core.indexing.event_incidence`
-(the colorings from its CSR form, or from the networkx network on the
-``reference`` graph plane).
+execute the plan it returns.  Both builders color the dependency graph
+through the derived-coloring entry points
+(:func:`~repro.coloring.compute_edge_coloring`,
+:func:`~repro.coloring.compute_two_hop_coloring`) on its CSR form, or
+on the networkx network on the ``reference`` graph plane, and assemble
+the classes with one array grouping over
+:func:`~repro.core.indexing.event_incidence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -41,14 +45,13 @@ import numpy as np
 
 from repro.artifacts.fingerprint import instance_key
 from repro.artifacts.store import STORE as _ARTIFACTS
-from repro.errors import SimulationError
-from repro.coloring import (
-    compute_edge_coloring,
-    compute_two_hop_coloring,
-    require_proper_edge_coloring,
-    require_two_hop_coloring,
+from repro.errors import SimulationError, UnknownVariableError
+from repro.coloring import compute_edge_coloring, compute_two_hop_coloring
+from repro.core.indexing import (
+    event_incidence,
+    indexed_csr,
+    indexed_dependency_network,
 )
-from repro.core.indexing import event_incidence, indexed_dependency_network
 from repro.graph.csr import sort_unique
 from repro.lll.instance import LLLInstance
 from repro.planes import planes
@@ -208,169 +211,88 @@ class FixPlan:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-def _op_for(instance: LLLInstance, variable_name: Hashable) -> FixOp:
-    return FixOp(
-        variable=variable_name,
-        events=tuple(
-            event.name
-            for event in instance.events_of_variable(variable_name)
-        ),
-    )
+def _plan(
+    instance: LLLInstance,
+    tag: str,
+    kind: str,
+    compute: Callable,
+    claims_of: Callable,
+    edgeless_palette: int,
+) -> FixPlan:
+    """The one schedule pipeline of Corollaries 1.2 and 1.4.
 
+    Picks the substrate once — the CSR dependency graph on the
+    ``vectorized`` graph plane, the networkx network on ``reference`` —
+    and colors it with ``compute``, :func:`compute_edge_coloring` or
+    :func:`compute_two_hop_coloring`, which recheck properness on their
+    virtual graph.  ``claims_of(incidence, index, from_index, colors)``
+    then gives each variable its cell as an int64 claim, plus a
+    ``decode`` of a claim to its cell's ``(color, owner)``; ``index`` is
+    each event's sorted-repr index.  An edgeless graph has no virtual
+    nodes to color: its palette is ``edgeless_palette``, it costs no
+    rounds, and every event node has color 0.
 
-def _rank2_coloring(instance: LLLInstance):
-    """Indexing plus the validated edge coloring.
-
-    On the vectorized backend the dependency graph never leaves CSR
-    form: the coloring runs on the CSR line graph and properness is
-    re-checked with one array comparison.  The reference branch keeps
-    the original networkx pipeline.  Returns ``(to_index, palette,
-    coloring_rounds, colors)``; an edgeless graph has an empty palette.
-    """
-    if planes().graph == "vectorized":
-        from repro.core.indexing import indexed_csr
-        from repro.graph import (
-            edge_coloring_with_arrays,
-            validate_proper_vertex_arrays,
-        )
-
-        csr, to_index, _from_index = indexed_csr(instance)
-        if csr.num_edges == 0:
-            return to_index, 0, 0, {}
-        derived, colors_array, line, _eu, _ev = edge_coloring_with_arrays(
-            csr
-        )
-        # Defense-in-depth recheck, as on the reference branch: adjacent
-        # line-graph nodes are exactly edges sharing an endpoint.
-        validate_proper_vertex_arrays(line, colors_array)
-        return to_index, derived.palette, derived.host_rounds, derived.colors
-
-    network, to_index, _from_index = indexed_dependency_network(instance)
-    if network.graph.number_of_edges() == 0:
-        return to_index, 0, 0, {}
-    coloring = compute_edge_coloring(network)
-    require_proper_edge_coloring(network.graph, coloring.colors)
-    return to_index, coloring.palette, coloring.host_rounds, coloring.colors
-
-
-def _rank3_coloring(instance: LLLInstance):
-    """Indexing plus the validated 2-hop coloring.
-
-    Same shape as :func:`_rank2_coloring`; the vectorized branch
-    validates by checking properness on the CSR square graph (adjacency
-    in ``G^2`` is exactly "within distance two").  Returns
-    ``(to_index, from_index, palette, coloring_rounds, colors)`` with
-    ``colors`` an int64 array over sorted-repr indices; an edgeless
-    graph is one class of every node.
-    """
-    if planes().graph == "vectorized":
-        from repro.core.indexing import indexed_csr
-        from repro.graph import (
-            two_hop_coloring_with_arrays,
-            validate_proper_vertex_arrays,
-        )
-
-        csr, to_index, from_index = indexed_csr(instance)
-        if csr.num_edges == 0:
-            return to_index, from_index, 1, 0, np.zeros(
-                len(from_index), dtype=np.int64
-            )
-        derived, colors, square = two_hop_coloring_with_arrays(csr)
-        validate_proper_vertex_arrays(square, colors)
-        return (
-            to_index, from_index, derived.palette, derived.host_rounds, colors
-        )
-
-    network, to_index, from_index = indexed_dependency_network(instance)
-    if network.graph.number_of_edges() == 0:
-        return to_index, from_index, 1, 0, np.zeros(
-            len(from_index), dtype=np.int64
-        )
-    coloring = compute_two_hop_coloring(network)
-    require_two_hop_coloring(network.graph, coloring.colors)
-    colors = np.fromiter(
-        map(coloring.colors.__getitem__, range(len(from_index))),
-        dtype=np.int64,
-        count=len(from_index),
-    )
-    return (
-        to_index, from_index, coloring.palette, coloring.host_rounds, colors
-    )
-
-
-def build_plan_rank2(instance: LLLInstance) -> FixPlan:
-    """The Corollary 1.2 schedule: edge color classes.
-
-    Rank-1 variables form one leading class (color ``-1``) with a cell
-    per host event; rank-2 variables form one cell per dependency edge,
-    assigned to the edge's color class.  Cells are in sorted-owner
-    order and ops in sorted-name order.
+    The variables sorted by name ``repr``, then stably by claim, are
+    the plan's ops in order, and each run of one claim is a cell.  Every
+    color in the palette is a class, empty ones included, preceded by
+    the rank-1 class (color ``-1``) when it has cells.
     """
     # Plans are frozen dataclasses of pure names, derived only from the
     # fingerprinted structure, so an equal-shape instance can reuse the
     # whole schedule — coloring included — without rebuilding it.
-    plan_key = instance_key(instance, "plan", "rank2")
+    plan_key = instance_key(instance, "plan", tag)
     cached = _ARTIFACTS.get("plans", plan_key)
     if cached is not None:
         return cached
-    to_index, palette, coloring_rounds, colors = _rank2_coloring(instance)
+    if planes().graph == "vectorized":
+        graph, to_index, from_index = indexed_csr(instance)
+    else:
+        graph, to_index, from_index = indexed_dependency_network(instance)
+    incidence = event_incidence(instance)
+    index = np.fromiter(
+        map(to_index.__getitem__, incidence.names),
+        dtype=np.int64,
+        count=incidence.num_events,
+    )
+    if len(incidence.edge_u):
+        coloring = compute(graph)
+        palette, rounds = coloring.palette, coloring.host_rounds
+        colors = coloring.colors
+    else:
+        palette, rounds = edgeless_palette, 0
+        colors = dict.fromkeys(range(incidence.num_events), 0)
+    claims, decode = claims_of(incidence, index, from_index, colors)
 
-    singles_by_event: Dict[Hashable, List[Hashable]] = {}
-    by_edge: Dict[Tuple[int, int], List[Hashable]] = {}
-    for variable in instance.variables:
-        events = instance.events_of_variable(variable.name)
-        if len(events) == 1:
-            singles_by_event.setdefault(events[0].name, []).append(
-                variable.name
-            )
-        else:
-            u = to_index[events[0].name]
-            v = to_index[events[1].name]
-            key = (min(u, v), max(u, v))
-            by_edge.setdefault(key, []).append(variable.name)
-
-    classes: List[ColorClass] = []
-    if singles_by_event:
-        cells = tuple(
-            FixCell(
-                owner=event_name,
-                ops=tuple(
-                    _op_for(instance, name)
-                    for name in sorted(names, key=repr)
-                ),
-            )
-            for event_name, names in sorted(
-                singles_by_event.items(), key=lambda item: repr(item[0])
-            )
-        )
-        classes.append(ColorClass(color=-1, cells=cells))
-    # One grouping pass over the sorted edges instead of a full rescan
-    # per color; class contents and cell order are unchanged (cells stay
-    # in sorted-edge order within each class).
+    reprs = list(map(repr, instance.variable_names))
+    by_name = np.asarray(
+        sorted(range(len(reprs)), key=reprs.__getitem__), dtype=np.int64
+    )
+    rows = by_name[np.argsort(claims[by_name], kind="stable")]
+    claims = claims[rows]
+    ops = _fix_ops(incidence, instance.variable_names, rows)
+    cell_starts = np.flatnonzero(
+        np.diff(claims, prepend=claims[:1] - 1)
+    ).tolist()
+    bounds = cell_starts + [len(ops)]
     cells_by_color: Dict[int, List[FixCell]] = {}
-    for edge_key, names in sorted(by_edge.items()):
-        if not names:
-            continue
-        color = colors.get(edge_key)
+    for claim, start, stop in zip(
+        claims[cell_starts].tolist(), cell_starts, bounds[1:]
+    ):
+        color, owner = decode(claim)
         cells_by_color.setdefault(color, []).append(
-            FixCell(
-                owner=edge_key,
-                ops=tuple(
-                    _op_for(instance, name)
-                    for name in sorted(names, key=repr)
-                ),
-            )
+            FixCell(owner=owner, ops=tuple(ops[start:stop]))
         )
-    for color in range(palette):
-        classes.append(
-            ColorClass(color=color, cells=tuple(cells_by_color.get(color, ())))
-        )
-
+    leading = cells_by_color.get(-1)
+    classes = [ColorClass(color=-1, cells=tuple(leading))] if leading else []
+    classes.extend(
+        ColorClass(color=color, cells=tuple(cells_by_color.get(color, ())))
+        for color in range(palette)
+    )
     plan = FixPlan(
-        kind="edge-coloring",
+        kind=kind,
         classes=tuple(classes),
         palette=palette,
-        coloring_rounds=coloring_rounds,
+        coloring_rounds=rounds,
     )
     _ARTIFACTS.put("plans", plan_key, plan)
     return plan
@@ -406,6 +328,72 @@ def _fix_ops(incidence, variable_names, rows: np.ndarray) -> List[FixOp]:
     )
 
 
+def _edge_claims(incidence, index, from_index, colors):
+    """A rank-1 variable claims its event's cell in the leading class, a
+    rank-2 variable its ``(min, max)`` index edge in the edge's color
+    class, as one int64 ``(color, low, high)``."""
+    num_events = incidence.num_events
+    first = incidence.var_ptr[:-1]
+    paired = np.diff(incidence.var_ptr) > 1
+    # ``low == high`` is a rank-1 variable's event.
+    low, high = np.sort(
+        index[incidence.var_events[np.stack((first, first + paired))]], axis=0
+    )
+    edge_colors = np.full(len(first), -1, dtype=np.int64)
+    edge_colors[paired] = np.fromiter(
+        map(
+            colors.__getitem__,
+            zip(low[paired].tolist(), high[paired].tolist()),
+        ),
+        dtype=np.int64,
+        count=int(paired.sum()),
+    )
+    # int64 while ``palette * E**2 < 2**63``, so E up to about 10**6.
+    cell_space = num_events * num_events
+
+    def decode(claim: int) -> Tuple[int, Hashable]:
+        color, cell = divmod(claim, cell_space)
+        low, high = divmod(cell, num_events)
+        return color, (low, high) if color >= 0 else from_index[low]
+
+    return edge_colors * cell_space + low * num_events + high, decode
+
+
+def _node_claims(incidence, index, from_index, colors):
+    """Each variable claims its event with the smallest ``(color,
+    index)``, as one int64."""
+    num_events = incidence.num_events
+    node_colors = np.fromiter(
+        map(colors.__getitem__, range(num_events)),
+        dtype=np.int64,
+        count=num_events,
+    )
+    event_keys = node_colors[index] * num_events + index
+    claims = np.minimum.reduceat(
+        event_keys[incidence.var_events], incidence.var_ptr[:-1]
+    )
+
+    def decode(claim: int) -> Tuple[int, Hashable]:
+        color, owner = divmod(claim, num_events)
+        return color, from_index[owner]
+
+    return claims, decode
+
+
+def build_plan_rank2(instance: LLLInstance) -> FixPlan:
+    """The Corollary 1.2 schedule: edge color classes.
+
+    Rank-1 variables form one leading class (color ``-1``) with a cell
+    per host event; rank-2 variables form one cell per dependency edge,
+    assigned to the edge's color class.  Cells are in sorted-owner
+    order and ops in sorted-name order.
+    """
+    return _plan(
+        instance, "rank2", "edge-coloring", compute_edge_coloring,
+        _edge_claims, edgeless_palette=0,
+    )
+
+
 def build_plan_rank3(instance: LLLInstance) -> FixPlan:
     """The Corollary 1.4 schedule: 2-hop color classes.
 
@@ -413,64 +401,11 @@ def build_plan_rank3(instance: LLLInstance) -> FixPlan:
     cell fixing all their variables not claimed by an earlier cell or
     class, so every variable is fixed once, by the first of its events
     to become active.  Ops within a cell are in sorted-name order.
-
-    Built by array grouping over the instance's
-    :func:`~repro.core.indexing.event_incidence`: each variable is
-    claimed by its event with the smallest ``(color, index)``, and the
-    variables sorted by claim, then by name ``repr``, are the plan's
-    ops in order.
     """
-    plan_key = instance_key(instance, "plan", "rank3")
-    cached = _ARTIFACTS.get("plans", plan_key)
-    if cached is not None:
-        return cached
-    to_index, from_index, palette, coloring_rounds, colors = _rank3_coloring(
-        instance
+    return _plan(
+        instance, "rank3", "two-hop-coloring", compute_two_hop_coloring,
+        _node_claims, edgeless_palette=1,
     )
-    incidence = event_incidence(instance)
-    num_events = incidence.num_events
-    index = np.fromiter(
-        map(to_index.__getitem__, incidence.names),
-        dtype=np.int64,
-        count=num_events,
-    )
-    event_keys = colors[index] * num_events + index
-    claims = np.minimum.reduceat(
-        event_keys[incidence.var_events], incidence.var_ptr[:-1]
-    )
-    reprs = list(map(repr, instance.variable_names))
-    by_name = np.asarray(
-        sorted(range(len(reprs)), key=reprs.__getitem__), dtype=np.int64
-    )
-    rows = by_name[np.argsort(claims[by_name], kind="stable")]
-    claims = claims[rows]
-    ops = _fix_ops(incidence, instance.variable_names, rows)
-
-    cell_starts = np.flatnonzero(
-        np.diff(claims, prepend=np.int64(-1)) != 0
-    ).tolist()
-    bounds = cell_starts + [len(ops)]
-    cells_by_color: Dict[int, List[FixCell]] = {}
-    for claim, start, stop in zip(
-        claims[cell_starts].tolist(), cell_starts, bounds[1:]
-    ):
-        color, owner = divmod(claim, num_events)
-        cells_by_color.setdefault(color, []).append(
-            FixCell(owner=from_index[owner], ops=tuple(ops[start:stop]))
-        )
-    classes = tuple(
-        ColorClass(color=color, cells=tuple(cells_by_color.get(color, ())))
-        for color in range(palette)
-    )
-
-    plan = FixPlan(
-        kind="two-hop-coloring",
-        classes=classes,
-        palette=palette,
-        coloring_rounds=coloring_rounds,
-    )
-    _ARTIFACTS.put("plans", plan_key, plan)
-    return plan
 
 
 def build_serial_plan(
@@ -485,15 +420,24 @@ def build_serial_plan(
     serial execution.  Used by the static-order sequential solver.
     """
     if order is None:
-        order = [variable.name for variable in instance.variables]
+        order = instance.variable_names
+    incidence = event_incidence(instance)
+    try:
+        rows = np.fromiter(
+            map(incidence.row_of.__getitem__, order),
+            dtype=np.int64,
+            count=len(order),
+        )
+    except KeyError as missing:
+        raise UnknownVariableError(
+            f"no variable named {missing.args[0]!r}"
+        ) from None
+    ops = _fix_ops(incidence, instance.variable_names, rows)
     classes = tuple(
         ColorClass(
-            color=position,
-            cells=(
-                FixCell(owner=name, ops=(_op_for(instance, name),)),
-            ),
+            color=position, cells=(FixCell(owner=op.variable, ops=(op,)),)
         )
-        for position, name in enumerate(order)
+        for position, op in enumerate(ops)
     )
     return FixPlan(
         kind="serial",

@@ -150,6 +150,7 @@ class Scheduler(ABC):
                 cells=plan.num_cells,
                 ops=plan.num_ops,
                 critical_path=plan.critical_path,
+                local_rounds=plan.local_rounds,
             )
         with profiled(recorder, "scheduler", self._profile_mode,
                       name=f"execute:{self.name}"):

@@ -1,7 +1,11 @@
 """Unit tests for the end-to-end coloring pipelines."""
 
+import dataclasses
+
 import pytest
 
+import repro.graph
+from repro.coloring import derived
 from repro.errors import ColoringError
 from repro.coloring import (
     VIRTUAL_ROUND_FACTOR,
@@ -13,12 +17,19 @@ from repro.coloring import (
     is_two_hop_coloring,
 )
 from repro.generators import (
+    all_zero_edge_instance,
+    all_zero_triple_instance,
     cycle_graph,
+    cyclic_triples,
     grid_graph,
     random_regular_graph,
     random_tree,
 )
 from repro.local_model import Network
+from repro.planes import using_planes
+from repro.runtime.plan import build_plan_rank2, build_plan_rank3
+
+GRAPH_PLANES = ("vectorized", "reference")
 
 
 class TestVertexPipeline:
@@ -139,3 +150,65 @@ class TestValidators:
         colors = {0: 0, 1: 1, 2: 0}  # proper, but 0 and 2 are 2 apart
         assert is_proper_vertex_coloring(graph, colors)
         assert not is_two_hop_coloring(graph, colors)
+
+
+class TestVirtualGraphRecheck:
+    """The edge and 2-hop entry points recheck properness once, on the
+    virtual graph, on either substrate."""
+
+    @pytest.mark.parametrize("graph", GRAPH_PLANES)
+    @pytest.mark.parametrize(
+        "build, instance_factory",
+        [
+            (
+                build_plan_rank2,
+                lambda: all_zero_edge_instance(cycle_graph(8), 3),
+            ),
+            (
+                build_plan_rank3,
+                lambda: all_zero_triple_instance(12, cyclic_triples(12), 5),
+            ),
+        ],
+    )
+    def test_one_recheck_per_plan_coloring(
+        self, monkeypatch, graph, build, instance_factory
+    ):
+        calls = []
+        for module, name in (
+            (derived, "require_proper_vertex_coloring"),
+            (repro.graph, "validate_proper_vertex_arrays"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        with using_planes(graph=graph, artifacts="off"):
+            build(instance_factory())
+        expected = (
+            "validate_proper_vertex_arrays"
+            if graph == "vectorized"
+            else "require_proper_vertex_coloring"
+        )
+        assert calls == [expected]
+
+    @pytest.mark.parametrize("graph", GRAPH_PLANES)
+    @pytest.mark.parametrize(
+        "compute", [compute_edge_coloring, compute_two_hop_coloring]
+    )
+    def test_improper_virtual_coloring_is_rejected(
+        self, monkeypatch, graph, compute
+    ):
+        original = derived.compute_vertex_coloring
+
+        def monochrome(network, **kwargs):
+            result = original(network, **kwargs)
+            return dataclasses.replace(
+                result, colors=dict.fromkeys(result.colors, 0)
+            )
+
+        monkeypatch.setattr(derived, "compute_vertex_coloring", monochrome)
+        with using_planes(graph=graph), pytest.raises(ColoringError):
+            compute(Network(cycle_graph(6)))

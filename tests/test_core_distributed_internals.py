@@ -12,7 +12,7 @@ from repro.generators import (
     cyclic_triples,
 )
 from repro.local_model.algorithm import NodeState
-from repro.runtime.plan import ColorClass, FixCell, _op_for
+from repro.runtime.plan import ColorClass, FixCell, FixOp
 
 
 def _round_class(instance, round_variables):
@@ -20,7 +20,18 @@ def _round_class(instance, round_variables):
     return ColorClass(
         color=0,
         cells=tuple(
-            FixCell(owner=name, ops=(_op_for(instance, name),))
+            FixCell(
+                owner=name,
+                ops=(
+                    FixOp(
+                        variable=name,
+                        events=tuple(
+                            event.name
+                            for event in instance.events_of_variable(name)
+                        ),
+                    ),
+                ),
+            )
             for name in round_variables
         ),
     )

@@ -10,8 +10,9 @@ path used before, kept here as test code:
 * ``indexed_csr`` equal to the CSR of the relabeled networkx graph;
 * ``max_dependency_degree`` and the local criterion's degrees equal to
   the graph's degrees;
-* ``build_plan_rank3`` equal to the per-variable assembly loop it
-  replaced;
+* ``build_plan_rank2`` and ``build_plan_rank3`` equal to the
+  per-variable assembly loops they replaced, and ``build_serial_plan``'s
+  ops equal to ``events_of_variable``;
 * the P* bounds after a solve equal, bit for bit, to the product of
   each event's phi sides walked in ``neighbors`` order.
 
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.coloring import compute_two_hop_coloring
+from repro.coloring import compute_edge_coloring, compute_two_hop_coloring
 from repro.core.indexing import (
     event_incidence,
     indexed_csr,
@@ -35,7 +36,7 @@ from repro.core.indexing import (
 )
 from repro.core.rank3 import Rank3Fixer
 from repro.core.sequential import solve
-from repro.errors import CriterionViolationError
+from repro.errors import CriterionViolationError, SimulationError
 from repro.generators import (
     INSTANCE_FAMILIES,
     build_family_instance,
@@ -54,7 +55,9 @@ from repro.runtime.plan import (
     FixCell,
     FixOp,
     FixPlan,
+    build_plan_rank2,
     build_plan_rank3,
+    build_serial_plan,
 )
 
 GRAPH_PLANES = ("vectorized", "reference")
@@ -103,12 +106,13 @@ def with_private_variables(instance):
     return LLLInstance(events)
 
 
-def scoped_instance(names, scopes, num_variables):
-    """Events ``names`` over rare binary variables ``("x", j)``; an
-    event with an empty scope gets a private variable instead."""
-    variables = [
-        DiscreteVariable(("x", j), *RARE) for j in range(num_variables)
-    ]
+def scoped_instance(names, scopes, num_variables, labels=None):
+    """Events ``names`` over rare binary variables ``("x", labels[j])``
+    (``labels`` defaults to ``0, 1, ...``); an event with an empty
+    scope gets a private variable instead."""
+    if labels is None:
+        labels = range(num_variables)
+    variables = [DiscreteVariable(("x", label), *RARE) for label in labels]
     events = []
     for name, scope in zip(names, scopes):
         members = [variables[j] for j in sorted(scope)]
@@ -125,7 +129,8 @@ def edgeless_instance(num_events):
 @st.composite
 def scope_structures(draw, max_rank=3):
     """Arbitrary small instances: each variable joins 1..max_rank random
-    events, event names are shuffled ints or tuples."""
+    events, event names are shuffled ints or tuples, and variable labels
+    are shuffled so that name ``repr`` order is not scope order."""
     num_events = draw(st.integers(min_value=1, max_value=7))
     num_variables = draw(st.integers(min_value=0, max_value=9))
     scopes = [set() for _ in range(num_events)]
@@ -142,7 +147,8 @@ def scope_structures(draw, max_rank=3):
     labels = draw(st.permutations(range(num_events)))
     tupled = draw(st.booleans())
     names = [("e", label) if tupled else label for label in labels]
-    return scoped_instance(names, scopes, num_variables)
+    variable_labels = draw(st.permutations(range(num_variables)))
+    return scoped_instance(names, scopes, num_variables, variable_labels)
 
 
 def named_cases():
@@ -153,6 +159,9 @@ def named_cases():
         "mixed-rank": mixed,
         "per-event-copies": per_event_copies(mixed),
         "rank-1-variables": with_private_variables(triples),
+        "rank-1-edge-variables": with_private_variables(
+            family_instance("cycle", 12, 0)
+        ),
         "edgeless": edgeless_instance(5),
         "single-event": edgeless_instance(1),
     }
@@ -161,6 +170,75 @@ def named_cases():
 # ----------------------------------------------------------------------
 # References: the networkx walks the solve path used to run
 # ----------------------------------------------------------------------
+def reference_op(instance, name):
+    return FixOp(
+        variable=name,
+        events=tuple(e.name for e in instance.events_of_variable(name)),
+    )
+
+
+def reference_plan_rank2(instance):
+    """The per-variable assembly loop ``build_plan_rank2`` replaced."""
+    network, to_index, _from_index = indexed_dependency_network(instance)
+    if network.graph.number_of_edges() == 0:
+        palette, rounds, colors = 0, 0, {}
+    else:
+        coloring = compute_edge_coloring(network)
+        palette, rounds = coloring.palette, coloring.host_rounds
+        colors = coloring.colors
+
+    singles_by_event = {}
+    by_edge = {}
+    for variable in instance.variables:
+        events = instance.events_of_variable(variable.name)
+        if len(events) == 1:
+            singles_by_event.setdefault(events[0].name, []).append(
+                variable.name
+            )
+        else:
+            u = to_index[events[0].name]
+            v = to_index[events[1].name]
+            by_edge.setdefault((min(u, v), max(u, v)), []).append(
+                variable.name
+            )
+    classes = []
+    if singles_by_event:
+        cells = tuple(
+            FixCell(
+                owner=event_name,
+                ops=tuple(
+                    reference_op(instance, name)
+                    for name in sorted(names, key=repr)
+                ),
+            )
+            for event_name, names in sorted(
+                singles_by_event.items(), key=lambda item: repr(item[0])
+            )
+        )
+        classes.append(ColorClass(color=-1, cells=cells))
+    cells_by_color = {}
+    for edge_key, names in sorted(by_edge.items()):
+        cells_by_color.setdefault(colors[edge_key], []).append(
+            FixCell(
+                owner=edge_key,
+                ops=tuple(
+                    reference_op(instance, name)
+                    for name in sorted(names, key=repr)
+                ),
+            )
+        )
+    for color in range(palette):
+        classes.append(
+            ColorClass(color=color, cells=tuple(cells_by_color.get(color, ())))
+        )
+    return FixPlan(
+        kind="edge-coloring",
+        classes=tuple(classes),
+        palette=palette,
+        coloring_rounds=rounds,
+    )
+
+
 def reference_plan_rank3(instance):
     """The per-variable assembly loop ``build_plan_rank3`` replaced."""
     network, _to_index, from_index = indexed_dependency_network(instance)
@@ -170,12 +248,6 @@ def reference_plan_rank3(instance):
         coloring = compute_two_hop_coloring(network)
         palette, rounds = coloring.palette, coloring.host_rounds
         colors = coloring.colors
-
-    def op_for(name):
-        return FixOp(
-            variable=name,
-            events=tuple(e.name for e in instance.events_of_variable(name)),
-        )
 
     variables_of_node = {event.name: [] for event in instance.events}
     for variable in instance.variables:
@@ -200,7 +272,9 @@ def reference_plan_rank3(instance):
                 cells.append(
                     FixCell(
                         owner=event_name,
-                        ops=tuple(op_for(name) for name in batch),
+                        ops=tuple(
+                            reference_op(instance, name) for name in batch
+                        ),
                     )
                 )
         classes.append(ColorClass(color=color, cells=tuple(cells)))
@@ -289,8 +363,28 @@ def check_degree(instance):
     assert instance.max_dependency_degree == expected
 
 
+def outcome(build, instance):
+    try:
+        return build(instance)
+    except SimulationError as error:
+        return str(error)
+
+
 def check_plan(instance):
     assert build_plan_rank3(instance) == reference_plan_rank3(instance)
+    # Rank 3 too: the rank-2 builder takes it (a variable claims its
+    # first two events' edge), and there edge classes can be empty or
+    # conflict; a conflict must raise the reference's error.
+    assert outcome(build_plan_rank2, instance) == outcome(
+        reference_plan_rank2, instance
+    )
+    names = list(instance.variable_names)
+    for order in (None, names[::-1]):
+        plan = build_serial_plan(instance, order)
+        assert [cls.cells for cls in plan.classes] == [
+            (FixCell(owner=name, ops=(reference_op(instance, name),)),)
+            for name in (names if order is None else order)
+        ]
 
 
 def check_bounds(instance):
@@ -354,6 +448,18 @@ def test_families_match_the_networkx_walk(family, n, seed):
 @given(instance=scope_structures())
 def test_arbitrary_scopes_match_the_networkx_walk(instance):
     check_everything(instance)
+
+
+@settings(
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=scope_structures(max_rank=2))
+def test_rank2_scopes_match_the_reference_assembly(instance):
+    for graph in GRAPH_PLANES:
+        with using_planes(graph=graph, artifacts="off"):
+            check_plan(instance)
 
 
 @settings(deadline=None, max_examples=20)

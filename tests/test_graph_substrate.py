@@ -54,7 +54,11 @@ from repro.local_model.network import (
 )
 from repro.local_model.simulator import Simulator
 from repro.planes import using_planes
-from repro.runtime.plan import build_plan_rank2, build_plan_rank3
+from repro.runtime.plan import (
+    build_plan_rank2,
+    build_plan_rank3,
+    plan_for_instance,
+)
 
 
 @st.composite
@@ -392,12 +396,15 @@ class TestPlanAndSolveDifferential:
     @settings(max_examples=15, deadline=None)
     def test_plans_identical_across_backends(self, graph):
         instance = all_zero_edge_instance(graph, 3)
-        with using_planes(graph="reference"):
+        # Artifacts off: each side builds its own plan instead of the
+        # second reading the first from the plans tier.
+        with using_planes(graph="reference", artifacts="off"):
             ref2 = build_plan_rank2(instance)
             ref3 = build_plan_rank3(instance)
-        with using_planes(graph="vectorized"):
+        with using_planes(graph="vectorized", artifacts="off"):
             fast2 = build_plan_rank2(instance)
             fast3 = build_plan_rank3(instance)
+        assert ref2 is not fast2 and ref3 is not fast3
         assert ref2 == fast2
         assert ref3 == fast3
 
@@ -406,13 +413,18 @@ class TestPlanAndSolveDifferential:
     def test_solve_distributed_identical(self, n):
         # Regular degrees keep the instance below the p < 2^-d threshold.
         instance = all_zero_edge_instance(nx.cycle_graph(n), 3)
-        with using_planes(graph="reference"):
+        with using_planes(graph="reference", artifacts="off"):
+            ref_plan = plan_for_instance(instance)
             ref = solve_distributed(instance)
-        with using_planes(graph="vectorized"):
+        with using_planes(graph="vectorized", artifacts="off"):
+            fast_plan = plan_for_instance(instance)
             fast = solve_distributed(instance)
+        assert ref_plan is not fast_plan
+        assert ref_plan == fast_plan
         assert (
             ref.fixing.assignment.as_dict() == fast.fixing.assignment.as_dict()
         )
+        assert ref.fixing.steps == fast.fixing.steps
         assert (ref.coloring_rounds, ref.schedule_rounds, ref.palette) == (
             fast.coloring_rounds,
             fast.schedule_rounds,

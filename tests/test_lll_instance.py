@@ -54,6 +54,42 @@ class TestConstruction:
         with pytest.raises(ReproError):
             LLLInstance(events)
 
+    def test_shared_variable_objects_skip_the_equality_check(
+        self, monkeypatch
+    ):
+        events = build_family_instance("cycle", 12, alphabet=3).events
+        calls = []
+        original = DiscreteVariable.__eq__
+
+        def counted(self, other):
+            calls.append(self.name)
+            return original(self, other)
+
+        monkeypatch.setattr(DiscreteVariable, "__eq__", counted)
+        instance = LLLInstance(events)
+        assert instance.num_variables == 12
+        assert calls == []
+
+        # A per-event copy is still compared, and a different
+        # distribution still rejected.
+        coin = DiscreteVariable("c", (0, 1))
+        copy = DiscreteVariable("c", (0, 1))
+        LLLInstance(
+            [
+                BadEvent.all_equal("A", [coin], target=1),
+                BadEvent.all_equal("B", [copy], target=1),
+            ]
+        )
+        assert calls == ["c"]
+        biased = DiscreteVariable("c", (0, 1), (0.2, 0.8))
+        with pytest.raises(ReproError):
+            LLLInstance(
+                [
+                    BadEvent.all_equal("A", [coin], target=1),
+                    BadEvent.all_equal("B", [biased], target=1),
+                ]
+            )
+
     def test_shared_variables_deduplicated(self, triangle_instance):
         assert triangle_instance.num_variables == 3
         assert triangle_instance.num_events == 3
@@ -98,6 +134,20 @@ class TestParameters:
         probabilities = triangle_instance.event_probabilities()
         assert set(probabilities) == {"X", "Y", "Z"}
         assert all(p == pytest.approx(0.25) for p in probabilities.values())
+
+    @pytest.mark.parametrize("artifacts", ["on", "off"])
+    def test_event_probabilities_is_a_fresh_dict(
+        self, triangle_instance, artifacts
+    ):
+        with using_planes(artifacts=artifacts):
+            STORE.clear()
+            first = triangle_instance.event_probabilities()
+            first["X"] = 2.0
+            first["W"] = 3.0
+            assert triangle_instance.event_probabilities() == dict.fromkeys(
+                "XYZ", 0.25
+            )
+            assert triangle_instance.max_event_probability == 0.25
 
     def test_summary_fields(self, triangle_instance):
         summary = triangle_instance.summary()

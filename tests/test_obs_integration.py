@@ -17,6 +17,7 @@ from repro.generators import (
 from repro.lll import verify_solution
 from repro.local_model import BroadcastValue, Network, Simulator
 from repro.obs import check_events, recording, uninstall
+from repro.runtime import SerialScheduler, plan_for_instance
 
 
 @pytest.fixture(autouse=True)
@@ -86,6 +87,26 @@ class TestFixerInstrumentation:
         assert len(solve_spans) == 1
         # The solve span contains every fix span.
         assert solve_spans[0] >= sum(fix_spans)
+
+    @pytest.mark.parametrize(
+        "instance_factory",
+        [
+            lambda: all_zero_edge_instance(cycle_graph(10), 3),
+            lambda: all_zero_triple_instance(9, cyclic_triples(9), 5),
+        ],
+        ids=["rank2", "rank3"],
+    )
+    def test_plan_event_reports_local_rounds(self, instance_factory):
+        instance = instance_factory()
+        with recording() as recorder:
+            solve(instance, scheduler=SerialScheduler())
+        (plan_event,) = [
+            e
+            for e in recorder.memory.events
+            if (e["component"], e["event"]) == ("runtime", "plan")
+        ]
+        expected = plan_for_instance(instance).local_rounds
+        assert plan_event["payload"]["local_rounds"] == expected > 0
 
     def test_pstar_counters_track_edge_updates(self):
         instance = all_zero_triple_instance(9, cyclic_triples(9), 5)
