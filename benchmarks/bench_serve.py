@@ -16,6 +16,11 @@ Two phases against the same server:
 Acceptance (the ISSUE 10 floors):
 
 * warm hit rate >= 0.9 (``hit_rate_ok``),
+* two counts on the warm row that ``repro bench compare`` checks
+  exactly: ``solutions_hits`` (warm requests answered from the
+  ``solutions`` tier: every one) and ``kernel_compiles`` (kernels
+  compiled while serving them: none) — deterministic, unlike the
+  latency ratio below,
 * warm p50 at least 5x faster than cold p50 (``speedup_warm_p50``;
   quick mode keeps a reduced floor),
 * served results bit-identical to an in-process serial-scheduler solve
@@ -37,6 +42,7 @@ import time
 
 import _obs_harness
 from repro.core.sequential import solve
+from repro.probability.engine import STATS
 from repro.generators import build_family_instance
 from repro.lll.io import _encode_name
 from repro.runtime import live_segment_names
@@ -111,6 +117,13 @@ def _percentile(samples, q):
     return ordered[index]
 
 
+def _solutions_hits(client) -> int:
+    """The server's ``solutions`` tier hits so far."""
+    status, stats = client.request("GET", "/v1/stats")
+    assert status == 200 and stats["ok"]
+    return int(stats["cache"]["tiers"]["solutions"]["hits"])
+
+
 def _reference_result():
     """The differential oracle: in-process solve on the serial plan."""
     instance = build_family_instance("triples", N, alphabet=ALPHABET)
@@ -125,6 +138,7 @@ def _reference_result():
         "steps": result.num_steps,
         "min_slack": result.min_slack,
         "max_certified_bound": result.max_certified_bound,
+        "criterion_margin": instance.criterion_margin,
         "verified": True,
         "assignment": pairs(result.assignment.items()),
         "certified_bounds": pairs(result.certified_bounds.items()),
@@ -164,9 +178,15 @@ def run_serve_bench():
         )
         # Prime the caches once, then measure pure warm traffic.
         client.solve(PAYLOAD)
+        solutions_before = _solutions_hits(client)
+        compiles_before = STATS.kernel_compiles
         warm_ms, warm_bodies, warm_wall = _phase(
             client, WARM_SAMPLES, clear_before_each=False
         )
+        # The server runs in this process, so its engine counters are
+        # this process's; warm requests never reach the workers.
+        warm_compiles = STATS.kernel_compiles - compiles_before
+        warm_solutions = _solutions_hits(client) - solutions_before
 
         hits = sum(body["cache"]["hits"] for body in warm_bodies)
         misses = sum(body["cache"]["misses"] for body in warm_bodies)
@@ -204,6 +224,8 @@ def run_serve_bench():
         "p50_ms": round(warm_p50, 3),
         "p99_ms": round(_percentile(warm_ms, 99), 3),
         "requests_per_second": round(WARM_SAMPLES / warm_wall, 3),
+        "solutions_hits": warm_solutions,
+        "kernel_compiles": warm_compiles,
         "ok": True,
     })
     rows.append({

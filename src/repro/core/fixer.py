@@ -10,11 +10,19 @@ what is its own:
 
 * its precondition check (in ``__init__``);
 * its selection rule (:meth:`Fixer._select`);
-* its ledger: ``_ledger_ref`` (the live entry an op writes, looked up
-  by key), ``_write`` (write one choice into that entry) and, where a
-  decision reads more than that entry's weights (rank 3's triangle
-  products), ``local_weights``;
-* ``certified_bounds`` and ``check_invariant``.
+* its ledger: ``_ledger_ref`` (what an op writes, first-touching it),
+  ``_write`` (write one choice there), ``local_weights`` (what a
+  decision reads), ``certified_bounds`` and ``check_invariant``;
+* the ledger's side of the vector plane: ``_fill_phi``,
+  ``_open_section`` and ``_commit_decided``.
+
+The rank-2 edge ledger and the naive hyperedge ledger are one float64
+array in the vector template's phi slot layout
+(:class:`WeightLedgerFixer`): a scalar op writes its slots, and a
+vector-decided class is one scatter from the run state's ``phi``, with
+no per-op ledger entries or refs.  The rank-3 fixer keeps property P*'s
+per-edge entries (:class:`~repro.core.pstar.PStarState`) and resolves
+them per op.
 
 Every commit, per-op or whole-class, runs through one loop
 (:meth:`Fixer._commit_ops`), with recorder events and invariant checks
@@ -29,9 +37,11 @@ the loop.
 from __future__ import annotations
 
 import time
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core import vector
 from repro.core.vector import TOP_APPLY, TOP_NAMES, TOP_VARIABLE
@@ -47,6 +57,7 @@ from repro.core.selection import (
     select_rank3,
 )
 from repro.errors import PStarViolationError
+from repro.graph.csr import concatenated_ranges
 from repro.lll.instance import LLLInstance
 from repro.obs.recorder import active as _obs_active
 from repro.probability import PartialAssignment
@@ -145,47 +156,6 @@ def select_by_rank(variable, events, weights, assignment: PartialAssignment):
     return select_rank3(variable, events, weights, assignment)
 
 
-def ledger_bounds(initial, ledger) -> Dict[Hashable, float]:
-    """``p_v`` times every weight event ``v`` holds in a weight ledger.
-
-    The certificate of the rank-2 edge ledger and the naive hyperedge
-    ledger (the rank-3 fixer certifies through P* instead).
-    """
-    bounds = dict(initial)
-    for weights in ledger.values():
-        for node, weight in weights.items():
-            bounds[node] *= weight
-    return bounds
-
-
-def check_ledger(fixer: "Fixer", ledger, kind: str) -> None:
-    """Assert a weight ledger's invariant.
-
-    Every entry's weights sum to at most its size (the budget the
-    averaging argument preserves), and every event's conditional
-    probability is at most its certified bound.
-
-    Raises
-    ------
-    PStarViolationError
-        If either condition fails beyond numerical tolerance.
-    """
-    for key, weights in ledger.items():
-        total = sum(weights.values())
-        if total > len(key) + 1e-7:
-            raise PStarViolationError(
-                f"{kind} {set(key)!r}: weights sum to {total} > {len(key)}"
-            )
-    bounds = fixer.certified_bounds()
-    for event in fixer.instance.events:
-        conditional = event.probability(fixer.assignment)
-        if conditional > bounds[event.name] + 1e-7:
-            raise PStarViolationError(
-                f"event {event.name!r}: conditional probability "
-                f"{conditional} exceeds certified bound {bounds[event.name]}"
-            )
-
-
 # ----------------------------------------------------------------------
 # The shared fixer core
 # ----------------------------------------------------------------------
@@ -238,38 +208,30 @@ class Fixer:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
-    @property
-    def vector_ledger(self):
-        """The live ledger the vector decide plane reads and commits to."""
-        raise NotImplementedError
-
-    def local_weights(self, events: Sequence) -> Tuple[float, ...]:
-        """The ledger values a decision on ``events`` reads.
+    def local_weights(self, variable, events: Sequence) -> Tuple[float, ...]:
+        """The ledger values a decision on ``variable`` (affecting
+        ``events``) reads, as Python floats.
 
         Together with the events' conditional masses this is the entire
         state a decision depends on, which is what makes the vector
-        plane's lane deduplication and class memo sound.  Here: the live
-        entry's weight per event (``()`` when the op has no entry), as
-        the rank-2 edge and naive hyperedge ledgers store them.
+        plane's lane deduplication and class memo sound.  Reading them
+        first-touches the op's ledger entries, as a write would.
         """
-        names = tuple(event.name for event in events)
-        weights = self._ledger_ref(names)
-        if weights is None:
-            return ()
-        return tuple(weights[name] for name in names)
+        raise NotImplementedError
 
-    def _ledger_ref(self, names: Tuple[Hashable, ...], keys=None):
-        """The live ledger entry an op on ``names`` writes (key lookup).
+    def _ledger_ref(self, variable, names: Tuple[Hashable, ...]):
+        """What an op on ``variable`` (affecting ``names``) writes.
 
         ``None`` when the op writes nothing, else what :meth:`_write`
-        takes.  ``keys`` are the entries' ledger keys when the caller
-        already holds them (the vector plane's template does); without
-        them the hook derives them from ``names``.
+        takes.  The first call for a ledger entry touches it: the
+        certificate multiplies each event's weights in first-touch
+        order, so every lookup (a ``decide`` that is never committed
+        included) counts.
         """
         raise NotImplementedError
 
     def _write(self, ref, names: Tuple[Hashable, ...], choice):
-        """Write ``choice``'s new weights into the live entry ``ref``.
+        """Write ``choice``'s new weights at ``ref``.
 
         Returns ``None``, or — when the values had to be clamped — the
         written values in the op's apply-slot order, so the caller can
@@ -283,6 +245,29 @@ class Fixer:
 
     def check_invariant(self) -> None:
         """Raise :class:`PStarViolationError` if the bookkeeping is broken."""
+        raise NotImplementedError
+
+    def _fill_phi(self, phi, template) -> None:
+        """Copy the live ledger into a vector run state's ``phi`` array
+        (``template``'s slot layout)."""
+        raise NotImplementedError
+
+    def _open_section(self, state, section):
+        """Open a lowered section on the ledger when it is decided.
+
+        Touches the section's ledger entries in plan order, as per-op
+        decides would, and returns the live refs per op the class
+        commit writes through, or ``None`` when it writes none.
+        """
+        raise NotImplementedError
+
+    def _commit_decided(self, records, ops, choices, parts, phi) -> None:
+        """Commit a vector-decided class through :meth:`_commit_ops`.
+
+        ``records``, ``ops`` and ``choices`` are flat in plan order,
+        ``parts`` the pending ``(section, memo entry, refs)`` triples and
+        ``phi`` the run state's post-decision ledger array.
+        """
         raise NotImplementedError
 
     def _select(self, variable, events, weights):
@@ -310,7 +295,9 @@ class Fixer:
             )
         variable = self._instance.variable(variable_name)
         events = tuple(self._instance.events_of_variable(variable_name))
-        choice = self._select(variable, events, self.local_weights(events))
+        choice = self._select(
+            variable, events, self.local_weights(variable, events)
+        )
         return Decision(variable=variable, events=events, choice=choice)
 
     def commit(self, decision: Decision) -> StepRecord:
@@ -347,10 +334,10 @@ class Fixer:
     def commit_class(self, cells, class_choices) -> None:
         """Commit a class's worth of decided choices, in plan order.
 
-        Ledger entries come from the vector plane's pending refs when
-        this fixer just batch-decided ``cells``, and otherwise from a key
-        lookup (which also drops the run state, so the next batch
-        rebuilds it from the ledger).
+        When this fixer just batch-decided ``cells`` the ledger takes the
+        vector plane's post-decision state (:meth:`_commit_decided`);
+        otherwise each op goes through a key lookup, which also drops
+        the run state, so the next batch rebuilds it from the ledger.
         """
         state = vector.cached_commit(self, cells)
         if state is None:
@@ -370,13 +357,12 @@ class Fixer:
             return
         _cells, parts = state.pending
         if len(parts) == 1:
-            section, entry, refs = parts[0]
+            section, entry, _refs = parts[0]
             ops, names = section.ops, section.names
         else:
             entry = None
             ops = [op for part in parts for op in part[0].ops]
             names = [name for part in parts for name in part[0].names]
-            refs = [ref for part in parts for ref in part[2]]
         if entry is not None and entry.choices is class_choices:
             # A decided batch's records are a pure function of its memo
             # entry: build them on its first commit only.
@@ -388,13 +374,11 @@ class Fixer:
         else:
             records = _class_records(ops, chain.from_iterable(class_choices))
         self._check_unfixed(records, names)
-        self._commit_ops(
-            zip(
-                records,
-                refs,
-                map(_apply_slots, ops),
-                chain.from_iterable(class_choices),
-            ),
+        self._commit_decided(
+            records,
+            ops,
+            chain.from_iterable(class_choices),
+            parts,
             state.phi,
         )
         state.pending = None
@@ -403,7 +387,7 @@ class Fixer:
         """A commit-loop op whose ledger entry comes from a key lookup."""
         names = tuple(event.name for event in events)
         (record,) = _class_records(((variable, names),), (choice,))
-        return (record, self._ledger_ref(names), None, choice)
+        return (record, self._ledger_ref(variable, names), None, choice)
 
     def _check_unfixed(self, records, names=None) -> None:
         """The assignment's re-fix check, once for a batch of records.
@@ -429,13 +413,14 @@ class Fixer:
     def _commit_ops(self, ops: Iterable[tuple], phi) -> None:
         """The one commit loop.
 
-        ``ops`` yields ``(step record, live ledger entry, apply slots,
+        ``ops`` yields ``(step record, ledger ref or None, apply slots,
         choice)`` per op, in plan order, whose records have passed the
         support and re-fix checks (:func:`_class_records`,
-        :meth:`_check_unfixed`).  Per op: one ledger write, one
-        assignment store, one step append.  ``phi`` is the vector
-        plane's flat ledger (or ``None``); values the ledger write had to
-        clamp are copied back into it at the op's apply slots.
+        :meth:`_check_unfixed`).  Per op: a ledger write when the op
+        has a ref, one assignment store, one step append.  ``phi`` is
+        the vector plane's flat ledger (or ``None``); values the ledger
+        write had to clamp are copied back into it at the op's apply
+        slots.
         """
         recorder = _obs_active()
         validate = self._validate
@@ -511,3 +496,171 @@ class Fixer:
                 min_slack=result.min_slack,
             )
         return result
+
+
+# ----------------------------------------------------------------------
+# The weight ledger of the rank-2 and naive fixers
+# ----------------------------------------------------------------------
+class WeightLedgerFixer(Fixer):
+    """A fixer whose ledger is one weight per (ledger key, member event).
+
+    The rank-2 edge ledger (Theorem 1.1) and the naive hyperedge ledger
+    keep their weights in one float64 array in the phi slot layout of
+    the instance's vector template (``_Template._bind_ledger``): a key
+    is a dependency edge (rank 2) or a variable's whole event set
+    (naive), its member events' weights are consecutive slots, and every
+    weight starts at 1.  The certificate multiplies each event's weights
+    in the order their keys were first touched, so ``_touched`` keeps
+    each key's first-touch number (``-1`` while untouched, when the key
+    has no weights to certify): the products are the floats the per-key
+    entries gave, bit for bit.
+    """
+
+    #: What a ledger key is called in invariant errors.
+    key_noun = "edge"
+
+    def __init__(
+        self, instance: LLLInstance, validate_invariant: bool = False
+    ) -> None:
+        super().__init__(instance, validate_invariant)
+        template = vector.ledger_template(instance, self.vector_kind)
+        self._template = template
+        self._ledger = np.ones(template.ledger_size, dtype=np.float64)
+        self._touched = np.full(template.num_keys, -1, dtype=np.int64)
+        self._touches = 0
+        # Via the instance (and hence the artifact store's parameters
+        # tier): same-shape instances share one probability enumeration.
+        # Its keys are in event order, the template's ``names``.
+        self._initial = np.fromiter(
+            instance.event_probabilities().values(),
+            dtype=np.float64,
+            count=len(template.names),
+        )
+
+    # ------------------------------------------------------------------
+    # Ledger
+    # ------------------------------------------------------------------
+    def _touch(self, keys) -> None:
+        """First-touch the untouched ``keys`` (distinct, in touch order)."""
+        touched = self._touched
+        fresh = keys[touched[keys] < 0]
+        if len(fresh):
+            start = self._touches
+            self._touches = start + len(fresh)
+            touched[fresh] = np.arange(start, self._touches)
+
+    def _ledger_ref(self, variable, names):
+        """The op's slots (``None`` without a key), touching its key."""
+        template = self._template
+        entry = template.ledger_of_variables()[template.row_of[variable.name]]
+        if entry is None:
+            return None
+        key, slots = entry
+        touched = self._touched
+        if touched[key] < 0:
+            touched[key] = self._touches
+            self._touches += 1
+        return slots
+
+    def local_weights(self, variable, events: Sequence) -> Tuple[float, ...]:
+        """The weights of the op's key, in bookkeeping order."""
+        slots = self._ledger_ref(variable, None)
+        if slots is None:
+            return ()
+        return tuple(map(self._ledger.item, slots))
+
+    def _write(self, ref, names, choice):
+        ledger = self._ledger
+        for slot, weight in zip(ref, choice.new_weights):
+            ledger[slot] = weight
+
+    # ------------------------------------------------------------------
+    # Vector plane
+    # ------------------------------------------------------------------
+    def _fill_phi(self, phi, template) -> None:
+        phi[: len(self._ledger)] = self._ledger
+
+    def _open_section(self, state, section):
+        self._touch(section.touch_keys)
+        return None
+
+    def _commit_decided(self, records, ops, choices, parts, phi) -> None:
+        """The run state's post-decision slots are the ledger's: one
+        scatter per section.  Validation checks the ledger as it stands
+        after every op, so then each op writes its own slots as well."""
+        refs = map(_apply_slots, ops) if self._validate else repeat(None)
+        self._commit_ops(zip(records, refs, repeat(None), choices), None)
+        ledger = self._ledger
+        for section, _entry, _refs in parts:
+            ledger[section.slot_list] = phi[section.slot_list]
+
+    # ------------------------------------------------------------------
+    # Invariants
+    # ------------------------------------------------------------------
+    def _touch_order(self):
+        """The touched keys, in first-touch order."""
+        touched = self._touched
+        keys = np.flatnonzero(touched >= 0)
+        order = np.empty(len(keys), dtype=np.int64)
+        order[touched[keys]] = keys
+        return order
+
+    def certified_bounds(self) -> Dict[Hashable, float]:
+        """Per-event bound ``p_v * product of the event's key weights``,
+        multiplied left to right in first-touch order."""
+        template = self._template
+        keys = self._touch_order()
+        starts = template.key_ptr[keys]
+        slots = concatenated_ranges(
+            starts, template.key_ptr[keys + 1] - starts
+        )
+        bounds = self._initial.copy()
+        # ``ufunc.at`` applies its operands in index order, so each
+        # event's factors are multiplied in first-touch order.
+        np.multiply.at(bounds, template.slot_event[slots], self._ledger[slots])
+        return dict(zip(template.names, bounds.tolist()))
+
+    def check_invariant(self) -> None:
+        """Assert the weighted-budget invariant.
+
+        Every key's weights sum to at most its size (the budget the
+        averaging argument preserves), and every event's conditional
+        probability is at most its certified bound.  Keys are checked
+        in first-touch order, untouched keys (all weights 1) not at all.
+
+        Raises
+        ------
+        PStarViolationError
+            If either condition fails beyond numerical tolerance.
+        """
+        template = self._template
+        keys = self._touch_order()
+        if len(keys):
+            key_ptr = template.key_ptr
+            totals = np.add.reduceat(self._ledger, key_ptr[:-1])[keys]
+            sizes = np.diff(key_ptr)[keys]
+            # numpy and ``sum`` may round a total apart: a margin finds
+            # the suspects, and the exact ``sum`` judges them.
+            for key in keys[totals > sizes + (1e-7 - 1e-9)].tolist():
+                start, stop = key_ptr[key], key_ptr[key + 1]
+                total = sum(self._ledger[start:stop].tolist())
+                if total > stop - start + 1e-7:
+                    entry = frozenset(
+                        map(
+                            template.names.__getitem__,
+                            template.slot_event[start:stop].tolist(),
+                        )
+                    )
+                    raise PStarViolationError(
+                        f"{self.key_noun} {set(entry)!r}: weights sum to "
+                        f"{total} > {len(entry)}"
+                    )
+        bounds = self.certified_bounds()
+        for event in self._instance.events:
+            conditional = event.probability(self._assignment)
+            if conditional > bounds[event.name] + 1e-7:
+                raise PStarViolationError(
+                    f"event {event.name!r}: conditional probability "
+                    f"{conditional} exceeds certified bound "
+                    f"{bounds[event.name]}"
+                )

@@ -34,17 +34,11 @@ per-event criterion ``p_v < r^-H_v`` (implied by the paper's global
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Optional,
-)
+from typing import Hashable, Iterable, Optional
 
 from repro.errors import CriterionViolationError
 from repro.lll.instance import LLLInstance
-from repro.core.fixer import Fixer, check_ledger, ledger_bounds
+from repro.core.fixer import WeightLedgerFixer
 from repro.core.results import FixingResult
 from repro.core.selection import select_rankr
 
@@ -87,8 +81,13 @@ def check_naive_criterion(instance: LLLInstance) -> None:
             )
 
 
-class NaiveRankRFixer(Fixer):
+class NaiveRankRFixer(WeightLedgerFixer):
     """Deterministic fixer for arbitrary rank under the naive criterion.
+
+    One weight vector per hyperedge (= per distinct affected-event set):
+    variables with the same event set share it, exactly like several
+    rank-2 variables sharing a dependency edge
+    (:class:`~repro.core.fixer.WeightLedgerFixer`).
 
     Parameters
     ----------
@@ -101,6 +100,7 @@ class NaiveRankRFixer(Fixer):
 
     vector_kind = "naive"
     obs_component = "fixer.naive"
+    key_noun = "hyperedge"
 
     def __init__(
         self, instance: LLLInstance, require_criterion: bool = True
@@ -108,48 +108,10 @@ class NaiveRankRFixer(Fixer):
         if require_criterion:
             check_naive_criterion(instance)
         super().__init__(instance)
-        # One weight vector per hyperedge (= per distinct affected-event
-        # set); variables with the same event set share it, exactly like
-        # multiple rank-2 variables sharing a dependency edge.
-        self._weights: Dict[FrozenSet, Dict[Hashable, float]] = {}
-        # Via the instance (and hence the artifact store's parameters
-        # tier): same-shape instances share one probability enumeration.
-        self._initial_probabilities = instance.event_probabilities()
 
-    # ------------------------------------------------------------------
-    # Selection and ledger
-    # ------------------------------------------------------------------
     def _select(self, variable, events, weights):
         """The weighted-budget rule, whatever the rank."""
         return select_rankr(variable, events, weights, self._assignment)
-
-    @property
-    def vector_ledger(self):
-        return self._weights
-
-    def _ledger_ref(self, names, keys=None):
-        key = frozenset(names) if keys is None else keys[0]
-        weights = self._weights.get(key)
-        if weights is None:
-            weights = self._weights[key] = dict.fromkeys(names, 1.0)
-        return weights
-
-    def _write(self, ref, names, choice):
-        for name, weight in zip(names, choice.new_weights):
-            ref[name] = weight
-
-    # ------------------------------------------------------------------
-    # Invariants
-    # ------------------------------------------------------------------
-    def certified_bounds(self) -> Dict[Hashable, float]:
-        """Per-event bound ``p_v * product of absorbed hyperedge weights``."""
-        return ledger_bounds(self._initial_probabilities, self._weights)
-
-    def check_invariant(self) -> None:
-        """Assert the weighted-budget bookkeeping invariant: every
-        hyperedge's weights sum to at most its cardinality, and every
-        event's conditional probability is at most its certified bound."""
-        check_ledger(self, self._weights, "hyperedge")
 
 
 def solve_naive(

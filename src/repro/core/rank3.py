@@ -31,14 +31,19 @@ single truth-table pass each under the compiled engine (see
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.obs.recorder import MARGIN_BUCKETS
 from repro.lll.instance import LLLInstance
 from repro.lll.verify import check_preconditions
+from repro.core import vector
 from repro.core.fixer import Fixer
 from repro.core.pstar import PStarState, checked_edge_write, observe_edge_write
 from repro.core.results import FixingResult
+
+
+_apply_slots = itemgetter(vector.TOP_APPLY)
 
 
 class Rank3Fixer(Fixer):
@@ -80,18 +85,14 @@ class Rank3Fixer(Fixer):
     # ------------------------------------------------------------------
     # Ledger
     # ------------------------------------------------------------------
-    @property
-    def vector_ledger(self):
-        return self._pstar.entries
-
-    def local_weights(self, events: Sequence) -> Tuple[float, ...]:
+    def local_weights(self, variable, events: Sequence) -> Tuple[float, ...]:
         """The phi-ledger values a decision on ``events`` reads.
 
         ``()`` for rank 1, the edge pair ``(phi_e^u, phi_e^v)`` for rank
         2, the representable triple ``(a, b, c)`` for rank 3.
         """
         names = tuple(event.name for event in events)
-        ref = self._ledger_ref(names)
+        ref = self._ledger_ref(variable, names)
         if ref is None:
             return ()
         if len(names) == 2:
@@ -105,12 +106,14 @@ class Rank3Fixer(Fixer):
             entry_uw[w] * entry_vw[w],
         )
 
-    def _ledger_ref(self, names, keys=None):
+    def _ledger_ref(self, variable, names, keys=None):
         """``None``, the edge's phi entry, or the triangle's three entries.
 
-        Keys derived here are checked against the dependency graph
-        (:meth:`PStarState.edge_key`); a given key with no entry raises
-        ``KeyError``.
+        ``keys`` are the entries' edge keys when the caller holds them
+        (the vector plane's template does); a given key with no entry
+        raises ``KeyError``.  Keys derived here are checked against the
+        dependency graph (:meth:`PStarState.edge_key`).  P* entries all
+        exist from the start, so there is no first touch to record.
         """
         if len(names) == 1:
             return None
@@ -175,6 +178,38 @@ class Rank3Fixer(Fixer):
             entry_uw[w],
             entry_vw[v],
             entry_vw[w],
+        )
+
+    # ------------------------------------------------------------------
+    # Vector plane
+    # ------------------------------------------------------------------
+    def _fill_phi(self, phi, template) -> None:
+        """Copy every P* entry into its phi slots."""
+        entries = self._pstar.entries
+        names = template.names
+        for base, _first_key, keys in template.ledger_keys:
+            width = keys.shape[1]
+            for index, row in enumerate(keys.tolist()):
+                members = [names[event] for event in row]
+                live = entries.get(frozenset(members))
+                if live is not None:
+                    slot = base + index * width
+                    for offset, name in enumerate(members):
+                        phi[slot + offset] = live[name]
+
+    def _open_section(self, state, section):
+        """The live P* entries of the section's ops."""
+        return vector.section_refs(state, section, self)
+
+    def _commit_decided(self, records, ops, choices, parts, phi) -> None:
+        """Per-op writes through the live entries; clamped values go
+        back into ``phi``."""
+        if len(parts) == 1:
+            refs = parts[0][2]
+        else:
+            refs = [ref for part in parts for ref in part[2]]
+        self._commit_ops(
+            zip(records, refs, map(_apply_slots, ops), choices), phi
         )
 
     def _observe_step(self, recorder, record, ref) -> None:

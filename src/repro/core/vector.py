@@ -29,6 +29,14 @@ reads.  A solve then only carries a small :class:`_RunState` (the
 pins matrix and the ledger array, specialised from live fixer state)
 through the template, so repeated solves pay specialisation, not
 lowering.
+
+The template's phi slot layout is also the rank-2 and naive fixers' own
+ledger: each keeps one float64 array in it
+(:class:`~repro.core.fixer.WeightLedgerFixer`), so opening a section
+only records the first touch of its keys, and committing a decided
+class copies the section's slots from the run state in one scatter, with
+no per-op ledger refs.  The rank-3 fixer keeps property P*'s per-edge
+entries, resolved per op once per section (:func:`section_refs`).
 :func:`execute_section` runs a section's waves through
 :func:`_run_twave` — in the parent for the serial scheduler, and in
 the process backend's workers, which receive the built stack and their
@@ -53,9 +61,10 @@ in ``tests/test_decide_vector.py`` holds the two planes to exact
 equality.
 
 Fallback discipline: lowering and execution never alter fixer state
-beyond the idempotent first-touch defaults ``local_weights`` itself
-installs.  Two kinds of failure send a class back to the untouched
-scalar per-op loop: a shape the batch cannot express
+beyond the first touch of the class's ledger keys, which per-op decides
+of the same class in plan order record identically.  Two kinds of
+failure send a class back to the untouched scalar per-op loop: a shape
+the batch cannot express
 (:class:`_NotVectorizable` — a kernel-less event, an unindexable
 support, a stack over the batch limit, a rank-3 op without its
 dependency edge) and a typed :class:`~repro.errors.ReproError` from the
@@ -146,6 +155,13 @@ def _first_of(np, ids, count: int):
     return order[np.searchsorted(ids[order], np.arange(count))]
 
 
+def _first_appearances(np, values):
+    """The distinct entries of ``values`` in order of first appearance."""
+    distinct = sort_unique(values)
+    firsts = _first_of(np, np.searchsorted(distinct, values), len(distinct))
+    return values[np.sort(firsts)]
+
+
 def _require_kernel_gate(np, events, num_outcomes: int) -> None:
     """Raise unless every event would take a shared shape kernel.
 
@@ -225,7 +241,9 @@ class _Section:
     is a pure function of those arrays, so identical pre-state yields
     the identical (shared) choice objects and post-state, bit for bit.
     ``ops`` and ``names`` are the op records and their variable names,
-    flat in plan order (the commit loop's columns).
+    flat in plan order (the commit loop's columns).  ``touch_keys`` are
+    the ledger keys the ops write, in order of first write: the order in
+    which a per-op pass over the section first touches them.
     """
 
     __slots__ = (
@@ -234,6 +252,7 @@ class _Section:
         "num_ops",
         "read_rows",
         "slot_list",
+        "touch_keys",
         "memo",
         "ops",
         "names",
@@ -289,8 +308,14 @@ class _Template:
         "num_values",  # int64 [S]: length of the value list
         "var_apply",  # int64 [V, A]: ledger slots per variable, -1-padded
         "apply_widths",  # int64 [V]: used columns of var_apply
-        "ledger_keys",  # (first slot, distinct key rows) per key width
+        "ledger_keys",  # per key width: (first slot, first key, rows)
         "ledger_size",
+        "num_keys",
+        "key_ptr",  # int64 [num_keys + 1]: key k's slots start there
+        "slot_key",  # int64 [ledger_size]: the ledger key of each slot
+        "slot_event",  # int64 [ledger_size]: the event of each slot
+        "var_ledger",  # per variable row: (key, slots) or None; built
+        # on first use by the scalar path
         "event_shapes",  # int64 [E]: layout shape per event
         "shape_first",  # int64 [shapes]: the first event of each shape
         "shape_hinted",  # bool [shapes]: the shape has a shape key
@@ -321,23 +346,27 @@ class _Template:
         self.fingerprint_slots: Dict[bytes, int] = {}
         self.stack: Optional[KernelStack] = None
         self.stack_size = 0
+        self.var_apply = None
         self.ledger_keys: List[tuple] = []
         self.ledger_size = 0
+        self.num_keys = 0
+        self.var_ledger: Optional[list] = None
         self.sections: Dict[tuple, tuple] = {}
         self.max_values = 1
 
     # -- binding to the scope columns ---------------------------------
-    def _bind(self, np, instance) -> None:
+    def bind_ledger(self, instance) -> None:
+        """Bind the variable rows and the phi slot layout (idempotent).
+
+        The fixers' weight ledgers live in this layout, so a fixer binds
+        it on construction; lowering a section binds the rest.
+        """
+        if self.var_apply is not None:
+            return
         from repro.core.indexing import event_incidence
 
-        layout = scope_layout(instance)
         incidence = event_incidence(instance)
-        num_events = incidence.num_events
-        offsets = np.array(layout.offsets, dtype=np.int64)
-        lengths = np.diff(offsets)
         self.names = incidence.names
-        self.offsets = offsets
-
         # Variable rows and each variable's events (in event order: the
         # instance's bookkeeping order) are the incidence's transpose.
         self.row_of = incidence.row_of
@@ -345,10 +374,20 @@ class _Template:
         self.var_ptr = incidence.var_ptr
         self.var_events = incidence.var_events
         self.var_positions = incidence.var_positions
+        self._bind_ledger(_numpy(), incidence.num_events)
 
+    def _bind(self, np, instance) -> None:
+        from repro.core.indexing import event_incidence
+
+        self.bind_ledger(instance)
+        layout = scope_layout(instance)
+        offsets = np.array(layout.offsets, dtype=np.int64)
+        lengths = np.diff(offsets)
+        self.offsets = offsets
         self.variables = instance.variables
-        self._bind_supports(np, layout, incidence.slot_rows)
-        self._bind_ledger(np, num_events)
+        self._bind_supports(
+            np, layout, event_incidence(instance).slot_rows
+        )
 
         shapes = np.frombuffer(layout.event_shapes, np.int64)
         self.event_shapes = shapes
@@ -360,6 +399,7 @@ class _Template:
             max(int(lengths.max(initial=0)), 1),
             max(len(self.support_labels), 1),
         )
+        num_events = len(self.names)
         self.kernel_ids = np.full(num_events, -1, dtype=np.int64)
         self.slots = np.full(num_events, -1, dtype=np.int64)
 
@@ -435,6 +475,10 @@ class _Template:
         rank-2 variable, three per rank-3 variable), so the rank-2
         variables and triangle sides on one dependency edge share its
         entry.  A variable's slots are in bookkeeping order.
+
+        Keys are numbered ``0 .. num_keys - 1`` in slot order, and key
+        ``k``'s slots are ``key_ptr[k]:key_ptr[k + 1]``; ``slot_key`` and
+        ``slot_event`` name each slot's key and event.
         """
         var_ptr = self.var_ptr
         ranks = np.diff(var_ptr)
@@ -455,13 +499,21 @@ class _Template:
             -1,
             dtype=np.int64,
         )
-        base = 0
+        base = first_key = 0
+        slot_keys, slot_events, key_widths = [], [], []
         for width, sides in sorted(sides_by_width.items()):
+            if width == 0:
+                continue
             rows = np.concatenate([side[2] for side in sides])
             ids, count = _number_rows(np, rows, num_events)
             distinct = np.empty((count, width), dtype=np.int64)
             distinct[ids] = rows
-            self.ledger_keys.append((base, distinct))
+            self.ledger_keys.append((base, first_key, distinct))
+            slot_keys.append(
+                np.repeat(np.arange(first_key, first_key + count), width)
+            )
+            slot_events.append(distinct.ravel())
+            key_widths.append(np.full(count, width, dtype=np.int64))
             slots = base + ids[:, None] * width + np.arange(width)
             offset = 0
             for members, column, _rows in sides:
@@ -470,7 +522,30 @@ class _Template:
                 ]
                 offset += len(members)
             base += count * width
+            first_key += count
         self.ledger_size = base
+        self.num_keys = first_key
+        empty = np.zeros(0, dtype=np.int64)
+        self.slot_key = np.concatenate(slot_keys or [empty])
+        self.slot_event = np.concatenate(slot_events or [empty])
+        self.key_ptr = np.zeros(first_key + 1, dtype=np.int64)
+        np.cumsum(
+            np.concatenate(key_widths or [empty]), out=self.key_ptr[1:]
+        )
+
+    def ledger_of_variables(self) -> list:
+        """Per variable row: ``(key, apply slots)``, or ``None`` for a
+        variable that writes no ledger entry.  The scalar path's lookup;
+        under the rank-2 and naive rules a variable writes one key."""
+        if self.var_ledger is None:
+            slot_key = self.slot_key.tolist()
+            self.var_ledger = [
+                (slot_key[row[0]], tuple(row[:width])) if width else None
+                for row, width in zip(
+                    self.var_apply.tolist(), self.apply_widths.tolist()
+                )
+            ]
+        return self.var_ledger
 
     # -- kernels ---------------------------------------------------------
     def _register(self, np, instance, rows) -> None:
@@ -719,7 +794,9 @@ class _Template:
         section.ops = records
         section.names = variable_names
         section.read_rows = read_rows
-        section.slot_list = sort_unique(op_apply[op_apply >= 0])
+        applied = op_apply[op_apply >= 0]
+        section.slot_list = sort_unique(applied)
+        section.touch_keys = _first_appearances(np, self.slot_key[applied])
 
         # Waves: the j-th op of every cell, lanes in cell order.
         op_cell = np.repeat(np.arange(len(cell_ops), dtype=np.int64), counts)
@@ -829,6 +906,14 @@ def _template_for(instance, kind: str) -> _Template:
     return template
 
 
+def ledger_template(instance, kind: str) -> _Template:
+    """The instance's template with its phi slot layout bound: the
+    layout the rank-2 and naive fixers keep their weight ledger in."""
+    template = _template_for(instance, kind)
+    template.bind_ledger(instance)
+    return template
+
+
 # ----------------------------------------------------------------------
 # Parent side: per-fixer run state
 # ----------------------------------------------------------------------
@@ -837,9 +922,9 @@ class _RunState:
 
     ``pending`` holds the class most recently decided but not yet
     committed, as ``(cells, parts)`` with one ``(section, memo entry or
-    None, live ledger refs per op)`` part per section — one section
-    decided in this process, or several chunk sections decided in
-    process workers (no memo entry); decisions mutate the pins matrix
+    None, live ledger refs per op or None)`` part per section — one
+    section decided in this process, or several chunk sections decided
+    in process workers (no memo entry); decisions mutate the pins matrix
     and the ledger array speculatively, so an unconfirmed pending class
     (or any fixer progress outside the vector path, detected via the
     step count) invalidates the state and forces a rebuild from ground
@@ -861,9 +946,9 @@ class _RunState:
         self.phi = None
         self.steps_seen = 0
         self.pending: Optional[tuple] = None
-        # Per-section live ledger entries (_resolve_refs output); the
-        # entry dicts are created once per fixer and mutated in place,
-        # so the resolution is stable for this fixer's lifetime.
+        # Per-section live P* entries (rank 3, :func:`section_refs`);
+        # the entry dicts are created once per fixer and mutated in
+        # place, so the resolution is stable for this fixer's lifetime.
         self.refs_cache: Dict[int, list] = {}
 
     def ensure_capacity(self, np) -> None:
@@ -896,7 +981,7 @@ def _build_state(fixer, template: _Template) -> _RunState:
     if values_map:
         _pin_assignment(np, state.pins, template, values_map)
     if state.steps_seen or values_map:
-        _copy_ledger(state.phi, template, fixer.vector_ledger)
+        fixer._fill_phi(state.phi, template)
     return state
 
 
@@ -928,35 +1013,33 @@ def _pin_assignment(np, pins, template: _Template, values_map) -> None:
         pins[event, position] = pin
 
 
-def _copy_ledger(phi, template: _Template, ledger) -> None:
-    """Copy the fixer's live ledger entries into their phi slots."""
-    names = template.names
-    for base, keys in template.ledger_keys:
-        width = keys.shape[1]
-        for index, row in enumerate(keys.tolist()):
-            members = [names[event] for event in row]
-            live = ledger.get(frozenset(members))
-            if live is not None:
-                slot = base + index * width
-                for offset, name in enumerate(members):
-                    phi[slot + offset] = live[name]
-
-
 def _resolve_refs(section: _Section, fixer) -> list:
-    """Live ledger entries per op (flat, plan order), for ``commit_class``.
+    """Live P* entries per op (flat, plan order), for ``commit_class``.
 
-    The fixer's own ``_ledger_ref`` hook resolves each op on the
+    The rank-3 fixer's ``_ledger_ref`` hook resolves each op on the
     template's precomputed keys.  A key the fixer's ledger lacks (a
     rank-3 op with no dependency edge) sends the class to the scalar
     path, which raises the proper error.
     """
     ledger_ref = fixer._ledger_ref
     try:
-        return [ledger_ref(op[TOP_NAMES], op[TOP_KEYS]) for op in section.ops]
+        return [
+            ledger_ref(op[TOP_VARIABLE], op[TOP_NAMES], op[TOP_KEYS])
+            for op in section.ops
+        ]
     except KeyError as error:
         raise _NotVectorizable(
             f"no dependency edge {sorted(map(repr, error.args[0]))}"
         ) from None
+
+
+def section_refs(state: _RunState, section: _Section, fixer) -> list:
+    """:func:`_resolve_refs`, once per section and run state."""
+    refs = state.refs_cache.get(id(section))
+    if refs is None:
+        refs = _resolve_refs(section, fixer)
+        state.refs_cache[id(section)] = refs
+    return refs
 
 
 class _MemoEntry:
@@ -1211,14 +1294,6 @@ def _live_state(fixer, template: _Template) -> _RunState:
     return state
 
 
-def _section_refs(state: _RunState, section: _Section, fixer):
-    refs = state.refs_cache.get(id(section))
-    if refs is None:
-        refs = _resolve_refs(section, fixer)
-        state.refs_cache[id(section)] = refs
-    return refs
-
-
 def _park(fixer, state: _RunState, cells, parts) -> None:
     """Leave ``cells``' decided lowering pending for ``commit_class``.
 
@@ -1240,8 +1315,8 @@ def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
     — scalar decide mode, or a counted fallback (see the module
     docstring); the scalar loop then reproduces the exact scalar-path
     outcome, including error attribution.  The fixer names its
-    selection discipline and live ledger through ``vector_kind`` and
-    ``vector_ledger``.
+    selection discipline through ``vector_kind`` and opens the section
+    on its ledger through ``_open_section``.
     """
     if planes().decide == "scalar":
         return None
@@ -1249,7 +1324,7 @@ def decide_class_choices(fixer, cells, instance) -> Optional[List[list]]:
         template = _template_for(instance, fixer.vector_kind)
         section = template.section_for(instance, cells)
         state = _live_state(fixer, template)
-        refs = _section_refs(state, section, fixer)
+        refs = fixer._open_section(state, section)
         entry = _run_section(state, section)
     except (_NotVectorizable, ReproError) as error:
         _fallback(fixer, error)
@@ -1298,7 +1373,7 @@ def open_worker_class(fixer, template: _Template, sections):
     try:
         state = _live_state(fixer, template)
         for section in sections:
-            _section_refs(state, section, fixer)
+            fixer._open_section(state, section)
     except (_NotVectorizable, ReproError) as error:
         _fallback(fixer, error)
         return None
@@ -1318,7 +1393,7 @@ def park_worker_class(fixer, state: _RunState, cells, sections) -> None:
         state,
         cells,
         [
-            (section, None, state.refs_cache[id(section)])
+            (section, None, fixer._open_section(state, section))
             for section in sections
         ],
     )

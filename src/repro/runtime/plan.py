@@ -45,7 +45,11 @@ import numpy as np
 
 from repro.artifacts.fingerprint import instance_key
 from repro.artifacts.store import STORE as _ARTIFACTS
-from repro.errors import SimulationError, UnknownVariableError
+from repro.errors import (
+    RankViolationError,
+    SimulationError,
+    UnknownVariableError,
+)
 from repro.coloring import compute_edge_coloring, compute_two_hop_coloring
 from repro.core.indexing import (
     event_incidence,
@@ -387,7 +391,18 @@ def build_plan_rank2(instance: LLLInstance) -> FixPlan:
     per host event; rank-2 variables form one cell per dependency edge,
     assigned to the edge's color class.  Cells are in sorted-owner
     order and ops in sorted-name order.
+
+    Raises
+    ------
+    RankViolationError
+        If a variable affects more than two events: it has no edge.
     """
+    rank = instance.rank
+    if rank > 2:
+        raise RankViolationError(
+            f"instance has rank {rank}, but the rank-2 plan supports at "
+            f"most rank 2"
+        )
     return _plan(
         instance, "rank2", "edge-coloring", compute_edge_coloring,
         _edge_claims, edgeless_palette=0,

@@ -36,7 +36,7 @@ from repro.core.indexing import (
 )
 from repro.core.rank3 import Rank3Fixer
 from repro.core.sequential import solve
-from repro.errors import CriterionViolationError, SimulationError
+from repro.errors import CriterionViolationError, RankViolationError
 from repro.generators import (
     INSTANCE_FAMILIES,
     build_family_instance,
@@ -363,21 +363,17 @@ def check_degree(instance):
     assert instance.max_dependency_degree == expected
 
 
-def outcome(build, instance):
-    try:
-        return build(instance)
-    except SimulationError as error:
-        return str(error)
-
-
 def check_plan(instance):
     assert build_plan_rank3(instance) == reference_plan_rank3(instance)
-    # Rank 3 too: the rank-2 builder takes it (a variable claims its
-    # first two events' edge), and there edge classes can be empty or
-    # conflict; a conflict must raise the reference's error.
-    assert outcome(build_plan_rank2, instance) == outcome(
-        reference_plan_rank2, instance
-    )
+    # A rank-3 variable has no edge: the rank-2 builder refuses the
+    # instance up front, worded like the rank-2 fixer.
+    if instance.rank > 2:
+        with pytest.raises(
+            RankViolationError, match="rank-2 plan supports at most rank 2"
+        ):
+            build_plan_rank2(instance)
+    else:
+        assert build_plan_rank2(instance) == reference_plan_rank2(instance)
     names = list(instance.variable_names)
     for order in (None, names[::-1]):
         plan = build_serial_plan(instance, order)

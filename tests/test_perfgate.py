@@ -81,6 +81,29 @@ def test_integer_counts_are_exact():
     assert "deterministic" in verdicts[0].note
 
 
+def test_e9_warm_counts_are_exact():
+    """The E9 warm row's tier and compile counts are gated exactly, and
+    both committed E9 baselines carry them."""
+    import pathlib
+
+    base = {"solutions_hits": 50, "kernel_compiles": 0}
+    assert statuses(compare_rows("E9", "k", base, dict(base), 0.4)) == {
+        "solutions_hits": "ok",
+        "kernel_compiles": "ok",
+    }
+    drifted = {"solutions_hits": 49, "kernel_compiles": 1}
+    assert statuses(compare_rows("E9", "k", base, drifted, 0.4)) == {
+        "solutions_hits": "fail",
+        "kernel_compiles": "fail",
+    }
+    results = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+    for path in ("results/E9.json", "results/quick/E9.json"):
+        rows = json.loads((results / path).read_text())
+        (warm,) = [row for row in rows if row["phase"] == "warm"]
+        assert warm["solutions_hits"] == warm["samples"]
+        assert warm["kernel_compiles"] == 0
+
+
 def test_times_and_strings_are_informational():
     verdicts = compare_rows(
         "EX",
